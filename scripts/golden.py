@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Golden sweep: every subcommand on every shipped spec, one line per run.
+
+    python scripts/golden.py --seed 0 > golden-s0.txt
+
+Each line reads `spec command exit sha256-of-out first-stderr-line`, with
+`-` standing for a missing artifact or an empty stderr. Two checkouts that
+print the same lines produce the same `--out` bytes, exit codes and error
+reasons, so diffing the output of two revisions is a refactoring check.
+Runs go through `zerorate.cli.run` in this process with small fixed sizes.
+The last lines probe two CLI usage errors.
+"""
+import os
+
+# pin the BLAS pools before numpy loads so artifacts do not depend on the host
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from zerorate import cli  # noqa: E402
+
+# only flags the command reads, so the same argv is valid on every revision
+SIZES = {
+    "build-code": ("--n", "64", "--codewords", "4"),
+    "simulate": ("--n", "64", "--codewords", "4", "--trials", "200"),
+    "zrho": ("--n", "64"),
+}
+COMMANDS = ("check", "distances", "optimize", "uce", "build-code", "simulate",
+            "zrho", "isi-bound", "isi-loss")
+# minutes per run on the L = 64 channel; everything else takes seconds
+SKIP = {("specs/isi_two_tap.json", "zrho"), ("specs/isi_two_tap.json", "uce")}
+USAGE_PROBES = (("optimize", "--bogus"), ("check", "--k-list", "8"))
+
+
+def run_one(argv: list[str], out: Path) -> tuple[int, str, str]:
+    if out.exists():
+        out.unlink()
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = cli.run(argv + ["--out", str(out)])
+        except SystemExit as exc:
+            code = exc.code
+    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    lines = err.getvalue().strip().splitlines()
+    return code, digest, lines[0] if lines else "-"
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args(argv)
+    specs = sorted(p.relative_to(ROOT).as_posix()
+                   for d in ("specs", "bench/specs") for p in (ROOT / d).glob("*.json"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        for spec in specs:
+            for command in COMMANDS:
+                if (spec, command) in SKIP:
+                    continue
+                argv = [command, "--spec", str(ROOT / spec), "--seed", str(args.seed),
+                        *SIZES.get(command, ())]
+                code, digest, err = run_one(argv, out)
+                print(spec, command, code, digest, err, flush=True)
+        spec = specs[0]
+        for command, *extra in USAGE_PROBES:
+            argv = [command, "--spec", str(ROOT / spec), *extra]
+            code, digest, err = run_one(argv, out)
+            print(spec, " ".join([command, *extra]), code, digest, err, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

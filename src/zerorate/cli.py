@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -30,8 +29,8 @@ from .codebook import (Codebook, MarkovTypeSpec, blend_for_construction,
                        build_ensemble, expurgate, round_type)
 from .errors import InfeasibleError, ValidationError
 from .exponent import (CostModel, PairDistribution, SolverOptions,
-                       TimeSharingPlan, maximize_e0, maximize_e0_single,
-                       maximize_uce, support_is_connected)
+                       TimeSharingPlan, e0, maximize_e0, maximize_e0_single,
+                       maximize_uce)
 from .fsm import (StateMachine, augment, augment_origin, check_structure,
                   feasible_pairs)
 from .isi import (IsiSpec, build_isi_machine, choose_amplitude, gray_stats,
@@ -294,8 +293,7 @@ def cmd_zrho(ch: LoadedChannel, args):
     else:
         q = res.argmax
     q, _, _ = blend_for_construction(q, None, max(args.n, 64), args.blend)
-    from .exponent import e0 as _e0
-    ref = _e0(q, d)
+    ref = e0(q, d)
     if args.rhos:
         rhos = [float(tok) for tok in args.rhos.split(",")]
     else:
@@ -323,7 +321,7 @@ def _uniform_delta(levels: np.ndarray) -> float:
     return float(gaps[0])
 
 
-def _isi_bound_dict(spec: IsiSpec, args) -> dict:
+def _isi_bound_dict(spec: IsiSpec) -> dict:
     value, omega_star = spectral_bound(spec)
     delta = _uniform_delta(spec.levels)
     max_level = float(np.max(np.abs(spec.levels)))
@@ -351,7 +349,7 @@ def _isi_bound_dict(spec: IsiSpec, args) -> dict:
 
 
 def cmd_isi_bound(ch: LoadedChannel, args):
-    return _isi_bound_dict(_isi_only(ch), args), "json"
+    return _isi_bound_dict(_isi_only(ch)), "json"
 
 
 def cmd_isi_loss(ch: LoadedChannel, args):
@@ -375,16 +373,40 @@ def cmd_isi_loss(ch: LoadedChannel, args):
     return rows, "csv"
 
 
+# Every optional flag once; a subcommand registers only the flags it reads.
+FLAGS = {
+    "--n": dict(type=int, default=512, help="block length"),
+    "--codewords": dict(type=int, default=4, help="codebook size M"),
+    "--trials": dict(type=int, default=10_000),
+    "--tol": dict(type=float, default=1e-9),
+    "--starts": dict(type=int, default=32),
+    "--max-r": dict(type=int, default=None),
+    "--blend": dict(type=float, default=None,
+                    help="mixing weight toward the uniform circulation when the "
+                         "argmax support needs repair (default: auto)"),
+    "--rho": dict(type=float, default=None, help="expurgation rho (default: geometric sweep)"),
+    "--rhos": dict(type=str, default=None, help="comma list for the zrho sweep"),
+    "--rho-max": dict(type=float, default=1024.0,
+                      help="zrho sweeps powers of 4 up to this value"),
+    "--trial-log": dict(type=str, default=None, help="per-trial CSV log for simulate"),
+    "--code": dict(type=str, default=None, help="codebook JSON produced by build-code"),
+    "--k-list": dict(type=str, default="8,16,32"),
+    "--relax-components": dict(action="store_true",
+                               help="time-sharing components constrained only through the mixture"),
+}
+_SOLVER = ("--tol", "--starts")
+_BUILD = _SOLVER + ("--n", "--codewords", "--blend", "--rho")
+# subcommand -> (handler, the optional flags it reads)
 COMMANDS = {
-    "check": cmd_check,
-    "distances": cmd_distances,
-    "optimize": cmd_optimize,
-    "uce": cmd_uce,
-    "build-code": cmd_build_code,
-    "simulate": cmd_simulate,
-    "zrho": cmd_zrho,
-    "isi-bound": cmd_isi_bound,
-    "isi-loss": cmd_isi_loss,
+    "check": (cmd_check, ("--max-r",)),
+    "distances": (cmd_distances, ()),
+    "optimize": (cmd_optimize, _SOLVER),
+    "uce": (cmd_uce, _SOLVER + ("--relax-components",)),
+    "build-code": (cmd_build_code, _BUILD),
+    "simulate": (cmd_simulate, _BUILD + ("--trials", "--trial-log", "--code")),
+    "zrho": (cmd_zrho, _SOLVER + ("--n", "--blend", "--rhos", "--rho-max")),
+    "isi-bound": (cmd_isi_bound, ()),
+    "isi-loss": (cmd_isi_loss, ("--k-list",)),
 }
 
 
@@ -397,57 +419,41 @@ def _render(result, kind: str) -> str:
     return buf.getvalue()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are validation failures (exit 1); exit 2 means infeasible."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="zerorate",
         description="Zero-rate reliability of finite-state channels with "
                     "input-dependent states.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="channel spec JSON path")
         p.add_argument("--out", default=None, help="result artifact path (default stdout report only)")
         p.add_argument("--report", default=None, help="full run-report JSON path")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--n", type=int, default=512, help="block length")
-        p.add_argument("--codewords", type=int, default=4, help="codebook size M")
-        p.add_argument("--trials", type=int, default=10_000)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--starts", type=int, default=32)
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="recorded in the report; computations are vectorized")
-        p.add_argument("--max-r", dest="max_r", type=int, default=None)
-        p.add_argument("--blend", type=float, default=None,
-                       help="mixing weight toward the uniform circulation when the "
-                            "argmax support needs repair (default: auto)")
-        p.add_argument("--rho", type=float, default=None,
-                       help="expurgation rho (default: geometric sweep)")
-        p.add_argument("--rhos", type=str, default=None,
-                       help="comma list for the zrho sweep")
-        p.add_argument("--rho-max", dest="rho_max", type=float, default=1024.0,
-                       help="zrho sweeps powers of 4 up to this value")
-        p.add_argument("--trial-log", dest="trial_log", type=str, default=None,
-                       help="per-trial CSV log for simulate")
-        p.add_argument("--code", type=str, default=None,
-                       help="codebook JSON produced by build-code")
-        p.add_argument("--k-list", dest="k_list", type=str, default="8,16,32")
-        p.add_argument("--relax-components", action="store_true",
-                       help="time-sharing components constrained only through the mixture")
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    t0 = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
+        t0 = time.perf_counter()
         with open(args.spec, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"spec is not valid JSON: {exc}") from None
         ch = load_channel(doc)
-        result, kind = COMMANDS[args.command](ch, args)
+        result, kind = COMMANDS[args.command][0](ch, args)
     except ValidationError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
@@ -465,7 +471,6 @@ def run(argv=None) -> int:
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
         "spec_echo": doc,
         "wall_clock_s": time.perf_counter() - t0,
         "result": result if kind == "json" else {"csv": artifact},

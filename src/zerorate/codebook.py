@@ -12,14 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .bhatt import DistanceMatrix
 from .errors import ValidationError
 from .exponent import (CostModel, PairDistribution, TimeSharingPlan,
                        feasibility_sccs, support_is_connected)
-from .fsm import FeasiblePairSet, StateMachine
+from .fsm import FeasiblePairSet, StateMachine, strong_components
 
 RHO_SWEEP = tuple(float(2 ** k) for k in range(0, 11))  # 1, 2, 4, ..., 1024
 
@@ -45,7 +43,7 @@ class MarkovTypeSpec:
         in_d = np.bincount(self.pairs.heads, weights=counts, minlength=self.pairs.n_states)
         if (out_d != in_d).any():
             raise ValidationError("counts are not balanced (in-degree != out-degree)")
-        if not _support_connected(self.pairs, counts):
+        if not support_is_connected(counts, self.pairs):
             raise ValidationError("positive-count support is not strongly connected")
         object.__setattr__(self, "counts", counts)
         counts.setflags(write=False)
@@ -56,16 +54,6 @@ class MarkovTypeSpec:
 
     def cost(self, cost: CostModel) -> float:
         return float(cost.pair_costs(self.pairs) @ self.counts)
-
-
-def _support_connected(pairs: FeasiblePairSet, counts) -> bool:
-    pos = np.nonzero(counts > 0)[0]
-    if not pos.size:
-        return False
-    q = np.zeros(len(pairs))
-    q[pos] = 1.0
-    q /= q.sum()
-    return support_is_connected(q, pairs)
 
 
 def _cycle_cancel(pairs: FeasiblePairSet, arcs: np.ndarray, frac: np.ndarray) -> np.ndarray:
@@ -233,13 +221,18 @@ def _repair_total(pairs, counts, sup, n, target):
 
 def _repair_connectivity(pairs, counts, sup, n, target):
     for _ in range(len(sup) + 1):
-        if _support_connected(pairs, counts):
+        if support_is_connected(counts, pairs):
             return
         pos = np.nonzero(counts > 0)[0]
         zero_sup = [a for a in sup if counts[a] == 0]
-        labels = _scc_labels(pairs, pos)
+        # states the positive arcs do not touch share the label -1, so an
+        # arc between two of them is not a bridge
+        labels = strong_components(pairs.n_states, pairs.tails[pos], pairs.heads[pos])
+        touched = np.zeros(pairs.n_states, dtype=bool)
+        touched[pairs.tails[pos]] = touched[pairs.heads[pos]] = True
+        labels[~touched] = -1
         bridge = next((a for a in zero_sup
-                       if labels.get(int(pairs.tails[a])) != labels.get(int(pairs.heads[a]))), None)
+                       if labels[pairs.tails[a]] != labels[pairs.heads[a]]), None)
         if bridge is None:
             bridge = zero_sup[0] if zero_sup else None
         if bridge is None:
@@ -268,19 +261,8 @@ def _repair_connectivity(pairs, counts, sup, n, target):
                     "connectivity repair cannot restore the total; increase n")
             if int(counts.sum()) == n:
                 break
-    if not _support_connected(pairs, counts):
+    if not support_is_connected(counts, pairs):
         raise ValidationError("support connectivity cannot be repaired")
-
-
-def _scc_labels(pairs, pos_arcs) -> dict[int, int]:
-    touched = sorted(set(pairs.tails[pos_arcs].tolist()) | set(pairs.heads[pos_arcs].tolist()))
-    remap = {s: i for i, s in enumerate(touched)}
-    rows = [remap[int(t)] for t in pairs.tails[pos_arcs]]
-    cols = [remap[int(h)] for h in pairs.heads[pos_arcs]]
-    adj = csr_matrix((np.ones(len(pos_arcs), dtype=np.int8), (rows, cols)),
-                     shape=(len(touched), len(touched)))
-    _, lab = connected_components(adj, directed=True, connection="strong")
-    return {s: int(lab[remap[s]]) for s in touched}
 
 
 def euler_circuit(spec: MarkovTypeSpec, anchor: int, seed) -> np.ndarray:

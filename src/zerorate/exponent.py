@@ -21,12 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
-from .fsm import FeasiblePairSet
+from .fsm import FeasiblePairSet, strong_components
 from .polytope import PGOptions, Polytope, maximize_quadratic
 
 MARGINAL_TOL = 1e-10
@@ -190,10 +188,7 @@ def feasibility_sccs(pairs: FeasiblePairSet) -> list[FeasibilityComponent]:
     """Strongly connected components of the digraph (states, feasible
     pairs), each with the arcs internal to it; cross-component arcs belong
     to no component. Components are ordered by their smallest state."""
-    S = pairs.n_states
-    adj = csr_matrix((np.ones(len(pairs), dtype=np.int8),
-                      (pairs.tails, pairs.heads)), shape=(S, S))
-    _, labels = connected_components(adj, directed=True, connection="strong")
+    labels = strong_components(pairs.n_states, pairs.tails, pairs.heads)
     comps = {}
     for s, lab in enumerate(labels):
         comps.setdefault(lab, set()).add(s)
@@ -207,29 +202,25 @@ def feasibility_sccs(pairs: FeasiblePairSet) -> list[FeasibilityComponent]:
 
 def support_is_connected(q, pairs: FeasiblePairSet, tol: float = 1e-12) -> bool:
     """Whether the support arcs form one strongly connected digraph over
-    the states they touch (the class-membership requirement on supports)."""
+    the states they touch (the class-membership requirement on supports).
+    q may be a PairDistribution or any per-pair weight vector."""
     vec = q.q if isinstance(q, PairDistribution) else np.asarray(q, dtype=float)
     sup = np.nonzero(vec > tol)[0]
     if not sup.size:
         return False
-    touched = sorted(set(pairs.tails[sup].tolist()) | set(pairs.heads[sup].tolist()))
-    remap = {s: i for i, s in enumerate(touched)}
-    rows = [remap[int(t)] for t in pairs.tails[sup]]
-    cols = [remap[int(h)] for h in pairs.heads[sup]]
-    adj = csr_matrix((np.ones(len(sup), dtype=np.int8), (rows, cols)),
-                     shape=(len(touched), len(touched)))
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
+    tails, heads = pairs.tails[sup], pairs.heads[sup]
+    labels = strong_components(pairs.n_states, tails, heads)
+    return len(np.unique(labels[np.concatenate([tails, heads])])) == 1
 
 
-def _balance_rows(pairs: FeasiblePairSet, arcs: np.ndarray) -> tuple[np.ndarray, list]:
+def _balance_rows(pairs: FeasiblePairSet, arcs: np.ndarray) -> np.ndarray:
     """Out-minus-in rows, one per state touched by the arcs."""
     touched = sorted(set(pairs.tails[arcs].tolist()) | set(pairs.heads[arcs].tolist()))
     rows = np.zeros((len(touched), len(arcs)))
     for i, s in enumerate(touched):
         rows[i, pairs.tails[arcs] == s] += 1.0
         rows[i, pairs.heads[arcs] == s] -= 1.0
-    return rows, touched
+    return rows
 
 
 def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
@@ -237,7 +228,7 @@ def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
                        budget: float | None = None) -> Polytope:
     """{q >= 0 on the given arcs, sum q = 1, equal marginals, cost <= budget}."""
     n = len(arcs)
-    bal, _ = _balance_rows(pairs, arcs)
+    bal = _balance_rows(pairs, arcs)
     a_eq = np.vstack([np.ones((1, n)), bal])
     b_eq = np.zeros(len(a_eq))
     b_eq[0] = 1.0
@@ -247,21 +238,26 @@ def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
     return Polytope(a_eq, b_eq, cost.pair_costs(pairs)[arcs].copy(), g)
 
 
-def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray) -> PairDistribution:
+def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray,
+           kind=PairDistribution):
+    """Lift a distribution on a component's arcs to all pairs and wrap it
+    with the (pairs, q) constructor `kind`."""
     q = np.zeros(len(pairs))
     q[arcs] = np.maximum(sub_q, 0.0)
     q /= q.sum()
-    return PairDistribution(pairs, q)
+    return kind(pairs, q)
 
 
 def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
-                    opts: SolverOptions, extra_starts=(), tol=None) -> tuple[np.ndarray, float]:
+                    opts: SolverOptions, extra_starts=(), tol=None,
+                    feasible=None) -> tuple[np.ndarray, float]:
     """Best stationary point of q^T D q over the polytope from several
-    starts; deterministic given the generator state."""
+    starts; deterministic given the generator state. `feasible` is the
+    polytope's feasible point when the caller already has it."""
     n = poly.dim
     starts = [np.full(n, 1.0 / n)]
     starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
-    starts.append(poly.feasible_point())
+    starts.append(poly.feasible_point() if feasible is None else feasible)
     for _ in range(max(n_starts - len(starts), 0)):
         starts.append(rng.dirichlet(np.ones(n)))
     best_q, best_v = None, -np.inf
@@ -272,85 +268,60 @@ def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
     return best_q, best_v
 
 
+def _maximize_per_component(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
+                            opts: SolverOptions, time_share: bool) -> ExponentResult:
+    """Best value over the feasibility components that have arcs, finite
+    distances and a point within budget. A component is solved by one
+    multi-start run (two starts when E0 is concave there), or, when
+    time_share is set and E0 is not concave, by its time-sharing value."""
+    best = None
+    saw_finite = False
+    for cid, comp in enumerate(feasibility_sccs(pairs)):
+        if not len(comp.arcs):
+            continue
+        sub_d = d.d[np.ix_(comp.arcs, comp.arcs)]
+        if np.isinf(sub_d).any():
+            continue
+        saw_finite = True
+        poly = component_polytope(pairs, comp.arcs, cost)
+        try:
+            feasible = poly.feasible_point()
+        except InfeasibleError:
+            continue
+        concave = concavity_test(DistanceMatrix(sub_d)).concave
+        if time_share and not concave:
+            val, arg = maximize_uce(d, pairs, cost, min(comp.states), opts)
+            connected = all(support_is_connected(c, pairs) for c in arg.components)
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
+            q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
+                                         opts, feasible=feasible)
+            arg = _embed(pairs, comp.arcs, q_sub)
+            connected = support_is_connected(arg, pairs)
+        if best is None or val > best.value + 1e-15:
+            best = ExponentResult(val, arg, concave, cid, connected)
+    if best is None:
+        if saw_finite:
+            raise InfeasibleError("no feasibility component meets the cost budget")
+        raise UnsupportedChannelError(
+            "every feasibility component has an infinite distance entry")
+    return best
+
+
 def maximize_e0_single(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
                        opts: SolverOptions | None = None) -> ExponentResult:
     """Best single pair distribution (no time-sharing), per component.
 
     Exact for concave components; best-found via multi-start otherwise.
     """
-    opts = opts or SolverOptions()
-    comps = feasibility_sccs(pairs)
-    best = None
-    saw_finite = False
-    for cid, comp in enumerate(comps):
-        if not len(comp.arcs):
-            continue
-        sub_d = d.d[np.ix_(comp.arcs, comp.arcs)]
-        if np.isinf(sub_d).any():
-            continue
-        saw_finite = True
-        poly = component_polytope(pairs, comp.arcs, cost)
-        try:
-            poly.feasible_point()
-        except InfeasibleError:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
-        report = concavity_test(DistanceMatrix(sub_d)) if len(comp.arcs) > 1 else \
-            ConcavityReport(True, np.zeros((0, 0)), 0.0)
-        n_starts = 2 if report.concave else opts.starts
-        q_sub, val = _multistart_max(sub_d, poly, rng, n_starts, opts)
-        if best is None or val > best.value + 1e-15:
-            arg = _embed(pairs, comp.arcs, q_sub)
-            best = ExponentResult(val, arg, report.concave, cid,
-                                  support_is_connected(arg, pairs))
-    if best is None:
-        if saw_finite:
-            raise InfeasibleError("no feasibility component meets the cost budget")
-        raise UnsupportedChannelError(
-            "every feasibility component has an infinite distance entry")
-    return best
+    return _maximize_per_component(d, pairs, cost, opts or SolverOptions(), False)
 
 
 def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
                 opts: SolverOptions | None = None) -> ExponentResult:
     """The zero-rate exponent: per component, the single-distribution
     maximum when E0 is concave there, otherwise the time-sharing value."""
-    opts = opts or SolverOptions()
-    comps = feasibility_sccs(pairs)
-    best = None
-    saw_finite = False
-    for cid, comp in enumerate(comps):
-        if not len(comp.arcs):
-            continue
-        sub_d = d.d[np.ix_(comp.arcs, comp.arcs)]
-        if np.isinf(sub_d).any():
-            continue
-        saw_finite = True
-        poly = component_polytope(pairs, comp.arcs, cost)
-        try:
-            poly.feasible_point()
-        except InfeasibleError:
-            continue
-        report = concavity_test(DistanceMatrix(sub_d)) if len(comp.arcs) > 1 else \
-            ConcavityReport(True, np.zeros((0, 0)), 0.0)
-        if report.concave:
-            rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
-            q_sub, val = _multistart_max(sub_d, poly, rng, 2, opts)
-            arg = _embed(pairs, comp.arcs, q_sub)
-            connected = support_is_connected(arg, pairs)
-        else:
-            anchor = min(comp.states)
-            val, plan = maximize_uce(d, pairs, cost, anchor, opts)
-            arg = plan
-            connected = all(support_is_connected(c, pairs) for c in plan.components)
-        if best is None or val > best.value + 1e-15:
-            best = ExponentResult(val, arg, report.concave, cid, connected)
-    if best is None:
-        if saw_finite:
-            raise InfeasibleError("no feasibility component meets the cost budget")
-        raise UnsupportedChannelError(
-            "every feasibility component has an infinite distance entry")
-    return best
+    return _maximize_per_component(d, pairs, cost, opts or SolverOptions(), True)
 
 
 def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
@@ -474,7 +445,7 @@ def _relax_components(sub_d, pairs, arcs, costs, gamma, anchor, strict_plan,
     the component's arcs; only the mixture must be balanced and on budget.
     Alternating improvement seeded from the strict plan; best found."""
     n = len(arcs)
-    bal, _ = _balance_rows(pairs, arcs)
+    bal = _balance_rows(pairs, arcs)
     comps = [c.q[arcs] for c in strict_plan.components]
     weights = list(strict_plan.weights)
     # extra slots let point-mass-like components emerge
@@ -514,12 +485,7 @@ def _relax_components(sub_d, pairs, arcs, costs, gamma, anchor, strict_plan,
             break
     keep = weights > 1e-12
     plan = TimeSharingPlan(weights[keep],
-                           tuple(RelaxedComponent(pairs, _embed_vec(pairs, arcs, comps[i]))
+                           tuple(_embed(pairs, arcs, comps[i], RelaxedComponent)
                                  for i in np.nonzero(keep)[0]), anchor)
     return best, plan
 
-
-def _embed_vec(pairs, arcs, sub_q):
-    q = np.zeros(len(pairs))
-    q[arcs] = np.maximum(sub_q, 0.0)
-    return q / q.sum()

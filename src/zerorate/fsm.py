@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, kron
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
@@ -99,9 +99,6 @@ class StateMachine:
         if recover is not None:
             g = np.array([xidx[recover[s]] for s in states], dtype=np.int64)
         return cls(states, alphabet, vals, ns, g)
-
-    def value_of(self, symbol_index: int) -> float:
-        return self.values[symbol_index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,17 +201,15 @@ def feasible_pairs(machine: StateMachine) -> FeasiblePairSet:
     return FeasiblePairSet(S, tails, heads, symbols.copy(), machine)
 
 
-def _adjacency(machine: StateMachine) -> csr_matrix:
-    S, K = machine.n_states, machine.n_symbols
-    rows = np.repeat(np.arange(S), K)
-    cols = machine.next_state.reshape(-1)
-    data = np.ones(S * K, dtype=np.int8)
-    return csr_matrix((data, (rows, cols)), shape=(S, S))
-
-
-def _strongly_connected(adj: csr_matrix) -> bool:
-    n_comp, _ = connected_components(adj, directed=True, connection="strong")
-    return n_comp == 1
+def strong_components(n_states: int, tails, heads) -> np.ndarray:
+    """Strongly connected component label of every state of the digraph
+    with the given arcs; states without arcs are singleton components."""
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    adj = csr_matrix((np.ones(len(tails), dtype=bool), (tails, heads)),
+                     shape=(n_states, n_states))
+    _, labels = connected_components(adj, directed=True, connection="strong")
+    return labels
 
 
 def check_structure(machine: StateMachine, max_r: int | None = None) -> StructuralReport:
@@ -231,11 +226,15 @@ def check_structure(machine: StateMachine, max_r: int | None = None) -> Structur
     S = machine.n_states
     if max_r is None:
         max_r = S * (S + 1)
-    adj = _adjacency(machine)
-    irreducible = _strongly_connected(adj)
-    doubly = bool(irreducible and _strongly_connected(kron(adj, adj, format="csr")))
-
     ns = machine.next_state
+    tails = np.repeat(np.arange(S), machine.n_symbols)
+    heads = ns.reshape(-1)
+    irreducible = bool((strong_components(S, tails, heads) == 0).all())
+    # product machine over independent input pairs: state (s, s') is s*S + s'
+    doubly = irreducible and bool((strong_components(
+        S * S, (tails[:, None] * S + tails[None, :]).reshape(-1),
+        (heads[:, None] * S + heads[None, :]).reshape(-1)) == 0).all())
+
     has_loop = np.any(ns == np.arange(S)[:, None], axis=1)
 
     def eccentricity(sigma: int) -> int | None:

@@ -8,7 +8,7 @@ e(theta) = Q(A sin theta) - A sin theta is periodic and piecewise equal to
 (level - A sin theta), so its Fourier coefficients -- and all the
 correlation sums built from them -- integrate in closed form piece by
 piece. The classical Bessel-series expressions for the same coefficients
-are kept as slower reference implementations and cross-checked in tests.
+are slower; the tests keep them as reference oracles.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jv
 
 from .bhatt import ChannelKernel, gaussian_kernel
 from .errors import InfeasibleError, ValidationError
@@ -200,8 +199,6 @@ def quantize_midrise(v, delta: float):
 class TruncationConfig:
     max_m: int = 4096       # harmonics kept explicitly; the rest is tail mass
     rel_tol: float = 1e-12
-    max_ell: int = 100_000  # Bessel-series reference only
-    bessel_tol: float = 1e-12
 
 
 def _phase_breakpoints(A: float, delta: float) -> np.ndarray:
@@ -387,57 +384,3 @@ def irrationalize(omega: float, denominator_cap: int = 64) -> tuple[float, bool]
     step = 2.0 * np.pi * np.sqrt(2.0) * 1e-3
     nudged = omega + step if omega < np.pi / 2 else omega - step
     return float(min(max(nudged, step), np.pi - step)), True
-
-
-def bessel_j_simpson(order: int, z: float, tol: float = 1e-12) -> float:
-    """J_order(z) = (1/pi) integral_0^pi cos(order t - z sin t) dt by
-    adaptive Simpson; reference implementation for the series formulas."""
-    def f(t):
-        return np.cos(order * t - z * np.sin(t)) / np.pi
-
-    def simpson(a, fa, fm, fb, b):
-        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, eps, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = simpson(a, fa, flm, fm, m)
-        right = simpson(m, fm, frm, fb, b)
-        if depth > 48 or abs(left + right - whole) < 15.0 * eps:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(a, m, fa, flm, fm, left, eps / 2.0, depth + 1)
-                + rec(m, b, fm, frm, fb, right, eps / 2.0, depth + 1))
-
-    # oscillatory integrand: split once per expected oscillation
-    n_seg = max(8, int(abs(z) + abs(order)) // 2)
-    xs = np.linspace(0.0, np.pi, n_seg + 1)
-    total = 0.0
-    for lo, hi in zip(xs[:-1], xs[1:]):
-        flo, fhi = f(lo), f(hi)
-        fmid = f(0.5 * (lo + hi))
-        whole = simpson(lo, flo, fmid, fhi, hi)
-        total += rec(lo, hi, flo, fmid, fhi, whole, tol / n_seg, 0)
-    return float(total)
-
-
-def eps_bessel_series(m: int, A: float, delta: float,
-                      truncation: TruncationConfig | None = None) -> float:
-    """The classical series eps_m = [ (delta/pi) sum_l J_{2m-1}(2 pi l A/delta)/l ]^2.
-
-    Slow reference: the series converges like l^{-3/2} with oscillation, so
-    it is truncated at max_ell and cross-checked against the exact harmonic
-    in tests rather than used in production."""
-    trunc = truncation or TruncationConfig()
-    ell = np.arange(1, trunc.max_ell + 1, dtype=float)
-    s = float((jv(2 * m - 1, 2.0 * np.pi * ell * A / delta) / ell).sum())
-    return (delta / np.pi * s) ** 2
-
-
-def b_bessel_series(A: float, delta: float,
-                    truncation: TruncationConfig | None = None) -> float:
-    """B = (delta/pi) sum_m J_1(2 pi m A/delta)/m (reference; the exact
-    value is R_xe(0)/A from the phase average)."""
-    trunc = truncation or TruncationConfig()
-    ell = np.arange(1, trunc.max_ell + 1, dtype=float)
-    return float(delta / np.pi * (jv(1, 2.0 * np.pi * ell * A / delta) / ell).sum())

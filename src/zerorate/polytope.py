@@ -55,24 +55,6 @@ class Polytope:
     def dim(self) -> int:
         return self.a_eq.shape[1]
 
-    def project_affine(self, x: np.ndarray) -> np.ndarray:
-        return x - self._proj @ (self.a_eq @ x - self.b_eq)
-
-    def project_halfspace(self, x: np.ndarray) -> np.ndarray:
-        if self.cost is None:
-            return x
-        excess = self.cost @ x - self.gamma
-        if excess <= 0:
-            return x
-        return x - excess / (self.cost @ self.cost) * self.cost
-
-    def residual(self, x: np.ndarray) -> float:
-        r = float(np.max(np.abs(self.a_eq @ x - self.b_eq)))
-        r = max(r, float(-min(x.min(), 0.0)))
-        if self.cost is not None:
-            r = max(r, float(self.cost @ x - self.gamma))
-        return r
-
     def _project_flat(self, v: np.ndarray) -> np.ndarray:
         """Exact projection onto the affine set intersected with the budget
         halfspace (KKT: activate the budget only when violated)."""

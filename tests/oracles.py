@@ -5,6 +5,7 @@ long time averages. None of it shares code with the solvers."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import jv
 
 
 def dmc_e0_grid(dhat: np.ndarray, phi=None, gamma=None, res=64, refine=4):
@@ -157,3 +158,66 @@ def register_polytope_grid(d4: np.ndarray, res=512, phi4=None, gamma=None):
         vals[~ok] = -np.inf
     i = int(np.argmax(vals))
     return float(vals[i]), q[i]
+
+
+def bessel_j_simpson(order: int, z: float, tol: float = 1e-12) -> float:
+    """J_order(z) = (1/pi) integral_0^pi cos(order t - z sin t) dt by
+    adaptive Simpson; reference implementation for the series formulas."""
+    def f(t):
+        return np.cos(order * t - z * np.sin(t)) / np.pi
+
+    def simpson(a, fa, fm, fb, b):
+        return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+
+    def rec(a, b, fa, fm, fb, whole, eps, depth):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        flm, frm = f(lm), f(rm)
+        left = simpson(a, fa, flm, fm, m)
+        right = simpson(m, fm, frm, fb, b)
+        if depth > 48 or abs(left + right - whole) < 15.0 * eps:
+            return left + right + (left + right - whole) / 15.0
+        return (rec(a, m, fa, flm, fm, left, eps / 2.0, depth + 1)
+                + rec(m, b, fm, frm, fb, right, eps / 2.0, depth + 1))
+
+    # oscillatory integrand: split once per expected oscillation
+    n_seg = max(8, int(abs(z) + abs(order)) // 2)
+    xs = np.linspace(0.0, np.pi, n_seg + 1)
+    total = 0.0
+    for lo, hi in zip(xs[:-1], xs[1:]):
+        flo, fhi = f(lo), f(hi)
+        fmid = f(0.5 * (lo + hi))
+        whole = simpson(lo, flo, fmid, fhi, hi)
+        total += rec(lo, hi, flo, fmid, fhi, whole, tol / n_seg, 0)
+    return float(total)
+
+
+def eps_bessel_series(m: int, A: float, delta: float, max_ell: int = 100_000) -> float:
+    """The classical series eps_m = [ (delta/pi) sum_l J_{2m-1}(2 pi l A/delta)/l ]^2.
+
+    Slow reference: the series converges like l^{-3/2} with oscillation, so
+    it is truncated at max_ell and cross-checked against the exact harmonic
+    in tests rather than used in production."""
+    ell = np.arange(1, max_ell + 1, dtype=float)
+    s = float((jv(2 * m - 1, 2.0 * np.pi * ell * A / delta) / ell).sum())
+    return (delta / np.pi * s) ** 2
+
+
+def b_bessel_series(A: float, delta: float, max_ell: int = 100_000) -> float:
+    """B = (delta/pi) sum_m J_1(2 pi m A/delta)/m (reference; the exact
+    value is R_xe(0)/A from the phase average)."""
+    ell = np.arange(1, max_ell + 1, dtype=float)
+    return float(delta / np.pi * (jv(1, 2.0 * np.pi * ell * A / delta) / ell).sum())
+
+
+def mutual_reachability(n_states: int, tails, heads) -> np.ndarray:
+    """(S, S) boolean: states i and j reach each other (every state reaches
+    itself), from Warshall's transitive closure of the arc relation."""
+    reach = np.eye(n_states, dtype=bool)
+    for t, h in zip(tails, heads):
+        reach[t, h] = True
+    for k in range(n_states):
+        for i in range(n_states):
+            if reach[i, k]:
+                reach[i] |= reach[k]
+    return reach & reach.T

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zerorate.cli import load_channel, run
+from zerorate.cli import COMMANDS, build_parser, load_channel, run
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -236,3 +237,45 @@ def test_simulate_trial_log_flag(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(log.read_text())))
     assert len(rows) == 1 + 80
+
+
+@pytest.mark.parametrize("argv", [["optimize", "--bogus"], ["check", "--k-list", "8"],
+                                  ["build-code", "--n", "many"]], ids=" ".join)
+def test_usage_error_is_a_validation_failure(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, BSC_DOC)
+    code, stdout, err = run_cli(capsys, argv[0], "--spec", spec, *argv[1:])
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
+def test_missing_spec_is_a_validation_failure(capsys):
+    code, _, err = run_cli(capsys, "optimize")
+    assert code == 1
+    assert err.startswith("error: validation:") and "--spec" in err
+
+
+COMMON = {"-h", "--help", "--spec", "--out", "--report", "--seed"}
+SOLVER = {"--tol", "--starts"}
+BUILD = SOLVER | {"--n", "--codewords", "--blend", "--rho"}
+SURFACE = {
+    "check": {"--max-r"},
+    "distances": set(),
+    "optimize": SOLVER,
+    "uce": SOLVER | {"--relax-components"},
+    "build-code": BUILD,
+    "simulate": BUILD | {"--trials", "--trial-log", "--code"},
+    "zrho": SOLVER | {"--n", "--blend", "--rhos", "--rho-max"},
+    "isi-bound": set(),
+    "isi-loss": {"--k-list"},
+}
+
+
+def test_surface_lists_every_subcommand():
+    assert set(SURFACE) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(SURFACE))
+def test_subcommand_takes_only_the_flags_it_reads(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {opt for act in sub.choices[command]._actions for opt in act.option_strings}
+    assert options == COMMON | SURFACE[command]

@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 import zerorate as zr
 from zerorate.errors import ValidationError
+from zerorate.fsm import strong_components
+
+from oracles import mutual_reachability
 
 
 def one_state(K=2):
@@ -184,3 +187,41 @@ def test_exact_length_sets_stay_full_beyond_r(m, extra):
     for _ in range(r + extra):
         mask = mask[m.next_state].any(axis=1)
     assert mask.all()
+
+
+@st.composite
+def digraphs(draw):
+    """Small digraphs without repeated arcs; self-loops and states without
+    arcs are both common at these sizes."""
+    S = draw(st.integers(1, 7))
+    arcs = sorted(draw(st.sets(st.tuples(st.integers(0, S - 1), st.integers(0, S - 1)),
+                               max_size=2 * S + 2)))
+    tails = np.array([t for t, _ in arcs], dtype=np.int64)
+    heads = np.array([h for _, h in arcs], dtype=np.int64)
+    return S, tails, heads
+
+
+@given(digraphs(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_scc_helpers_match_transitive_closure(graph, data):
+    S, tails, heads = graph
+    same = mutual_reachability(S, tails, heads)
+    labels = strong_components(S, tails, heads)
+    assert ((labels[:, None] == labels[None, :]) == same).all()
+
+    pairs = zr.FeasiblePairSet(S, tails, heads, np.zeros(len(tails), dtype=np.int64))
+    classes = sorted({frozenset(np.nonzero(row)[0].tolist()) for row in same}, key=min)
+    comps = zr.feasibility_sccs(pairs)
+    assert [c.states for c in comps] == classes
+    for c in comps:
+        inside = [a for a in range(len(tails)) if tails[a] in c.states and heads[a] in c.states]
+        assert c.arcs.tolist() == inside
+
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 1.0]),
+                                          min_size=len(tails), max_size=len(tails))),
+                       dtype=float)
+    sup = weights > 0
+    touched = sorted(set(tails[sup].tolist()) | set(heads[sup].tolist()))
+    sub_same = mutual_reachability(S, tails[sup], heads[sup])
+    expected = bool(touched) and all(sub_same[i, j] for i in touched for j in touched)
+    assert zr.support_is_connected(weights, pairs) == expected
