@@ -3,10 +3,19 @@
 The channel is memoryless over consecutive state pairs, so a trial draws
 y_t from the arc's output law and the ML decoder sums per-step
 log-likelihoods over all codewords (ties count as errors, keeping bounds
-valid). The z_rho operation minimizes the typed exponent of the soft
-pairwise score over coupled pair processes; the conditional-product
-coupling is always included as a start, which pins the value at or below
-minus the exponent functional.
+valid). No (trials, M, n) array is built. The Gaussian metric is the
+correlation form (y.mu - |mu|^2/2) / sigma^2, which drops the -|y|^2/2sigma^2
+common to every hypothesis; it is computed once per distinct mean row and
+copied to the codewords sharing it, so identical codewords tie exactly.
+The discrete metric gathers each codeword's log-pmf table at the outputs,
+summing the same n terms in the same order as a broadcast would. Trials
+run in batches of about 2**21 output samples whatever n is; the batch size
+does not change the random streams.
+
+The z_rho operation minimizes the typed exponent of the soft pairwise
+score over coupled pair processes; the conditional-product coupling is
+always included as a start, which pins the value at or below minus the
+exponent functional.
 """
 from __future__ import annotations
 
@@ -20,7 +29,8 @@ from .errors import ValidationError
 from .exponent import PairDistribution, SolverOptions
 from .polytope import Polytope, minimize_smooth
 
-_BATCH = 4096
+_BATCH_ELEMENTS = 2 ** 21  # output samples per batch (16 MiB of float64)
+_GATHER_ELEMENTS = 2 ** 17  # discrete metric terms gathered at once (1 MiB)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,28 +57,49 @@ class SimulationReport:
         }
 
 
+def _rows(elements: int, n: int) -> int:
+    """Rows of length n that fit in a chunk of the given number of elements."""
+    return max(1, elements // max(n, 1))
+
+
 def _sample_outputs(kernel: ChannelKernel, arcs: np.ndarray, rng, n_trials: int) -> np.ndarray:
     """(n_trials, n) outputs for a fixed transmitted arc sequence."""
     n = len(arcs)
     if kernel.kind == DISCRETE:
-        cdf = np.cumsum(kernel.pmf[arcs], axis=1)  # (n, Y)
-        cdf[:, -1] = np.inf  # guard the top cell against cumsum roundoff
+        # inverse CDF: the output is the number of CDF cells below u; the
+        # top cell is never counted, so its cumsum roundoff is harmless
+        cdf = np.cumsum(kernel.pmf[arcs], axis=1).T.copy()  # (Y, n)
         u = rng.random((n_trials, n))
-        return (u[:, :, None] > cdf[None, :, :]).sum(axis=2)
-    mu = kernel.means[arcs]
-    sigma = np.sqrt(kernel.variance)
-    return mu[None, :] + sigma * rng.standard_normal((n_trials, n))
+        y = np.zeros((n_trials, n), dtype=np.min_scalar_type(len(cdf) - 1))
+        for cell in cdf[:-1]:
+            y += u > cell
+        return y.astype(np.int64)
+    z = rng.standard_normal((n_trials, n))
+    z *= np.sqrt(kernel.variance)
+    z += kernel.means[arcs]
+    return z
 
 
 def _loglik(kernel: ChannelKernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n_trials, M) decoder metric for each codeword hypothesis."""
+    """(n_trials, M) decoder metric for each codeword hypothesis, up to a
+    term common to all hypotheses."""
     if kernel.kind == DISCRETE:
         logp = log_pmf(kernel)  # (L, Y)
-        per = logp[arc_paths[None, :, :], y[:, None, :].astype(np.int64)]
-        return per.sum(axis=2)
-    mu = kernel.means[arc_paths]  # (M, n)
-    diff = y[:, None, :] - mu[None, :, :]
-    return -(diff * diff).sum(axis=2) / (2.0 * kernel.variance)
+        tables = logp[arc_paths].reshape(len(arc_paths), -1)  # (M, n * Y)
+        flat = np.arange(y.shape[1]) * logp.shape[1] + y  # cell (t, y_t) of an (n, Y) table
+        ll = np.empty((len(y), len(arc_paths)))
+        step = _rows(_GATHER_ELEMENTS, y.shape[1])  # rows whose gathers stay in cache
+        for lo in range(0, len(y), step):
+            rows = flat[lo:lo + step]
+            for m, table in enumerate(tables):
+                ll[lo:lo + step, m] = table.take(rows).sum(axis=1)
+        return ll
+    # one column per distinct mean row: a GEMM may round equal columns apart
+    mu, inverse = np.unique(kernel.means[arc_paths], axis=0, return_inverse=True)
+    corr = y @ mu.T
+    corr -= 0.5 * (mu * mu).sum(axis=1)
+    corr /= kernel.variance
+    return corr[:, inverse.reshape(-1)]
 
 
 def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
@@ -92,11 +123,12 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
             close_log = True
         log = csv.writer(log_fh)
         log.writerow(["trial", "codeword", "decoded", "correct"])
+    rows = _rows(_BATCH_ELEMENTS, n)
     for m in range(M):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), m)))
         done = 0
         while done < trials:
-            batch = min(_BATCH, trials - done)
+            batch = min(rows, trials - done)
             y = _sample_outputs(kernel, book.arc_paths[m], rng, batch)
             if M > 1:
                 ll = _loglik(kernel, book.arc_paths, y)
@@ -110,8 +142,8 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
                 wrong = np.zeros(batch, dtype=bool)
                 decoded = np.zeros(batch, dtype=np.int64)
             if log_fh is not None:
-                for t in range(batch):
-                    log.writerow([done + t, m, int(decoded[t]), int(not wrong[t])])
+                log.writerows(zip(range(done, done + batch), [m] * batch,
+                                  decoded.tolist(), (~wrong).astype(np.int64).tolist()))
             done += batch
     if close_log:
         log_fh.close()
@@ -144,10 +176,11 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
     if arcs_a.shape != arcs_b.shape:
         raise ValidationError("paths must have equal length")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A)))
+    rows = _rows(_BATCH_ELEMENTS, len(arcs_a))
     errs = 0
     done = 0
     while done < trials:
-        batch = min(_BATCH, trials - done)
+        batch = min(rows, trials - done)
         y = _sample_outputs(kernel, arcs_a, rng, batch)
         ll = _loglik(kernel, np.stack([arcs_a, arcs_b]), y)
         errs += int((ll[:, 1] >= ll[:, 0]).sum())

@@ -130,6 +130,33 @@ def gaussian_two_codeword_error(d_e: float, sigma: float) -> float:
     return float(norm.cdf(-d_e / (2.0 * sigma)))
 
 
+def sample_outputs_broadcast(kernel, arcs: np.ndarray, rng, n_trials: int) -> np.ndarray:
+    """Reference for montecarlo._sample_outputs: (n_trials, n) outputs by
+    broadcasting the uniforms against every CDF cell at once."""
+    n = len(arcs)
+    if kernel.kind == "discrete":
+        cdf = np.cumsum(kernel.pmf[arcs], axis=1)  # (n, Y)
+        cdf[:, -1] = np.inf  # guard the top cell against cumsum roundoff
+        u = rng.random((n_trials, n))
+        return (u[:, :, None] > cdf[None, :, :]).sum(axis=2)
+    mu = kernel.means[arcs]
+    sigma = np.sqrt(kernel.variance)
+    return mu[None, :] + sigma * rng.standard_normal((n_trials, n))
+
+
+def loglik_broadcast(kernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Reference for montecarlo._loglik: the full (n_trials, M) log-likelihood
+    from a (n_trials, M, n) array of per-step terms."""
+    if kernel.kind == "discrete":
+        with np.errstate(divide="ignore"):
+            logp = np.log(kernel.pmf)  # (L, Y)
+        per = logp[arc_paths[None, :, :], y[:, None, :].astype(np.int64)]
+        return per.sum(axis=2)
+    mu = kernel.means[arc_paths]  # (M, n)
+    diff = y[:, None, :] - mu[None, :, :]
+    return -(diff * diff).sum(axis=2) / (2.0 * kernel.variance)
+
+
 def quantized_sine_time_averages(A, delta, omega0, phase, n):
     """(R_ee(0), R_xe(0), power, R_ee(1), R_ee(2)) by long time averages."""
     t = np.arange(1, n + 1, dtype=float)

@@ -1,12 +1,17 @@
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerorate as zr
+from zerorate import montecarlo
 from zerorate.codebook import Codebook
-from zerorate.montecarlo import empirical_exponent_consistency
+from zerorate.montecarlo import _loglik, _sample_outputs, empirical_exponent_consistency
 
-from conftest import make_isi
-from oracles import gaussian_two_codeword_error
+from conftest import make_bsc, make_isi
+from oracles import gaussian_two_codeword_error, loglik_broadcast, sample_outputs_broadcast
 
 
 def small_book(h=(1.0, 0.5), n=16, M=2, seed=0, theta=0.3):
@@ -34,6 +39,40 @@ def test_identical_codewords_tie_as_error():
                     book.certificate, 0.0, book.seed, book.rho)
     rep = zr.simulate(kern, twin, trials=400, seed=2)
     assert (rep.pe_estimates >= 0.5).all()  # ties decode as errors
+
+
+def bsc_book(n=64, M=16, seed=0, p=0.1):
+    m, pairs, kern, d = make_bsc(p)
+    q = zr.PairDistribution(pairs, np.full(len(pairs), 1.0 / len(pairs)))
+    cands = zr.build_ensemble(zr.round_type(q, n), M, n, seed, anchor=0)
+    return kern, d, zr.expurgate(cands, d, M, machine=m)
+
+
+def with_copy(book, src, dst, M):
+    """The first M codewords of book, codeword src copied over codeword dst."""
+    rows = [a[:M].copy() for a in (book.codewords, book.state_paths, book.arc_paths)]
+    for a in rows:
+        a[dst] = a[src]
+    return Codebook(book.machine, book.pairs, *rows, book.certificate, 0.0,
+                    book.seed, book.rho)
+
+
+# With M = 14 the copy lands in a partial GEMM tile, where a plain
+# y @ means.T rounds the two equal columns apart at some batch sizes.
+@pytest.mark.parametrize("M", [16, 14])
+@pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+def test_copied_codeword_ties_exactly(kind, M):
+    if kind == "gaussian":
+        _, _, kern, _, book = small_book(M=16, n=64, theta=0.5)
+    else:
+        kern, _, book = bsc_book()
+    assert book.M == 16 and len(np.unique(book.arc_paths, axis=0)) == 16
+    twin = with_copy(book, 0, 13, M)
+    for trials in (*range(1, 41), 300):
+        rep = zr.simulate(kern, twin, trials=trials, seed=2)
+        # every trial ties the two copies exactly, and ties decode as errors
+        assert rep.pe_estimates[0] == 1.0
+        assert rep.pe_estimates[13] == 1.0
 
 
 def test_noiseless_discrete_decoder_is_exact(order1):
@@ -123,6 +162,66 @@ def test_simulation_reproducible():
     assert a.to_json_dict() == b.to_json_dict()
     c = zr.simulate(kern, book, trials=2000, seed=12)
     assert a.errors.tolist() != c.errors.tolist() or True  # different seed may coincide
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(4, 48), st.integers(1, 16),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
+    gen = np.random.default_rng(seed)
+    paths = gen.integers(0, L, size=(M, n))
+    paths[gen.integers(0, M, size=M // 2)] = paths[0]  # duplicate codewords
+    pmf = gen.dirichlet(np.ones(Y), size=L)
+    pmf[gen.random((L, Y)) < 0.3] = 0.0  # zero cells give -inf terms
+    pmf[:, 0] += pmf.sum(axis=1) == 0
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    pmf[-1] = pmf[0]  # two arcs with one law
+    means = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=L) * gen.uniform(0.5, 2.0)
+    variance = gen.uniform(0.1, 4.0)
+    for kern in (zr.discrete_kernel(tuple(range(Y)), pmf), zr.gaussian_kernel(means, variance)):
+        y = _sample_outputs(kern, paths[0], np.random.default_rng(seed), trials)
+        ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
+        assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
+        ll = _loglik(kern, paths, y)
+        ref = loglik_broadcast(kern, paths, y)
+        if kern.kind == "discrete":
+            assert np.array_equal(ll, ref)
+        else:
+            # the correlation metric omits -|y|^2 / 2 sigma^2
+            full = ll - (y * y).sum(axis=1, keepdims=True) / (2.0 * variance)
+            np.testing.assert_allclose(full, ref, rtol=1e-9, atol=0.0)
+        assert np.array_equal(ll.argmax(axis=1), ref.argmax(axis=1))
+        for m in range(1, M):
+            wrong = np.delete(ll, m, axis=1).max(axis=1) >= ll[:, m]
+            ref_wrong = np.delete(ref, m, axis=1).max(axis=1) >= ref[:, m]
+            assert np.array_equal(wrong, ref_wrong)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "discrete"])
+def test_batch_size_changes_nothing(kind, monkeypatch):
+    if kind == "gaussian":
+        _, _, kern, d, book = small_book(M=4, n=16)
+    else:
+        kern, d, book = bsc_book(n=16, M=4, p=0.2)
+
+    dist = d.d[book.arc_paths[:, None, :], book.arc_paths[None, :, :]].sum(axis=2)
+    a, b = np.unravel_index(np.argmin(dist + np.diag(np.full(book.M, np.inf))), dist.shape)
+
+    def run():
+        log = io.StringIO()
+        rep = zr.simulate(kern, book, trials=500, seed=9, trial_log=log)
+        pair = zr.pairwise_check(kern, book.arc_paths[a], book.arc_paths[b],
+                                 trials=500, seed=9, d=d)
+        return rep, pair, log.getvalue()
+
+    rep, pair, log = run()
+    assert rep.errors.sum() > 0 and pair.p_hat > 0
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 7 * book.n + 3)  # 7-trial batches
+    small_rep, small_pair, small_log = run()
+    assert small_rep.to_json_dict() == rep.to_json_dict()
+    assert small_pair == pair
+    same_log = small_log == log  # a plain assert would diff two 2000-line strings
+    assert same_log
 
 
 def test_exponent_consistency_with_min_distance():
