@@ -20,12 +20,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
 from .fsm import FeasiblePairSet, strong_components
-from .polytope import PGOptions, Polytope, maximize_quadratic
+from .polytope import PGOptions, Polytope, _highs_lp, maximize_quadratic
 
 MARGINAL_TOL = 1e-10
 
@@ -326,9 +325,7 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
 
 def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
     """max w.values s.t. sum w = 1, w.costs <= gamma, w >= 0."""
-    res = linprog(-values, A_ub=costs[None, :], b_ub=[gamma],
-                  A_eq=np.ones((1, len(values))), b_eq=[1.0],
-                  bounds=(0, None), method="highs")
+    res = _highs_lp(-values, np.ones((1, len(values))), [1.0], costs, gamma)
     if res.status != 0:
         raise InfeasibleError("cost budget below every candidate component")
     return res.x, float(-res.fun)

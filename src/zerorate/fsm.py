@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 
@@ -203,7 +201,11 @@ def feasible_pairs(machine: StateMachine) -> FeasiblePairSet:
 
 def strong_components(n_states: int, tails, heads) -> np.ndarray:
     """Strongly connected component label of every state of the digraph
-    with the given arcs; states without arcs are singleton components."""
+    with the given arcs; states without arcs are singleton components.
+    scipy's csgraph is imported here, on first use, to keep import light."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     adj = csr_matrix((np.ones(len(tails), dtype=bool), (tails, heads)),

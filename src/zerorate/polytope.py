@@ -12,11 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import InfeasibleError
 
 FEAS_TOL = 1e-9
+
+
+def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
+              gamma: float = 0.0):
+    """min objective.x over {x >= 0, a_eq x = b_eq, cost.x <= gamma} by HiGHS.
+
+    Every LP of the package goes through here; scipy.optimize is imported on
+    the first call, so importing zerorate does not load it."""
+    from scipy.optimize import linprog
+    return linprog(objective, A_eq=a_eq, b_eq=b_eq,
+                   A_ub=None if cost is None else cost[None, :],
+                   b_ub=None if cost is None else [gamma],
+                   bounds=(0, None), method="highs")
 
 
 @dataclass
@@ -79,11 +91,7 @@ class Polytope:
         return y
 
     def _linprog(self, objective: np.ndarray):
-        res = linprog(objective, A_eq=self.a_eq, b_eq=self.b_eq,
-                      A_ub=None if self.cost is None else self.cost[None, :],
-                      b_ub=None if self.cost is None else [self.gamma],
-                      bounds=(0, None), method="highs")
-        return res
+        return _highs_lp(objective, self.a_eq, self.b_eq, self.cost, self.gamma)
 
     def feasible_point(self) -> np.ndarray:
         """Any feasible point, or raise. Minimizes the cost as a side effect
@@ -105,8 +113,7 @@ class Polytope:
         return res.x
 
     def _min_cost_unbudgeted(self) -> float:
-        res = linprog(self.cost, A_eq=self.a_eq, b_eq=self.b_eq,
-                      bounds=(0, None), method="highs")
+        res = _highs_lp(self.cost, self.a_eq, self.b_eq)
         return float(res.fun) if res.status == 0 else float("inf")
 
     def linear_range(self, c: np.ndarray) -> tuple[float, float]:

@@ -2,14 +2,19 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zerorate
 from zerorate.cli import COMMANDS, build_parser, load_channel, run
 
-SPECS = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPECS = ROOT / "specs"
 
 BSC_DOC = json.loads((SPECS / "bsc.json").read_text())
 ISI_DOC = json.loads((SPECS / "isi_binary.json").read_text())
@@ -293,3 +298,47 @@ def test_subcommand_takes_only_the_flags_it_reads(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for act in sub.choices[command]._actions for opt in act.option_strings}
     assert options == COMMON | SURFACE[command]
+
+
+# Runs in a fresh interpreter: loads every spec, then one CLI command per
+# further argument ("command:spec"), and prints after each step which scipy
+# packages sys.modules holds.
+COLD_START_PROBE = """\
+import contextlib, io, json, sys
+import zerorate
+from zerorate.cli import load_channel, run
+
+def scipy_loaded():
+    return sorted(m for m in ("scipy", "scipy.sparse", "scipy.optimize") if m in sys.modules)
+
+specs, commands = sys.argv[1].split(","), sys.argv[2:]
+for path in specs:
+    with open(path, encoding="utf-8") as fh:
+        load_channel(json.load(fh))
+steps = {"load_channel": scipy_loaded()}
+for item in commands:
+    command, spec = item.split(":")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run([command, "--spec", spec])
+    steps[command] = [code, scipy_loaded()]
+print(json.dumps(steps))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_solvers():
+    specs = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs").glob("*.json"))
+    assert len(specs) >= 6
+    src = str(Path(zerorate.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, ",".join(map(str, specs)),
+         f"isi-bound:{SPECS / 'isi_two_tap.json'}", f"distances:{SPECS / 'bsc.json'}",
+         f"optimize:{SPECS / 'bsc.json'}"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert steps["load_channel"] == []
+    assert steps["isi-bound"] == [0, []]
+    assert steps["distances"] == [0, []]
+    # the probe sees an import when one happens
+    assert steps["optimize"][0] == 0 and "scipy.optimize" in steps["optimize"][1]

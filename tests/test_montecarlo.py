@@ -160,8 +160,11 @@ def test_simulation_reproducible():
     b = zr.simulate(kern, book, trials=2000, seed=11)
     assert a.errors.tolist() == b.errors.tolist()
     assert a.to_json_dict() == b.to_json_dict()
+    # the n = 24 book never errs, so seed sensitivity is checked on a short one
+    m, pairs, kern, d, book = small_book(M=2, n=8)
+    a = zr.simulate(kern, book, trials=2000, seed=11)
     c = zr.simulate(kern, book, trials=2000, seed=12)
-    assert a.errors.tolist() != c.errors.tolist() or True  # different seed may coincide
+    assert a.errors.tolist() != c.errors.tolist()
 
 
 @settings(max_examples=80, deadline=None)
