@@ -216,15 +216,12 @@ def cmd_uce(ch: LoadedChannel, args):
     d = bhattacharyya(ch.kernel, ch.pairs)
     single = maximize_e0_single(d, ch.pairs, ch.cost, _solver_opts(args))
     anchor = int(np.argmax(single.argmax.pi))
-    opts = _solver_opts(args)
-    opts.relax_components = args.relax_components
-    value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, opts)
+    value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, _solver_opts(args))
     out = {
         "value": value,
         "single_value": single.value,
         "anchor": str(ch.machine.states[anchor]),
         "plan": _argmax_dict(plan, ch.pairs),
-        "relaxed_components": args.relax_components,
     }
     return out, "json"
 
@@ -300,7 +297,7 @@ def cmd_zrho(ch: LoadedChannel, args):
         rhos = [1.0]
         while rhos[-1] * 4 <= args.rho_max:
             rhos.append(rhos[-1] * 4)
-    results = z_rho_sweep(q, d, rhos, _solver_opts(args))
+    results = z_rho_sweep(q, d, rhos)
     rows = [["rho", "z_value", "delta", "cross_term", "minus_e0_qstar"]]
     for rho, r in zip(sorted(rhos), results):
         rows.append([_float_str(rho), _float_str(r.value), _float_str(r.delta),
@@ -391,8 +388,6 @@ FLAGS = {
     "--trial-log": dict(type=str, default=None, help="per-trial CSV log for simulate"),
     "--code": dict(type=str, default=None, help="codebook JSON produced by build-code"),
     "--k-list": dict(type=str, default="8,16,32"),
-    "--relax-components": dict(action="store_true",
-                               help="time-sharing components constrained only through the mixture"),
 }
 _SOLVER = ("--tol", "--starts")
 _BUILD = _SOLVER + ("--n", "--codewords", "--blend", "--rho")
@@ -401,7 +396,7 @@ COMMANDS = {
     "check": (cmd_check, ("--max-r",)),
     "distances": (cmd_distances, ()),
     "optimize": (cmd_optimize, _SOLVER),
-    "uce": (cmd_uce, _SOLVER + ("--relax-components",)),
+    "uce": (cmd_uce, _SOLVER),
     "build-code": (cmd_build_code, _BUILD),
     "simulate": (cmd_simulate, _BUILD + ("--trials", "--trial-log", "--code")),
     "zrho": (cmd_zrho, _SOLVER + ("--n", "--blend", "--rhos", "--rho-max")),

@@ -143,7 +143,6 @@ class SolverOptions:
     starts: int = 32
     seed: int = 0
     sweep_points: int = 17
-    relax_components: bool = False
     proj_tol: float = 1e-12
 
     def pg(self, tol=None) -> PGOptions:
@@ -237,25 +236,24 @@ def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
     return Polytope(a_eq, b_eq, cost.pair_costs(pairs)[arcs].copy(), g)
 
 
-def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray,
-           kind=PairDistribution):
-    """Lift a distribution on a component's arcs to all pairs and wrap it
-    with the (pairs, q) constructor `kind`."""
+def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray) -> PairDistribution:
+    """Lift a distribution on a component's arcs to all pairs."""
     q = np.zeros(len(pairs))
     q[arcs] = np.maximum(sub_q, 0.0)
     q /= q.sum()
-    return kind(pairs, q)
+    return PairDistribution(pairs, q)
 
 
 def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
-                    opts: SolverOptions, extra_starts=(), tol=None,
+                    opts: SolverOptions, warm=(), tol=None,
                     feasible=None) -> tuple[np.ndarray, float]:
     """Best stationary point of q^T D q over the polytope from several
-    starts; deterministic given the generator state. `feasible` is the
-    polytope's feasible point when the caller already has it."""
+    starts, `warm` (earlier solutions) among them; deterministic given the
+    generator state. `feasible` is the polytope's feasible point when the
+    caller already has it."""
     n = poly.dim
     starts = [np.full(n, 1.0 / n)]
-    starts.extend(np.asarray(s, dtype=float) for s in extra_starts)
+    starts.extend(np.asarray(s, dtype=float) for s in warm)
     starts.append(poly.feasible_point() if feasible is None else feasible)
     for _ in range(max(n_starts - len(starts), 0)):
         starts.append(rng.dirichlet(np.ones(n)))
@@ -343,9 +341,6 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     a weight LP over the candidate pool, then per-component multi-start
     projected gradient at its allotted budget. For indefinite D the result
     is a certified lower bound (best found), exact in the concave case.
-
-    With opts.relax_components the per-component marginal constraints are
-    dropped and only the mixture is constrained (for comparison).
     """
     opts = opts or SolverOptions()
     comp = next((c for c in feasibility_sccs(pairs) if anchor in c.states and len(c.arcs)), None)
@@ -367,7 +362,7 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
 
     def solve_at(budget, extra=(), n_starts=4, tol=1e-8):
         poly = component_polytope(pairs, arcs, cost, budget)
-        return _multistart_max(sub_d, poly, rng, n_starts, opts, extra_starts=extra, tol=tol)
+        return _multistart_max(sub_d, poly, rng, n_starts, opts, warm=extra, tol=tol)
 
     binding = cost.gamma < c_hi - 1e-12
     if not binding:
@@ -418,71 +413,6 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
         comps = tuple(_embed(pairs, arcs, pool[i][0]) for i in best_idx)
         weights = np.array([best_w[i] for i in best_idx])
         plan = TimeSharingPlan(weights / weights.sum(), comps, anchor)
-
-    if not opts.relax_components:
-        return best_val, plan
-    rel_val, rel_plan = _relax_components(sub_d, pairs, arcs, costs, cost.gamma,
-                                          anchor, plan, rng, opts)
-    if rel_val > best_val + opts.tol:
-        return rel_val, rel_plan
     return best_val, plan
 
-
-class RelaxedComponent:
-    """Simplex component of a relaxed plan; need not be marginal-balanced."""
-
-    def __init__(self, pairs, q):
-        self.pairs = pairs
-        self.q = np.asarray(q, dtype=float)
-
-
-def _relax_components(sub_d, pairs, arcs, costs, gamma, anchor, strict_plan,
-                      rng, opts: SolverOptions) -> tuple[float, TimeSharingPlan]:
-    """Mixture-only constraints: each component roams the full simplex over
-    the component's arcs; only the mixture must be balanced and on budget.
-    Alternating improvement seeded from the strict plan; best found."""
-    n = len(arcs)
-    bal = _balance_rows(pairs, arcs)
-    comps = [c.q[arcs] for c in strict_plan.components]
-    weights = list(strict_plan.weights)
-    # extra slots let point-mass-like components emerge
-    while len(comps) < min(n, 4):
-        comps.append(np.full(n, 1.0 / n))
-        weights.append(1e-3)
-    weights = np.asarray(weights)
-    weights = weights / weights.sum()
-
-    def value(vs):
-        return float(sum(w * (v @ sub_d @ v) for w, v in zip(weights, vs)))
-
-    best = value(comps)
-    for _ in range(100):
-        improved = False
-        for u in range(len(comps)):
-            if weights[u] <= 1e-12:
-                continue
-            rest = sum(weights[i] * comps[i] for i in range(len(comps)) if i != u)
-            target = -(bal @ rest) / weights[u]
-            a_eq = np.vstack([np.ones((1, n)), bal])
-            b_eq = np.concatenate([[1.0], target])
-            cvec = costs.copy() if costs.any() else None
-            budget = (gamma - float(costs @ rest)) / weights[u] if costs.any() else 0.0
-            try:
-                poly = Polytope(a_eq, b_eq, cvec, budget)
-                q, _ = _multistart_max(sub_d, poly, rng, 3, opts,
-                                       extra_starts=(comps[u],), tol=1e-8)
-            except InfeasibleError:
-                continue
-            trial = list(comps)
-            trial[u] = q
-            tv = value(trial)
-            if tv > best + opts.tol:
-                comps, best, improved = trial, tv, True
-        if not improved:
-            break
-    keep = weights > 1e-12
-    plan = TimeSharingPlan(weights[keep],
-                           tuple(_embed(pairs, arcs, comps[i], RelaxedComponent)
-                                 for i in np.nonzero(keep)[0]), anchor)
-    return best, plan
 

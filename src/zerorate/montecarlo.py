@@ -13,9 +13,12 @@ run in batches of about 2**21 output samples whatever n is; the batch size
 does not change the random streams.
 
 The z_rho operation minimizes the typed exponent of the soft pairwise
-score over coupled pair processes; the conditional-product coupling is
-always included as a start, which pins the value at or below minus the
-exponent functional.
+score over coupled pair processes. With both pair marginals pinned, the
+objective is -rho * H(W|U) - <w, d> plus a constant, U being the
+tails-joint cell of W, so it is convex: equality-constrained Newton from
+the conditional-product coupling solves it, never rises above that
+coupling's value (minus the exponent functional), and returns the Newton
+decrement and KKT residual as its certificate of convergence.
 """
 from __future__ import annotations
 
@@ -26,11 +29,13 @@ import numpy as np
 from .bhatt import DISCRETE, ChannelKernel, DistanceMatrix, log_pmf
 from .codebook import Codebook
 from .errors import ValidationError
-from .exponent import PairDistribution, SolverOptions
-from .polytope import Polytope, minimize_smooth
+from .exponent import PairDistribution
 
 _BATCH_ELEMENTS = 2 ** 21  # output samples per batch (16 MiB of float64)
 _GATHER_ELEMENTS = 2 ** 17  # discrete metric terms gathered at once (1 MiB)
+_NEWTON_TOL = 1e-12  # on half the squared Newton decrement, per unit of max(1, rho)
+_NEWTON_MAX_ITER = 100
+_VANISH = 1e-30  # quadruple-table entries below this are set to zero
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,6 +235,8 @@ class ZRhoResult:
     argmin: QuadrupleDistribution
     delta: float
     cross_term: float
+    newton_decrement: float  # at the returned point; half its square estimates the gap
+    kkt_residual: float      # constraint residual or Lagrangian gradient / max(1, rho)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -286,19 +293,32 @@ def delta_of(w: np.ndarray, pairs) -> float:
                  - (_entropy(w.ravel()) - _entropy(u)))
 
 
-def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float,
-          opts: SolverOptions | None = None,
-          extra_starts: tuple = ()) -> ZRhoResult:
+def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float) -> ZRhoResult:
     """Minimize rho * Delta(w) - <w, d> over coupled quadruple laws.
 
     Delta(w) is the divergence of the coupling from the conditional-product
-    family, so it is nonnegative and vanishes exactly there. The product
-    coupling q* x q* is always a start, which guarantees a value at or below
-    -E0(q*). Constraints (pinned pair marginals and heads-joint equal to
-    tails-joint) are linear once multiplied out, so plain projected gradient
-    applies; multi-start handles nonconvexity.
+    family, so it is nonnegative and vanishes exactly there. The pinned pair
+    marginals make its two H(S+|S) terms constant on the feasible set, so
+    the objective is -rho * H(W|U) - <w, d> plus a constant, U being the
+    tails-joint cell of W: a convex program. It is solved by
+    equality-constrained Newton from q* x q*, which is feasible, on the
+    support of q* x q* (every feasible w vanishes off it). The Hessian
+    rho (diag 1/w - B^T diag(1/u) B) is block-diagonal by tail cell, so with
+    dx = w y the step reduces to one symmetric system in the constraint
+    multipliers nu and one unknown beta per cell:
+
+        [A W A^T / rho, -A W B^T; -B W A^T, 0] [nu; beta] = [-A W g / rho; B W g],
+        y = -(g + A^T nu) / rho + beta[cell].
+
+    The step stops short of the boundary and backtracks until the objective,
+    as computed here, drops enough, so the value never exceeds its value at
+    q* x q*, which is -E0(q*). Entries below 1e-30 leave the support: they
+    move neither the value nor the constraints, and keeping them would make
+    Newton crawl toward an optimum whose tail cells vanish (small rho). The
+    result carries the Newton decrement and the KKT residual of the returned
+    point as its certificate; a decrement still above tolerance after the
+    iteration cap raises instead of returning.
     """
-    opts = opts or SolverOptions()
     if rho <= 0:
         raise ValidationError("rho must be positive")
     pairs = q_star.pairs
@@ -308,71 +328,77 @@ def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float,
         raise ValidationError("z_rho requires finite distances")
     if pairs.n_states > 8:
         raise ValidationError("state space too large for the quadruple table (S <= 8)")
-    a_eq, b_eq = _quad_constraints(q_star)
-    poly = Polytope(a_eq, b_eq)
-    tails = pairs.tails
     S = pairs.n_states
-    tt = tails[:, None] * S + tails[None, :]  # joint tail cell per (i, j)
-    tiny = 1e-300
+    a_eq, b_eq = _quad_constraints(q_star)
+    tails = pairs.tails
+    tail_cell = (tails[:, None] * S + tails[None, :]).ravel()
+    tol = _NEWTON_TOL * max(1.0, rho)
 
-    def objective(wf: np.ndarray) -> float:
-        w = wf.reshape(L, L)
-        return rho * delta_of(w, pairs) - float((w * dmat).sum())
+    def objective(w: np.ndarray) -> float:
+        return rho * delta_of(w.reshape(L, L), pairs) - float(w @ dmat.ravel())
 
-    def gradient(wf: np.ndarray) -> np.ndarray:
-        w = np.maximum(wf.reshape(L, L), tiny)
-        m1 = np.maximum(w.sum(axis=1), tiny)
-        m2 = np.maximum(w.sum(axis=0), tiny)
-        pi1 = np.maximum(np.bincount(tails, weights=m1, minlength=S), tiny)
-        pi2 = np.maximum(np.bincount(tails, weights=m2, minlength=S), tiny)
-        u = np.maximum(np.bincount(tt.ravel(), weights=w.ravel(), minlength=S * S), tiny)
-        g = (np.log(pi1[tails] / m1)[:, None]
-             + np.log(pi2[tails] / m2)[None, :]
-             + np.log(w) - np.log(u[tt]))
-        return (rho * g - dmat).ravel()
+    w = np.outer(q_star.q, q_star.q).ravel()
+    f = objective(w)
+    for it in range(_NEWTON_MAX_ITER + 1):
+        on = np.nonzero(w)[0]
+        x = w[on]
+        a = a_eq[:, on]
+        m = len(a)
+        _, cell = np.unique(tail_cell[on], return_inverse=True)
+        n_cells = int(cell.max()) + 1
+        ab = np.vstack([a, np.eye(n_cells)[:, cell]])  # constraint rows, then cell indicators
+        u = np.bincount(cell, weights=x, minlength=n_cells)
+        g = rho * (np.log(x) - np.log(u[cell])) - dmat.ravel()[on]
+        gram = (ab * x) @ ab.T
+        kkt = np.block([[gram[:m, :m] / rho, -gram[:m, m:]],
+                        [-gram[m:, :m], np.zeros((n_cells, n_cells))]])
+        rhs = np.concatenate([-(a @ (x * g)) / rho, np.bincount(cell, weights=x * g)])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        resid = g + a.T @ sol[:m]  # gradient of the Lagrangian, = -H dx
+        dx = x * (sol[m:][cell] - resid / rho)
+        lam2 = float((x * resid * resid).sum() / rho)  # dx^T H dx
+        if lam2 / 2.0 <= tol:
+            break
+        if it == _NEWTON_MAX_ITER:
+            raise ValidationError(
+                f"z_rho did not converge at rho={rho:g}: Newton decrement "
+                f"{np.sqrt(lam2):.3g} after {_NEWTON_MAX_ITER} iterations")
+        shrink = float((-dx / x).max())  # x + t dx stays above (1 - t shrink) x
+        t = 1.0 if shrink < 0.99 else 0.99 / shrink
+        for _ in range(60):
+            w_new = np.zeros_like(w)
+            w_new[on] = x + t * dx
+            w_new[w_new < _VANISH] = 0.0
+            f_new = objective(w_new)
+            if f_new <= f - 0.25 * t * lam2:
+                break
+            t *= 0.5
+        else:
+            raise ValidationError(
+                f"z_rho line search stalled at rho={rho:g}: Newton decrement "
+                f"{np.sqrt(lam2):.3g}")
+        w, f = w_new, f_new
+    kkt_residual = max(float(np.abs(a_eq @ w - b_eq).max()),
+                       float(np.abs(resid).max()) / max(1.0, rho))
+    w = w.reshape(L, L)
+    return ZRhoResult(f, QuadrupleDistribution(pairs, w), delta_of(w, pairs),
+                      float((w * dmat).sum()), float(np.sqrt(lam2)), kkt_residual)
 
-    product = np.outer(q_star.q, q_star.q).ravel()
-    starts = [product]
-    starts.extend(np.asarray(s, dtype=float).ravel() for s in extra_starts)
-    rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x2D0)))
-    for _ in range(max(opts.starts // 8 - len(starts), 1)):
-        starts.append(rng.dirichlet(np.ones(L * L)))
-    pg = opts.pg(max(opts.tol, 1e-10))
-    pg.max_iter = min(pg.max_iter, 30_000)
-    best_w, best_f = None, np.inf
-    for s in starts:
-        w, f = minimize_smooth(objective, gradient, poly, s, pg,
-                               step0=1.0 / (1.0 + rho))
-        if f < best_f:
-            best_w, best_f = w, f
-    projected_product = poly.project(product)
-    guaranteed = objective(projected_product)
-    if guaranteed < best_f:  # never worse than the analytic start
-        best_w, best_f = projected_product, guaranteed
-    w = best_w.reshape(L, L)
-    return ZRhoResult(best_f, QuadrupleDistribution(pairs, w),
-                      delta_of(w, pairs), float((w * dmat).sum()))
 
-
-def z_rho_sweep(q_star: PairDistribution, d: DistanceMatrix, rhos,
-                opts: SolverOptions | None = None) -> list[ZRhoResult]:
-    """Evaluate z_rho over a rho grid with a shared minimizer pool, so the
-    reported values are provably nondecreasing in rho."""
-    opts = opts or SolverOptions()
-    results = []
-    pool: list[np.ndarray] = []
+def z_rho_sweep(q_star: PairDistribution, d: DistanceMatrix, rhos) -> list[ZRhoResult]:
+    """z_rho over a rho grid in increasing order. Exact minima are
+    nondecreasing in rho because Delta >= 0, so a value below its
+    predecessor by more than the predecessor's tolerance raises."""
+    results: list[ZRhoResult] = []
+    prev_rho = 0.0
     for rho in sorted(float(r) for r in rhos):
-        res = z_rho(q_star, d, rho, opts, extra_starts=tuple(pool))
-        pool.append(res.argmin.w)
-        # re-evaluate every pooled minimizer at this rho: keeps monotonicity
-        best = res
-        for w in pool:
-            dd = float((w * d.d).sum())
-            delta = delta_of(w, q_star.pairs)
-            f = rho * delta - dd
-            if f < best.value:
-                best = ZRhoResult(f, QuadrupleDistribution(q_star.pairs, w), delta, dd)
-        results.append(best)
+        res = z_rho(q_star, d, rho)
+        if results and res.value < results[-1].value - _NEWTON_TOL * max(1.0, prev_rho):
+            raise ValidationError(
+                f"z_rho decreases from {results[-1].value!r} at rho={prev_rho:g} "
+                f"to {res.value!r} at rho={rho:g}")
+        results.append(res)
+        prev_rho = rho
     return results
 
 

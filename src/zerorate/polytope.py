@@ -3,9 +3,9 @@
 The feasible sets in this package are intersections of an affine subspace
 (probability total and marginal-balance rows), the nonnegative orthant and
 at most one cost halfspace. Exact Euclidean projection is computed with
-Dykstra's alternating-projection scheme; quadratic objectives are then
-optimized by projected gradient with a 1/Lipschitz step, which is monotone
-for smooth objectives and globally convergent in the concave case.
+Dykstra's alternating-projection scheme; the quadratic E0 objective is then
+maximized by projected gradient with a 1/Lipschitz step, which is monotone
+and globally convergent in the concave case. LPs go to HiGHS.
 """
 from __future__ import annotations
 
@@ -155,44 +155,3 @@ def maximize_quadratic(dmat: np.ndarray, poly: Polytope, start: np.ndarray,
         x, fx = x_new, f_new
     return x, fx
 
-
-def minimize_smooth(fun, grad, poly: Polytope, start: np.ndarray,
-                    opts: PGOptions = PGOptions(), step0: float = 1.0,
-                    patience: int = 200) -> tuple[np.ndarray, float]:
-    """Projected gradient descent with Armijo backtracking (for objectives
-    whose curvature is unbounded near the boundary, e.g. entropies).
-
-    Stops on a small relative improvement, on backtracking failure, or when
-    `patience` iterations pass without beating the incumbent meaningfully."""
-    x = poly.project(np.asarray(start, dtype=float), tol=opts.proj_tol)
-    fx = fun(x)
-    step = step0
-    best_f = fx
-    stale = 0
-    for _ in range(opts.max_iter):
-        g = grad(x)
-        g = np.clip(g, -1e12, 1e12)
-        improved = False
-        for _ in range(60):
-            y = poly.project(x - step * g, tol=opts.proj_tol)
-            fy = fun(y)
-            if fy <= fx - 1e-4 / max(step, 1e-30) * float((y - x) @ (y - x)):
-                improved = True
-                break
-            step *= 0.5
-            if step < 1e-18:
-                break
-        if not improved or fx - fy < opts.tol * max(1.0, abs(fx)):
-            if improved and fy < fx:
-                x, fx = y, fy
-            break
-        x, fx = y, fy
-        step = min(step * 2.0, step0)
-        if fx < best_f - 1e-9 * max(1.0, abs(best_f)):
-            best_f = fx
-            stale = 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    return x, fx

@@ -281,3 +281,68 @@ def greedy_rotations(pool: np.ndarray, arcs: np.ndarray, D: np.ndarray, anchor: 
     M = (n_cand + 1) // 2
     start = first_max([run(i, M)[1] for i in range(P)])
     return run(start, n_cand)[0]
+
+
+def zrho_dense_newton(q: np.ndarray, tails, heads, n_states: int, D: np.ndarray,
+                      rho: float, tol: float = 1e-15, max_iter: int = 500) -> tuple[float, np.ndarray]:
+    """Reference for z_rho: min rho * Delta(w) - <w, D> over (L, L) tables
+    whose row and column sums are q and whose heads joint equals their
+    tails joint. Plain Newton on supp(q x q) from q x q, with the full dense
+    KKT matrix [H A^T; A 0] solved by LU (the right-hand side carries the
+    constraint residual, so roundoff does not drift off the affine set) and
+    halving backtracking. Delta is written with conditional entropies:
+    H(S+|S) of each pair marginal minus H(W | tails cell). Returns (value, w)."""
+    q = np.asarray(q, dtype=float)
+    L = len(q)
+    tails, heads = np.asarray(tails), np.asarray(heads)
+    on = np.argwhere(np.outer(q, q) > 0)
+    n = len(on)
+    left = (on[:, 0][None, :] == np.arange(L)[:, None]).astype(float)
+    right = (on[:, 1][None, :] == np.arange(L)[:, None]).astype(float)
+    rows = [left, right]
+    for a in range(n_states):
+        for b in range(n_states):
+            rows.append((((heads[on[:, 0]] == a) & (heads[on[:, 1]] == b)).astype(float)
+                         - ((tails[on[:, 0]] == a) & (tails[on[:, 1]] == b)).astype(float))[None, :])
+    # an orthonormal basis of the constraint rows: the system above is
+    # redundant, and the reduced KKT matrix is nonsingular
+    U, sv, Vt = np.linalg.svd(np.vstack(rows), full_matrices=False)
+    r = int((sv > 1e-10 * sv[0]).sum())
+    A = Vt[:r]
+    rhs_b = (U[:, :r].T @ np.concatenate([q, q, np.zeros(n_states * n_states)])) / sv[:r]
+    cell = tails[on[:, 0]] * n_states + tails[on[:, 1]]
+    same_cell = (cell[:, None] == cell[None, :]).astype(float)
+    same_tail = (tails[:, None] == tails[None, :]).astype(float)
+    dvec = D[on[:, 0], on[:, 1]]
+
+    def cond_entropy(p, same_group):
+        """-sum p log(p / mass of p's group); same_group[i, j] = 1 when i, j share a group."""
+        total = same_group @ p
+        nz = p > 0
+        return float(-(p[nz] * np.log(p[nz] / total[nz])).sum())
+
+    def value(x):
+        h1 = cond_entropy(left @ x, same_tail)
+        h2 = cond_entropy(right @ x, same_tail)
+        return rho * (h1 + h2 - cond_entropy(x, same_cell)) - float(x @ dvec)
+
+    x = np.array([q[i] * q[j] for i, j in on])
+    for _ in range(max_iter):
+        u = same_cell @ x
+        grad = rho * np.log(x / u) - dvec
+        hess = rho * (np.diag(1.0 / x) - same_cell / u[:, None])
+        kkt = np.block([[hess, A.T], [A, np.zeros((len(A), len(A)))]])
+        rhs = np.concatenate([-grad, rhs_b - A @ x])
+        step = np.linalg.solve(kkt, rhs)[:n]
+        lam2 = float(step @ hess @ step)
+        if lam2 / 2.0 <= tol * max(1.0, rho):
+            break
+        t = 1.0
+        while (x + t * step <= 0).any():
+            t *= 0.5
+        while value(x + t * step) > value(x) - 0.25 * t * lam2 and t > 1e-14:
+            t *= 0.5
+        x = x + t * step
+    w = np.zeros((L, L))
+    w[on[:, 0], on[:, 1]] = x
+    return value(x), w

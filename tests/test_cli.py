@@ -259,7 +259,8 @@ def test_simulate_trial_log_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["optimize", "--bogus"], ["check", "--k-list", "8"],
-                                  ["build-code", "--n", "many"]], ids=" ".join)
+                                  ["build-code", "--n", "many"],
+                                  ["uce", "--relax-components"]], ids=" ".join)
 def test_usage_error_is_a_validation_failure(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, BSC_DOC)
     code, stdout, err = run_cli(capsys, argv[0], "--spec", spec, *argv[1:])
@@ -280,7 +281,7 @@ SURFACE = {
     "check": {"--max-r"},
     "distances": set(),
     "optimize": SOLVER,
-    "uce": SOLVER | {"--relax-components"},
+    "uce": SOLVER,
     "build-code": BUILD,
     "simulate": BUILD | {"--trials", "--trial-log", "--code"},
     "zrho": SOLVER | {"--n", "--blend", "--rhos", "--rho-max"},

@@ -240,15 +240,6 @@ def test_uce_infeasible_below_cheapest():
         zr.maximize_uce(d, pairs, cost, anchor=0)
 
 
-def test_uce_relaxed_at_least_strict():
-    m, pairs, d, cost = make_dmc(NONCONCAVE_DHAT, phi=NONCONCAVE_PHI,
-                                 gamma=NONCONCAVE_GAMMA)
-    strict_v, _ = zr.maximize_uce(d, pairs, cost, anchor=0)
-    opts = zr.SolverOptions(relax_components=True)
-    relaxed_v, _ = zr.maximize_uce(d, pairs, cost, anchor=0, opts=opts)
-    assert relaxed_v >= strict_v - 1e-8
-
-
 # --------------------------------------------------------------- invariants
 
 def test_certificate_value_dominates_feasible_points():

@@ -1,4 +1,6 @@
 import io
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,13 @@ from hypothesis import strategies as st
 
 import zerorate as zr
 from zerorate import montecarlo
+from zerorate.cli import load_channel
 from zerorate.codebook import Codebook
 from zerorate.montecarlo import _loglik, _sample_outputs, empirical_exponent_consistency
 
 from conftest import make_bsc, make_isi
-from oracles import gaussian_two_codeword_error, loglik_broadcast, sample_outputs_broadcast
+from oracles import (gaussian_two_codeword_error, loglik_broadcast,
+                     sample_outputs_broadcast, zrho_dense_newton)
 
 
 def small_book(h=(1.0, 0.5), n=16, M=2, seed=0, theta=0.3):
@@ -283,6 +287,104 @@ def test_zrho_guard_on_state_count():
     d = zr.DistanceMatrix(np.ones((len(pairs), len(pairs))) - np.eye(len(pairs)))
     with pytest.raises(zr.ValidationError):
         zr.z_rho(q, d, 1.0)
+
+
+def cli_zrho_q(spec_path: str, n: int = 512):
+    """The q that `zrho --starts 8 --seed 0` uses: the argmax blended at n."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / spec_path).read_text())
+    ch = load_channel(doc)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(starts=8, seed=0))
+    q = res.argmax.mixture() if isinstance(res.argmax, zr.TimeSharingPlan) else res.argmax
+    return zr.blend_for_construction(q, None, n, None)[0], d
+
+
+def assert_feasible(res, q, tol):
+    w = res.argmin.w
+    assert (w >= 0).all()
+    assert np.abs(w.sum(axis=1) - q.q).max() <= tol
+    assert np.abs(w.sum(axis=0) - q.q).max() <= tol
+    assert np.abs(res.argmin.heads_joint() - res.argmin.tails_joint()).max() <= tol
+
+
+def test_zrho_matches_dense_newton_on_cli_q():
+    q, d = cli_zrho_q("specs/isi_binary.json")
+    p = q.pairs
+    ref, _ = zrho_dense_newton(q.q, p.tails, p.heads, p.n_states, d.d, 64.0)
+    res = zr.z_rho(q, d, 64.0)
+    assert abs(res.value - ref) <= 1e-8
+    assert res.value <= -zr.e0(q, d)
+    assert_feasible(res, q, 1e-10)
+
+
+def balanced_positive_q(pairs, weights) -> zr.PairDistribution:
+    """The stationary pair law of the chain that leaves each state along
+    its arcs with probabilities proportional to the weights."""
+    tails, heads, S = pairs.tails, pairs.heads, pairs.n_states
+    step = np.asarray(weights) / np.bincount(tails, weights=weights, minlength=S)[tails]
+    chain = np.zeros((S, S))
+    np.add.at(chain, (tails, heads), step)
+    vals, vecs = np.linalg.eig(chain.T)
+    pi = np.abs(np.real(vecs[:, np.argmin(np.abs(vals - 1.0))]))
+    return zr.PairDistribution(pairs, pi[tails] * step / (pi[tails] * step).sum())
+
+
+@settings(max_examples=40, deadline=None)
+@given(channel=st.sampled_from(["isi", "bsc"]),
+       weights=st.lists(st.floats(0.05, 1.0), min_size=4, max_size=4),
+       rho=st.floats(0.5, 1000.0))
+def test_zrho_property_against_dense_newton(channel, weights, rho):
+    if channel == "isi":
+        _, _, pairs, _, d, _ = make_isi([1.0, 0.5])
+    else:
+        _, pairs, _, d = make_bsc(0.1)
+    q = balanced_positive_q(pairs, weights)  # both pair sets have four pairs
+    res = zr.z_rho(q, d, rho)
+    assert_feasible(res, q, 1e-10)
+    assert res.value <= -zr.e0(q, d) + 1e-12
+    ref, _ = zrho_dense_newton(q.q, pairs.tails, pairs.heads, pairs.n_states, d.d, rho)
+    assert abs(res.value - ref) <= 1e-8
+
+
+def test_zrho_raises_at_the_iteration_cap(monkeypatch):
+    q, d = cli_zrho_q("specs/isi_binary.json")
+    zr.z_rho(q, d, 64.0)  # converges with the shipped cap
+    monkeypatch.setattr(montecarlo, "_NEWTON_MAX_ITER", 1)
+    with pytest.raises(zr.ValidationError, match=r"rho=64\b.*decrement"):
+        zr.z_rho(q, d, 64.0)
+
+
+def test_zrho_sweep_raises_on_a_decrease(monkeypatch):
+    _, _, pairs, _, d, _ = make_isi([1.0, 0.5])
+    q = zr.PairDistribution(pairs, np.full(4, 0.25))
+    real = montecarlo.z_rho
+    at_one = real(q, d, 1.0)
+    monkeypatch.setattr(montecarlo, "z_rho",
+                        lambda q_, d_, rho: at_one if rho == 10.0 else real(q_, d_, rho))
+    with pytest.raises(zr.ValidationError, match="decreases"):
+        zr.z_rho_sweep(q, d, [10.0, 2.0])
+
+
+def test_zrho_long_register_certificate():
+    """L = 64 pairs: the reduced Newton step keeps this to a fraction of a second."""
+    q, d = cli_zrho_q("specs/isi_two_tap.json")
+    res = zr.z_rho(q, d, 64.0)
+    assert len(q.pairs) == 64
+    assert_feasible(res, q, 1e-10)
+    assert res.newton_decrement ** 2 / 2 <= 64e-12
+    assert res.kkt_residual <= 1e-5
+    assert res.value <= -zr.e0(q, d)
+
+
+def test_zrho_small_rho_with_vanishing_cells():
+    """At rho = 0.01 whole tail cells of the optimum vanish; dropping
+    entries below 1e-30 lets Newton converge instead of crawling to the cap."""
+    q, d = cli_zrho_q("bench/specs/time_sharing.json")
+    res = zr.z_rho(q, d, 0.01)
+    assert_feasible(res, q, 1e-10)
+    assert res.newton_decrement ** 2 / 2 <= 1e-12
+    assert (res.argmin.w == 0).any()
+    assert res.value <= zr.z_rho(q, d, 0.05).value
 
 
 def test_delta_zero_exactly_on_product_coupling():
