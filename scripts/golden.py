@@ -37,8 +37,6 @@ SIZES = {
 }
 COMMANDS = ("check", "distances", "optimize", "uce", "build-code", "simulate",
             "zrho", "isi-bound", "isi-loss")
-# uce takes minutes on the L = 64 channel; everything else takes seconds
-SKIP = {("specs/isi_two_tap.json", "uce")}
 USAGE_PROBES = (("optimize", "--bogus"), ("check", "--k-list", "8"))
 
 
@@ -66,8 +64,6 @@ def main(argv=None) -> int:
         out = Path(tmp) / "out"
         for spec in specs:
             for command in COMMANDS:
-                if (spec, command) in SKIP:
-                    continue
                 argv = [command, "--spec", str(ROOT / spec), "--seed", str(args.seed),
                         *SIZES.get(command, ())]
                 code, digest, err = run_one(argv, out)

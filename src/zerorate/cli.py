@@ -215,7 +215,7 @@ def cmd_optimize(ch: LoadedChannel, args):
 def cmd_uce(ch: LoadedChannel, args):
     d = bhattacharyya(ch.kernel, ch.pairs)
     single = maximize_e0_single(d, ch.pairs, ch.cost, _solver_opts(args))
-    anchor = int(np.argmax(single.argmax.pi))
+    anchor = single.argmax.most_visited()
     value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, _solver_opts(args))
     out = {
         "value": value,
@@ -230,12 +230,12 @@ def _build_codebook(ch: LoadedChannel, args) -> Codebook:
     d = bhattacharyya(ch.kernel, ch.pairs)
     res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
     source, anchor, _ = _construction_plan(ch, res, args.n, args.blend)
+    arc_cost = ch.cost.pair_costs(ch.pairs)
     if isinstance(source, PairDistribution):
-        source = round_type(source, args.n)
-    cands = build_ensemble(source, args.codewords, args.n, args.seed, anchor, d)
+        source = round_type(source, args.n, arc_cost)
+    cands = build_ensemble(source, args.codewords, args.n, args.seed, anchor, d, arc_cost)
     # strict cost gate on the rounded types (segments sum over the block)
     budget = args.n * ch.cost.gamma
-    arc_cost = ch.cost.pair_costs(ch.pairs)
     total = sum(float(arc_cost @ spec.counts) for spec in cands.certificate)
     if total > budget + 1e-9 * max(1.0, abs(budget)):
         raise InfeasibleError(

@@ -143,7 +143,7 @@ def _shortest_cycle_through(pairs: FeasiblePairSet, allowed: np.ndarray, arc: in
     return [arc] + path
 
 
-def round_type(q: PairDistribution, n: int) -> MarkovTypeSpec:
+def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) -> MarkovTypeSpec:
     """Integer Markov type approximating n*q: floor, then cycle repairs.
 
     The fractional circulation is rounded by cycle canceling (per-arc error
@@ -153,6 +153,10 @@ def round_type(q: PairDistribution, n: int) -> MarkovTypeSpec:
     the positive support is restored the same way. Per-arc deviation stays
     within the number of feasible pairs. Rejected when n is below the
     support size or when the support's cycle lengths cannot reach total n.
+    Residual ties in the total repair go to the cheaper arc under
+    `arc_cost` (per-pair costs) when adding flow and to the dearer one when
+    removing it, so exact ties (the uniform blend) do not raise the type's
+    cost; without costs they fall to the arc order.
     """
     pairs = q.pairs
     sup = q.support()
@@ -170,7 +174,8 @@ def round_type(q: PairDistribution, n: int) -> MarkovTypeSpec:
 
     counts = np.zeros(len(pairs), dtype=np.int64)
     counts[sup] = counts_sup
-    _repair_total(pairs, counts, sup, n, n * q.q)
+    _repair_total(pairs, counts, sup, n, n * q.q,
+                  np.zeros(len(pairs)) if arc_cost is None else arc_cost)
     _repair_connectivity(pairs, counts, sup, n, n * q.q)
 
     dev = np.abs(counts - n * q.q)
@@ -179,7 +184,7 @@ def round_type(q: PairDistribution, n: int) -> MarkovTypeSpec:
     return MarkovTypeSpec(pairs, counts, n)
 
 
-def _repair_total(pairs, counts, sup, n, target):
+def _repair_total(pairs, counts, sup, n, target, arc_cost):
     guard = 4 * (abs(int(counts.sum()) - n) + len(sup) + 1)
     for _ in range(guard):
         total = int(counts.sum())
@@ -188,7 +193,7 @@ def _repair_total(pairs, counts, sup, n, target):
         if total < n:
             deficit = n - total
             resid = target - counts
-            order = sorted(sup.tolist(), key=lambda a: (-resid[a], a))
+            order = sorted(sup.tolist(), key=lambda a: (-resid[a], arc_cost[a], a))
             chosen = None
             for a in order:
                 cyc = _shortest_cycle_through(pairs, sup, a)
@@ -206,7 +211,7 @@ def _repair_total(pairs, counts, sup, n, target):
             excess = total - n
             removable = np.array([a for a in sup if counts[a] >= 1], dtype=np.int64)
             resid = counts - target
-            order = sorted(removable.tolist(), key=lambda a: (-resid[a], a))
+            order = sorted(removable.tolist(), key=lambda a: (-resid[a], -arc_cost[a], a))
             chosen = None
             for a in order:
                 pos = np.array([b for b in sup if counts[b] >= 1], dtype=np.int64)
@@ -342,7 +347,8 @@ def _segment_lengths(weights: np.ndarray, n: int) -> np.ndarray:
 
 
 def build_ensemble(source, M: int, n: int, seed: int, anchor: int | None = None,
-                   d: DistanceMatrix | None = None) -> CandidateSet:
+                   d: DistanceMatrix | None = None,
+                   arc_cost: np.ndarray | None = None) -> CandidateSet:
     """2M-1 candidates chosen by distance among 2M-1 seeded circuits.
 
     The pool is 2M-1 randomized-Hierholzer circuits of the type. Every
@@ -356,7 +362,7 @@ def build_ensemble(source, M: int, n: int, seed: int, anchor: int | None = None,
     A TimeSharingPlan is realized segment per segment: lengths are the
     largest-remainder rounding of n*w(u) and every segment is its own
     anchored circuit, rotated on its own, so concatenation needs no seam
-    repair.
+    repair. Segment types are rounded under `arc_cost` (see `round_type`).
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
@@ -372,7 +378,7 @@ def build_ensemble(source, M: int, n: int, seed: int, anchor: int | None = None,
             if ell < sup:
                 raise ValidationError(
                     f"segment of length {ell} cannot realize a support of size {sup}")
-            specs.append(round_type(comp, int(ell)))
+            specs.append(round_type(comp, int(ell), arc_cost))
         pairs = comps[0].pairs
     elif isinstance(source, MarkovTypeSpec):
         if source.n != n:
@@ -603,9 +609,7 @@ def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
     if weight[cid] < 1.0 - 1e-12:
         raise ValidationError("q places mass outside a single strongly connected component")
     if anchor is None:
-        pi = q.pi
-        inside = sorted(comp.states)
-        anchor = int(max(inside, key=lambda s: (pi[s], -s)))
+        anchor = q.most_visited(comp.states)
     elif anchor not in comp.states:
         raise ValidationError(f"anchor {anchor} is outside the support's component")
     L_c = len(comp.arcs)

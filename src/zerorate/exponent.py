@@ -62,6 +62,15 @@ class PairDistribution:
     def support(self, tol: float = 1e-12) -> np.ndarray:
         return np.nonzero(self.q > tol)[0]
 
+    def most_visited(self, states=None) -> int:
+        """The state of largest marginal mass among `states` (default: all).
+        Masses within 1e-12 tie and go to the lowest index, so roundoff on a
+        symmetric optimum does not choose the state."""
+        pi = self.pi
+        cand = range(len(pi)) if states is None else sorted(states)
+        top = max(pi[s] for s in cand)
+        return next(int(s) for s in cand if pi[s] >= top - 1e-12)
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -143,11 +152,10 @@ class SolverOptions:
     starts: int = 32
     seed: int = 0
     sweep_points: int = 17
-    proj_tol: float = 1e-12
 
     def pg(self, tol=None) -> PGOptions:
         return PGOptions(tol=self.tol if tol is None else tol,
-                         max_iter=self.max_iter, proj_tol=self.proj_tol)
+                         max_iter=self.max_iter)
 
 
 def e0(q, d: DistanceMatrix) -> float:

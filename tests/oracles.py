@@ -4,6 +4,8 @@ Everything here is deliberately dumb: dense grids, exhaustive recursion,
 long time averages. None of it shares code with the solvers."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from scipy.special import jv
 
@@ -346,3 +348,32 @@ def zrho_dense_newton(q: np.ndarray, tails, heads, n_states: int, D: np.ndarray,
     w = np.zeros((L, L))
     w[on[:, 0], on[:, 1]] = x
     return value(x), w
+
+
+def project_by_face_enumeration(a, b, v, cost=None, gamma=0.0, tol=1e-12):
+    """Euclidean projection of v onto {x >= 0, a x = b, cost.x <= gamma} by
+    trying every face: each zero set, with the budget tight or loose, gives an
+    affine projection (least squares on the free coordinates); the nearest
+    feasible one is the projection. Exact, and 2^(n+1) solves, so for n up to
+    about 8. Returns (x, distance), or (None, inf) when the polytope is empty."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    v = np.asarray(v, dtype=float)
+    n = len(v)
+    best, best_dist = None, np.inf
+    for zero in itertools.product((False, True), repeat=n):
+        free = ~np.array(zero)
+        for tight in ((False, True) if cost is not None else (False,)):
+            rows, rhs = a[:, free], b
+            if tight:
+                rows = np.vstack([rows, np.asarray(cost, dtype=float)[free]])
+                rhs = np.append(b, gamma)
+            x = np.zeros(n)
+            if free.any():
+                x[free] = v[free] - np.linalg.lstsq(rows, rows @ v[free] - rhs, rcond=None)[0]
+            feasible = (x.min() >= -tol and np.abs(a @ x - b).max() <= tol
+                        and (cost is None or np.dot(cost, x) <= gamma + tol))
+            dist = float(np.linalg.norm(x - v))
+            if feasible and dist < best_dist:
+                best, best_dist = x, dist
+    return best, best_dist

@@ -87,6 +87,25 @@ def test_optimize_bsc_value(tmp_path, capsys):
     assert rep["result"]["argmax"]["kind"] == "single"
 
 
+@pytest.mark.parametrize("spec, closed_form", [
+    ("specs/isi_binary.json", 0.5625),
+    ("specs/isi_two_tap.json", 3.65625),
+    ("bench/specs/isi_long.json", 3.828125),
+])
+def test_optimize_never_exceeds_gaussian_closed_form(spec, closed_form, tmp_path, capsys):
+    """On a Gaussian ISI channel the exponent is (sum h)^2 gamma / 4 sigma^2;
+    a value above it can only come from an infeasible iterate."""
+    isi = json.loads((ROOT / spec).read_text())["isi"]
+    assert sum(isi["h"]) ** 2 * isi["gamma"] / (4.0 * isi["sigma2"]) == closed_form
+    out = tmp_path / "optimize.json"
+    code, _, _ = run_cli(capsys, "optimize", "--spec", str(ROOT / spec), "--seed", "0",
+                         "--out", str(out))
+    assert code == 0
+    value = json.loads(out.read_text())["value"]
+    assert value <= closed_form + 1e-12
+    assert value == pytest.approx(closed_form, abs=1e-9)
+
+
 def test_uce_reports_single_and_plan(tmp_path, capsys):
     spec = write_spec(tmp_path, BSC_DOC)
     code, stdout, _ = run_cli(capsys, "uce", "--spec", spec)

@@ -64,6 +64,33 @@ def test_round_rejects_unreachable_total():
         zr.round_type(q, 10)
 
 
+def test_round_breaks_residual_ties_toward_cheap_arcs():
+    # three symbols, the third free: mostly its self-loop plus a uniform
+    # blend, so every other arc carries the same fractional residual
+    m = zr.shift_register([1.0, -1.0, 0.0], 1)
+    pairs = zr.feasible_pairs(m)
+    arc_cost = zr.CostModel(np.array([1.0, 1.0, 0.0]), 1.0).pair_costs(pairs)
+    theta = 9.0 / 256.0
+    q = np.full(len(pairs), theta / len(pairs))
+    q[pairs.pair_labels().index("0->0")] += 1.0 - theta
+    q = zr.PairDistribution(pairs, q)
+    spec = zr.round_type(q, 358, arc_cost)
+    check_type(spec, 358, q.q)
+    # the floors cost 6; the total repair adds three units, each cycle of
+    # them enters a costed state, and two cycles suffice; by arc order alone
+    # the repair takes 1->1 and then 1->-1->1, which costs 3
+    assert arc_cost @ spec.counts == 8.0
+    assert arc_cost @ zr.round_type(q, 358).counts == 9.0
+
+
+def test_most_visited_ignores_roundoff(order1):
+    _, pairs = order1
+    q = zr.PairDistribution(pairs, np.array([0.5 - 1e-16, 0.0, 0.0, 0.5 + 1e-16]))
+    assert q.most_visited() == 0
+    q = zr.PairDistribution(pairs, np.array([0.4, 0.0, 0.0, 0.6]))
+    assert q.most_visited() == 1
+
+
 def test_round_random_circulations(order2):
     _, pairs = order2
     rng = np.random.default_rng(12)
