@@ -216,7 +216,10 @@ def cmd_uce(ch: LoadedChannel, args):
     d = bhattacharyya(ch.kernel, ch.pairs)
     single = maximize_e0_single(d, ch.pairs, ch.cost, _solver_opts(args))
     anchor = single.argmax.most_visited()
-    value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, _solver_opts(args))
+    if single.concave:  # time sharing cannot beat a concave E0
+        value, plan = single.value, TimeSharingPlan(np.array([1.0]), (single.argmax,), anchor)
+    else:
+        value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, _solver_opts(args))
     out = {
         "value": value,
         "single_value": single.value,

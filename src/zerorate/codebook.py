@@ -98,7 +98,7 @@ def _cycle_cancel(pairs: FeasiblePairSet, arcs: np.ndarray, frac: np.ndarray) ->
             seen_at[node] = len(walk)
         up = min((1 - r[i]) if o == +1 else r[i] for i, o in cyc)
         down = min(r[i] if o == +1 else (1 - r[i]) for i, o in cyc)
-        theta = up if up <= down else -down
+        theta = up if up <= down + tol else -down  # near-ties push forward, as exact ones do
         for i, o in cyc:
             r[i] += theta if o == +1 else -theta
         r = np.clip(r, 0.0, 1.0)
@@ -153,10 +153,13 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     the positive support is restored the same way. Per-arc deviation stays
     within the number of feasible pairs. Rejected when n is below the
     support size or when the support's cycle lengths cannot reach total n.
-    Residual ties in the total repair go to the cheaper arc under
-    `arc_cost` (per-pair costs) when adding flow and to the dearer one when
-    removing it, so exact ties (the uniform blend) do not raise the type's
-    cost; without costs they fall to the arc order.
+    Values within 1e-9 tie, both the cycle cancel's push amounts and the
+    total repair's residuals, so solver roundoff on a symmetric q does not
+    choose the type. Ties in
+    the total repair go to the cheaper arc under `arc_cost` (per-pair
+    costs) when adding flow and to the dearer one when removing it, so
+    ties (the uniform blend) do not raise the type's cost; without costs
+    they fall to the arc order.
     """
     pairs = q.pairs
     sup = q.support()
@@ -184,6 +187,18 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     return MarkovTypeSpec(pairs, counts, n)
 
 
+def _residual_keys(resid: np.ndarray, arcs) -> dict:
+    """Sort key per arc for decreasing residual: residuals within 1e-9 below
+    a larger one share its key, so roundoff does not order tied arcs."""
+    keys: dict = {}
+    top = None
+    for a in sorted(arcs, key=lambda a: -resid[a]):
+        if top is None or resid[a] < top - 1e-9:
+            top = resid[a]
+        keys[a] = -top
+    return keys
+
+
 def _repair_total(pairs, counts, sup, n, target, arc_cost):
     guard = 4 * (abs(int(counts.sum()) - n) + len(sup) + 1)
     for _ in range(guard):
@@ -192,8 +207,8 @@ def _repair_total(pairs, counts, sup, n, target, arc_cost):
             return
         if total < n:
             deficit = n - total
-            resid = target - counts
-            order = sorted(sup.tolist(), key=lambda a: (-resid[a], arc_cost[a], a))
+            key = _residual_keys(target - counts, sup)
+            order = sorted(sup.tolist(), key=lambda a: (key[a], arc_cost[a], a))
             chosen = None
             for a in order:
                 cyc = _shortest_cycle_through(pairs, sup, a)
@@ -210,8 +225,8 @@ def _repair_total(pairs, counts, sup, n, target, arc_cost):
         else:
             excess = total - n
             removable = np.array([a for a in sup if counts[a] >= 1], dtype=np.int64)
-            resid = counts - target
-            order = sorted(removable.tolist(), key=lambda a: (-resid[a], -arc_cost[a], a))
+            key = _residual_keys(counts - target, removable)
+            order = sorted(removable.tolist(), key=lambda a: (key[a], -arc_cost[a], a))
             chosen = None
             for a in order:
                 pos = np.array([b for b in sup if counts[b] >= 1], dtype=np.int64)

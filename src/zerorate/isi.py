@@ -235,22 +235,18 @@ def _phase_averages(A: float, delta: float) -> tuple[float, float, float]:
 
 
 def _error_harmonics(A: float, delta: float, max_m: int) -> np.ndarray:
-    """|Fourier coefficient|^2 of e(theta) at odd order 2m-1, m = 1..max_m,
-    by piecewise closed-form integration (the error has odd harmonics only)."""
-    ths = _phase_breakpoints(A, delta)
-    los, his = ths[:-1][None, :], ths[1:][None, :]
-    cs = quantize_midrise(A * np.sin(0.5 * (los + his)), delta)
-    orders = (2 * np.arange(1, max_m + 1) - 1).astype(float)[:, None]
-
-    def int_exp(a, lo, hi):  # integral of e^{-i a theta}
-        a = np.asarray(a, dtype=float)
-        safe = np.where(a == 0, 1.0, a)
-        out = (np.exp(-1j * a * hi) - np.exp(-1j * a * lo)) / (-1j * safe)
-        return np.where(a == 0, (hi - lo) * np.ones_like(out), out)
-
-    i_level = cs * int_exp(np.broadcast_to(orders, (max_m, los.shape[1])), los, his)
-    i_sine = A / (2 * 1j) * (int_exp(orders - 1, los, his) - int_exp(orders + 1, los, his))
-    coeff = (i_level - i_sine).sum(axis=1) / (2.0 * np.pi)
+    """|Fourier coefficient|^2 of e(theta) at odd order a = 2m-1, m = 1..max_m
+    (the error has odd harmonics only), in closed form. The -A sin(theta)
+    part integrates over the whole circle, so it only enters at a = 1. The
+    level part, summed by parts over the intervals [theta_j, theta_j+1) of
+    level c_j, is sum_j (c_j-1 - c_j) e^{-i a theta_j} / (-i a), with
+    c_-1 = c_last since theta_0 = 0 and the circle closes."""
+    ths = _phase_breakpoints(A, delta)[:-1]
+    cs = quantize_midrise(A * np.sin(0.5 * (ths + np.append(ths[1:], 2.0 * np.pi))), delta)
+    orders = (2 * np.arange(1, max_m + 1) - 1).astype(float)
+    coeff = np.exp(-1j * orders[:, None] * ths[None, :]) @ (np.roll(cs, 1) - cs)
+    coeff /= -1j * orders * 2.0 * np.pi
+    coeff[0] -= A / 2j
     return np.abs(coeff) ** 2
 
 

@@ -3,14 +3,18 @@
 The channel is memoryless over consecutive state pairs, so a trial draws
 y_t from the arc's output law and the ML decoder sums per-step
 log-likelihoods over all codewords (ties count as errors, keeping bounds
-valid). No (trials, M, n) array is built. The Gaussian metric is the
-correlation form (y.mu - |mu|^2/2) / sigma^2, which drops the -|y|^2/2sigma^2
-common to every hypothesis; it is computed once per distinct mean row and
-copied to the codewords sharing it, so identical codewords tie exactly.
-The discrete metric gathers each codeword's log-pmf table at the outputs,
-summing the same n terms in the same order as a broadcast would. Trials
-run in batches of about 2**21 output samples whatever n is; the batch size
-does not change the random streams.
+valid). No (trials, M, n) array is built. The discrete metric gathers each
+codeword's log-pmf table at the outputs, summing the same n terms in the
+same order as a broadcast would. The Gaussian metric is the correlation
+form (y.mu - |mu|^2/2) / sigma^2, which drops the -|y|^2/2sigma^2 common to
+every hypothesis and sees y only through its projection onto the span of
+the distinct mean rows (the theorem of irrelevance), so a trial draws that
+projected statistic, r <= M normals, instead of y's n. Each distinct mean
+row gets one column, copied to the codewords sharing it, so identical
+codewords tie exactly. Trials run in batches of about 2**21 values of the
+per-trial array: n outputs for discrete kernels, M metrics for Gaussian
+ones. Batches are whole rows of the draws, so the batch size does
+not change the random streams.
 
 The z_rho operation minimizes the typed exponent of the soft pairwise
 score over coupled pair processes. With both pair marginals pinned, the
@@ -68,43 +72,73 @@ def _rows(elements: int, n: int) -> int:
 
 
 def _sample_outputs(kernel: ChannelKernel, arcs: np.ndarray, rng, n_trials: int) -> np.ndarray:
-    """(n_trials, n) outputs for a fixed transmitted arc sequence."""
+    """(n_trials, n) discrete outputs for a fixed transmitted arc sequence."""
+    # inverse CDF: the output is the number of CDF cells below u; the
+    # top cell is never counted, so its cumsum roundoff is harmless
     n = len(arcs)
-    if kernel.kind == DISCRETE:
-        # inverse CDF: the output is the number of CDF cells below u; the
-        # top cell is never counted, so its cumsum roundoff is harmless
-        cdf = np.cumsum(kernel.pmf[arcs], axis=1).T.copy()  # (Y, n)
-        u = rng.random((n_trials, n))
-        y = np.zeros((n_trials, n), dtype=np.min_scalar_type(len(cdf) - 1))
-        for cell in cdf[:-1]:
-            y += u > cell
-        return y.astype(np.int64)
-    z = rng.standard_normal((n_trials, n))
-    z *= np.sqrt(kernel.variance)
-    z += kernel.means[arcs]
-    return z
+    cdf = np.cumsum(kernel.pmf[arcs], axis=1).T.copy()  # (Y, n)
+    u = rng.random((n_trials, n))
+    y = np.zeros((n_trials, n), dtype=np.min_scalar_type(len(cdf) - 1))
+    for cell in cdf[:-1]:
+        y += u > cell
+    return y.astype(np.int64)
 
 
 def _loglik(kernel: ChannelKernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n_trials, M) decoder metric for each codeword hypothesis, up to a
-    term common to all hypotheses."""
+    """(n_trials, M) discrete log-likelihood of each codeword hypothesis."""
+    logp = log_pmf(kernel)  # (L, Y)
+    tables = logp[arc_paths].reshape(len(arc_paths), -1)  # (M, n * Y)
+    flat = np.arange(y.shape[1]) * logp.shape[1] + y  # cell (t, y_t) of an (n, Y) table
+    ll = np.empty((len(y), len(arc_paths)))
+    step = _rows(_GATHER_ELEMENTS, y.shape[1])  # rows whose gathers stay in cache
+    for lo in range(0, len(y), step):
+        rows = flat[lo:lo + step]
+        for m, table in enumerate(tables):
+            ll[lo:lo + step, m] = table.take(rows).sum(axis=1)
+    return ll
+
+
+class _GaussianStatistic:
+    """Gaussian decoder metrics drawn through the projected statistic.
+
+    With y = mu_k + sigma z, the correlation metric of mean row j is
+    (mu_k.mu_j + sigma mu_j.z - |mu_j|^2/2) / sigma^2, and mu z ~ N(0, mu mu^T).
+    The thin SVD mu = U S V^T of the K distinct mean rows, cut at a relative
+    singular value of max(K, n) * eps, gives mu z = (U S) w with w = V^T z
+    ~ N(0, I_r), r <= min(K, n): r normals per trial instead of n. Codewords
+    sharing a mean row share a column, so they tie exactly.
+    """
+
+    def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
+        mu, inverse = np.unique(kernel.means[arc_paths], axis=0, return_inverse=True)
+        u, s, vt = np.linalg.svd(mu, full_matrices=False)
+        r = int((s > s[0] * max(mu.shape) * np.finfo(float).eps).sum())
+        gram = mu @ mu.T
+        self.basis = vt[:r]  # V^T, (r, n)
+        self.loading = u[:, :r] * (s[:r] / np.sqrt(kernel.variance))  # U S / sigma
+        self.offset = (gram - 0.5 * np.diag(gram)) / kernel.variance  # row k: mean row k sent
+        self.column = inverse.reshape(-1)  # codeword -> mean row
+
+    def metrics(self, m: int, w: np.ndarray) -> np.ndarray:
+        """(len(w), M) metrics when codeword m is sent and V^T z = w."""
+        corr = w @ self.loading.T
+        corr += self.offset[self.column[m]]
+        return corr[:, self.column]
+
+    def draw(self, m: int, rng, n_trials: int) -> np.ndarray:
+        return self.metrics(m, rng.standard_normal((n_trials, len(self.basis))))
+
+
+def _metric_sampler(kernel: ChannelKernel, arc_paths: np.ndarray):
+    """(draw, rows): draw(m, rng, trials) gives the (trials, M) decoder
+    metrics when codeword m is sent, up to a term common to all hypotheses,
+    and rows is the number of trials per batch."""
     if kernel.kind == DISCRETE:
-        logp = log_pmf(kernel)  # (L, Y)
-        tables = logp[arc_paths].reshape(len(arc_paths), -1)  # (M, n * Y)
-        flat = np.arange(y.shape[1]) * logp.shape[1] + y  # cell (t, y_t) of an (n, Y) table
-        ll = np.empty((len(y), len(arc_paths)))
-        step = _rows(_GATHER_ELEMENTS, y.shape[1])  # rows whose gathers stay in cache
-        for lo in range(0, len(y), step):
-            rows = flat[lo:lo + step]
-            for m, table in enumerate(tables):
-                ll[lo:lo + step, m] = table.take(rows).sum(axis=1)
-        return ll
-    # one column per distinct mean row: a GEMM may round equal columns apart
-    mu, inverse = np.unique(kernel.means[arc_paths], axis=0, return_inverse=True)
-    corr = y @ mu.T
-    corr -= 0.5 * (mu * mu).sum(axis=1)
-    corr /= kernel.variance
-    return corr[:, inverse.reshape(-1)]
+        def draw(m, rng, n_trials):
+            return _loglik(kernel, arc_paths,
+                           _sample_outputs(kernel, arc_paths[m], rng, n_trials))
+        return draw, _rows(_BATCH_ELEMENTS, arc_paths.shape[1])
+    return _GaussianStatistic(kernel, arc_paths).draw, _rows(_BATCH_ELEMENTS, len(arc_paths))
 
 
 def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
@@ -128,15 +162,14 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
             close_log = True
         log = csv.writer(log_fh)
         log.writerow(["trial", "codeword", "decoded", "correct"])
-    rows = _rows(_BATCH_ELEMENTS, n)
+    draw, rows = _metric_sampler(kernel, book.arc_paths)
     for m in range(M):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), m)))
         done = 0
         while done < trials:
             batch = min(rows, trials - done)
-            y = _sample_outputs(kernel, book.arc_paths[m], rng, batch)
             if M > 1:
-                ll = _loglik(kernel, book.arc_paths, y)
+                ll = draw(m, rng, batch)
                 own = ll[:, m]
                 others = np.delete(ll, m, axis=1)
                 # ties decode as errors (conservative)
@@ -181,13 +214,12 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
     if arcs_a.shape != arcs_b.shape:
         raise ValidationError("paths must have equal length")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A)))
-    rows = _rows(_BATCH_ELEMENTS, len(arcs_a))
+    draw, rows = _metric_sampler(kernel, np.stack([arcs_a, arcs_b]))
     errs = 0
     done = 0
     while done < trials:
         batch = min(rows, trials - done)
-        y = _sample_outputs(kernel, arcs_a, rng, batch)
-        ll = _loglik(kernel, np.stack([arcs_a, arcs_b]), y)
+        ll = draw(0, rng, batch)
         errs += int((ll[:, 1] >= ll[:, 0]).sum())
         done += batch
     p = errs / trials

@@ -159,6 +159,28 @@ def loglik_broadcast(kernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray
     return -(diff * diff).sum(axis=2) / (2.0 * kernel.variance)
 
 
+def error_harmonics_per_interval(A: float, delta: float, max_m: int) -> np.ndarray:
+    """Reference for isi._error_harmonics: |Fourier coefficient|^2 of the
+    quantization error at odd order 2m-1, m = 1..max_m, integrating the level
+    and the sine part interval by interval."""
+    from zerorate.isi import _phase_breakpoints, quantize_midrise
+    ths = _phase_breakpoints(A, delta)
+    los, his = ths[:-1][None, :], ths[1:][None, :]
+    cs = quantize_midrise(A * np.sin(0.5 * (los + his)), delta)
+    orders = (2 * np.arange(1, max_m + 1) - 1).astype(float)[:, None]
+
+    def int_exp(a, lo, hi):  # integral of e^{-i a theta}
+        a = np.asarray(a, dtype=float)
+        safe = np.where(a == 0, 1.0, a)
+        out = (np.exp(-1j * a * hi) - np.exp(-1j * a * lo)) / (-1j * safe)
+        return np.where(a == 0, (hi - lo) * np.ones_like(out), out)
+
+    i_level = cs * int_exp(np.broadcast_to(orders, (max_m, los.shape[1])), los, his)
+    i_sine = A / (2 * 1j) * (int_exp(orders - 1, los, his) - int_exp(orders + 1, los, his))
+    coeff = (i_level - i_sine).sum(axis=1) / (2.0 * np.pi)
+    return np.abs(coeff) ** 2
+
+
 def quantized_sine_time_averages(A, delta, omega0, phase, n):
     """(R_ee(0), R_xe(0), power, R_ee(1), R_ee(2)) by long time averages."""
     t = np.arange(1, n + 1, dtype=float)

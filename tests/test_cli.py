@@ -114,6 +114,25 @@ def test_uce_reports_single_and_plan(tmp_path, capsys):
     assert rep["result"]["value"] == pytest.approx(rep["result"]["single_value"], abs=1e-8)
 
 
+def test_uce_on_concave_channel_skips_time_sharing(tmp_path, capsys, monkeypatch):
+    """isi_two_tap is concave with a binding budget: uce returns the single
+    argmax as a one-segment plan without the time-sharing sweep."""
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("maximize_uce called on a concave component")
+
+    monkeypatch.setattr(zerorate.cli, "maximize_uce", no_sweep)
+    out = tmp_path / "uce.json"
+    code, _, _ = run_cli(capsys, "uce", "--spec", str(SPECS / "isi_two_tap.json"),
+                         "--out", str(out))
+    assert code == 0
+    result = json.loads(out.read_text())
+    assert result["value"] == result["single_value"] == pytest.approx(3.65625, abs=1e-9)
+    assert result["plan"]["kind"] == "time_sharing"
+    assert result["plan"]["weights"] == [1.0]
+    assert len(result["plan"]["components"]) == 1
+    assert result["plan"]["anchor"] == result["anchor"]
+
+
 def test_build_code_and_simulate(tmp_path, capsys):
     spec = write_spec(tmp_path, ISI_DOC)
     code_path = tmp_path / "book.json"

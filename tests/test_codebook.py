@@ -83,6 +83,30 @@ def test_round_breaks_residual_ties_toward_cheap_arcs():
     assert arc_cost @ zr.round_type(q, 358).counts == 9.0
 
 
+def test_round_type_ignores_roundoff_on_symmetric_argmax():
+    """isi_long's argmax is 1/4 on each constant-state self-loop. Blended at
+    n = 64 every arc of n q has fractional part 1/2, so both the cycle
+    cancel and the total repair meet exact ties; a 5e-16 perturbation, the
+    size of solver roundoff, must not break them."""
+    _, m, pairs, _, _, cost = make_isi([1.0, 0.5, 0.25], levels=(3.0, 1.0, -1.0, -3.0),
+                                       gamma=5.0)
+    loops = np.nonzero(pairs.tails == pairs.heads)[0]
+    assert len(loops) == 4 and len(pairs) == 64
+    arc_cost = cost.pair_costs(pairs)
+
+    def rounded(noise):
+        q = np.zeros(len(pairs))
+        q[loops] = 0.25 + noise
+        blended, _, theta = zr.blend_for_construction(zr.PairDistribution(pairs, q), None, 64)
+        assert theta == 0.5
+        return zr.round_type(blended, 64, arc_cost).counts
+
+    exact = rounded(0.0)
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        assert np.array_equal(rounded(rng.choice([-5e-16, 0.0, 5e-16], size=4)), exact)
+
+
 def test_most_visited_ignores_roundoff(order1):
     _, pairs = order1
     q = zr.PairDistribution(pairs, np.array([0.5 - 1e-16, 0.0, 0.0, 0.5 + 1e-16]))

@@ -4,12 +4,12 @@ from scipy.special import jv
 
 import zerorate as zr
 from zerorate.errors import ValidationError
-from zerorate.isi import (IsiSpec, build_isi_machine, e0_isi,
+from zerorate.isi import (IsiSpec, _error_harmonics, build_isi_machine, e0_isi,
                           quantize_midrise, window_distribution_to_pairs)
 
 from conftest import make_isi
 from oracles import (b_bessel_series, bessel_j_simpson, eps_bessel_series,
-                     quantized_sine_time_averages)
+                     error_harmonics_per_interval, quantized_sine_time_averages)
 
 W0 = 2 * np.pi * (np.sqrt(2) - 1) / 4
 
@@ -186,6 +186,14 @@ def test_gray_stats_reproducible():
     a = zr.gray_stats(3.5, 1.0, W0)
     b = zr.gray_stats(3.5, 1.0, W0)
     assert (a.eps == b.eps).all() and a.ree0 == b.ree0 and a.B == b.B
+
+
+@pytest.mark.parametrize("A, delta", [(7.3, 0.11), (3.5, 1.0), (1.0, 1.0), (0.3, 1.0),
+                                      (2.0, 1.0), (10.0, 0.05)])
+def test_error_harmonics_match_per_interval_integrals(A, delta):
+    fast = _error_harmonics(A, delta, 4096)
+    ref = error_harmonics_per_interval(A, delta, 4096)
+    assert np.abs(fast - ref).max() <= 1e-15
 
 
 def test_eps_bessel_series_matches_exact_harmonics():

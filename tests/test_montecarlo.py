@@ -11,7 +11,8 @@ import zerorate as zr
 from zerorate import montecarlo
 from zerorate.cli import load_channel
 from zerorate.codebook import Codebook
-from zerorate.montecarlo import _loglik, _sample_outputs, empirical_exponent_consistency
+from zerorate.montecarlo import (_GaussianStatistic, _loglik, _sample_outputs,
+                                 empirical_exponent_consistency)
 
 from conftest import make_bsc, make_isi
 from oracles import (gaussian_two_codeword_error, loglik_broadcast,
@@ -185,23 +186,62 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     pmf[-1] = pmf[0]  # two arcs with one law
     means = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=L) * gen.uniform(0.5, 2.0)
     variance = gen.uniform(0.1, 4.0)
-    for kern in (zr.discrete_kernel(tuple(range(Y)), pmf), zr.gaussian_kernel(means, variance)):
-        y = _sample_outputs(kern, paths[0], np.random.default_rng(seed), trials)
-        ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
-        assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
-        ll = _loglik(kern, paths, y)
-        ref = loglik_broadcast(kern, paths, y)
-        if kern.kind == "discrete":
-            assert np.array_equal(ll, ref)
-        else:
-            # the correlation metric omits -|y|^2 / 2 sigma^2
-            full = ll - (y * y).sum(axis=1, keepdims=True) / (2.0 * variance)
-            np.testing.assert_allclose(full, ref, rtol=1e-9, atol=0.0)
-        assert np.array_equal(ll.argmax(axis=1), ref.argmax(axis=1))
-        for m in range(1, M):
-            wrong = np.delete(ll, m, axis=1).max(axis=1) >= ll[:, m]
-            ref_wrong = np.delete(ref, m, axis=1).max(axis=1) >= ref[:, m]
-            assert np.array_equal(wrong, ref_wrong)
+    kern = zr.discrete_kernel(tuple(range(Y)), pmf)
+    y = _sample_outputs(kern, paths[0], np.random.default_rng(seed), trials)
+    ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
+    assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
+    ll = _loglik(kern, paths, y)
+    ref = loglik_broadcast(kern, paths, y)
+    assert np.array_equal(ll, ref)
+    assert_same_decisions(ll, ref)
+    # Gaussian: one full-length noise z through both paths, the projected
+    # statistic seeing it as w = V^T z
+    kern = zr.gaussian_kernel(means, variance)
+    z = np.random.default_rng(seed).standard_normal((trials, n))
+    y = kern.means[paths[0]] + np.sqrt(variance) * z
+    stat = _GaussianStatistic(kern, paths)
+    ll = stat.metrics(0, z @ stat.basis.T)
+    ref = loglik_broadcast(kern, paths, y)
+    # the correlation metric omits -|y|^2 / 2 sigma^2
+    full = ll - (y * y).sum(axis=1, keepdims=True) / (2.0 * variance)
+    np.testing.assert_allclose(full, ref, rtol=1e-9, atol=0.0)
+    assert_same_decisions(ll, ref)
+
+
+def assert_same_decisions(ll, ref):
+    """Equal decoded codewords and equal per-codeword error indicators."""
+    assert np.array_equal(ll.argmax(axis=1), ref.argmax(axis=1))
+    for m in range(1, ll.shape[1]):
+        wrong = np.delete(ll, m, axis=1).max(axis=1) >= ll[:, m]
+        ref_wrong = np.delete(ref, m, axis=1).max(axis=1) >= ref[:, m]
+        assert np.array_equal(wrong, ref_wrong)
+
+
+def test_pairwise_gaussian_matches_exact_error():
+    # criterion 5's n = 16 pair: all +1 against alternating
+    _, m, pairs, kern, d, cost = make_isi([1.0, 0.5])
+    n = 16
+    path_a = np.zeros(n, dtype=np.int64)
+    path_b = np.array([0, 1] * (n // 2))
+    lookup = pairs.index_lookup()
+    arcs_a = lookup[path_a, np.roll(path_a, -1)]
+    arcs_b = lookup[path_b, np.roll(path_b, -1)]
+    d_e = float(np.sqrt(((kern.means[arcs_a] - kern.means[arcs_b]) ** 2).sum()))
+    exact = gaussian_two_codeword_error(d_e, 1.0)
+    trials = 100_000
+    rep = zr.pairwise_check(kern, arcs_a, arcs_b, trials=trials, seed=6, d=d)
+    assert abs(rep.p_hat - exact) <= 3 * np.sqrt(exact * (1 - exact) / trials)
+
+
+def test_zero_means_always_tie():
+    """All means zero: the statistic has rank 0 and every trial ties."""
+    m, pairs, kern, d, book = small_book(M=3, n=16)
+    zero = zr.gaussian_kernel(np.zeros_like(kern.means), kern.variance)
+    assert len(_GaussianStatistic(zero, book.arc_paths).basis) == 0
+    rep = zr.simulate(zero, book, trials=300, seed=2)
+    assert rep.errors.tolist() == [300, 300, 300]
+    pair = zr.pairwise_check(zero, book.arc_paths[0], book.arc_paths[1], trials=300, seed=2)
+    assert pair.p_hat == 1.0
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "discrete"])
