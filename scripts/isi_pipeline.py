@@ -38,7 +38,7 @@ def main():
     cost = zr.CostModel(np.asarray(machine.values) ** 2, args.gamma)
 
     structure = zr.check_structure(machine)
-    res = zr.maximize_e0(d, pairs, cost)
+    res = zr.maximize_e0(d, pairs, cost, zr.SolverOptions(seed=args.seed))
     bound, omega_star = zr.spectral_bound(spec)
     print(f"machine: S={machine.n_states} L={len(pairs)} "
           f"doubly_irreducible={structure.doubly_irreducible}")
@@ -46,12 +46,8 @@ def main():
           f"support_connected={res.support_connected})")
     print(f"spectral upper bnd : {bound:.6f} at omega={omega_star:.4f}")
 
-    argmax = res.argmax.mixture() if isinstance(res.argmax, zr.TimeSharingPlan) \
-        else res.argmax
-    q, anchor, theta = zr.blend_for_construction(argmax, None, args.n, args.blend)
-    type_spec = zr.round_type(q, args.n)
-    cands = zr.build_ensemble(type_spec, args.codewords, args.n, args.seed, anchor, d)
-    book = zr.expurgate(cands, d, args.codewords, machine=machine)
+    book, theta = zr.build_codebook(res.argmax, d, cost, args.n, args.codewords,
+                                    args.seed, machine, args.blend)
     print(f"codebook           : M={book.M} n={book.n} rho={book.rho:g} "
           f"blend={theta:.4f}")
     print(f"min pair distance  : {book.min_pair_distance:.2f} "

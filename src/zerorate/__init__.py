@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .bhatt import (ChannelKernel, DistanceMatrix, bhattacharyya,
                     discrete_kernel, gaussian_kernel, likelihood)
 from .codebook import (CandidateSet, Codebook, MarkovTypeSpec,
-                       blend_for_construction, build_ensemble, emit_codeword,
-                       euler_circuit, expurgate, round_type)
+                       blend_for_construction, build_codebook, build_ensemble,
+                       emit_codeword, euler_circuit, expurgate, round_type)
 from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
 from .exponent import (ConcavityReport, CostModel, ExponentResult,
                        PairDistribution, SolverOptions, TimeSharingPlan,
@@ -16,10 +16,9 @@ from .exponent import (ConcavityReport, CostModel, ExponentResult,
                        maximize_e0_single, maximize_uce, support_is_connected)
 from .fsm import (FeasiblePairSet, StateMachine, StructuralReport, augment,
                   check_structure, feasible_pairs, shift_register)
-from .isi import (IsiSpec, QuantizedSinusoidStats, TruncationConfig,
-                  build_isi_machine, choose_amplitude, e0_isi, gray_stats,
-                  irrationalize, power_identity_check, quantization_loss,
-                  spectral_bound)
+from .isi import (IsiSpec, QuantizedSinusoidStats, build_isi_machine,
+                  choose_amplitude, e0_isi, gray_stats, irrationalize,
+                  power_identity_check, quantization_loss, spectral_bound)
 from .montecarlo import (QuadrupleDistribution, SimulationReport,
                          pairwise_check, simulate, z_rho, z_rho_sweep)
 

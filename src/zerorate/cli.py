@@ -25,12 +25,10 @@ import numpy as np
 from . import __version__
 from .bhatt import (ChannelKernel, bhattacharyya, discrete_kernel,
                     gaussian_kernel)
-from .codebook import (Codebook, MarkovTypeSpec, blend_for_construction,
-                       build_ensemble, expurgate, round_type)
+from .codebook import Codebook, blend_for_construction, build_codebook
 from .errors import InfeasibleError, ValidationError
-from .exponent import (CostModel, PairDistribution, SolverOptions,
-                       TimeSharingPlan, e0, maximize_e0, maximize_e0_single,
-                       maximize_uce)
+from .exponent import (CostModel, SolverOptions, TimeSharingPlan, e0,
+                       maximize_e0, maximize_e0_single, maximize_uce)
 from .fsm import (StateMachine, augment, augment_origin, check_structure,
                   feasible_pairs)
 from .isi import (IsiSpec, build_isi_machine, choose_amplitude, gray_stats,
@@ -137,38 +135,22 @@ def _q_as_dict(pairs, q: np.ndarray) -> dict:
     return {labels[i]: float(q[i]) for i in range(len(q)) if q[i] > 0}
 
 
-def _argmax_dict(result_argmax, pairs) -> dict:
-    if isinstance(result_argmax, TimeSharingPlan):
-        return {
-            "kind": "time_sharing",
-            "anchor": str(pairs.machine.states[result_argmax.anchor])
-            if pairs.machine else int(result_argmax.anchor),
-            "weights": [float(w) for w in result_argmax.weights],
-            "components": [_q_as_dict(pairs, c.q) for c in result_argmax.components],
-        }
-    return {"kind": "single", "q": _q_as_dict(pairs, result_argmax.q)}
+def _argmax_dict(plan: TimeSharingPlan, pairs, single: bool) -> dict:
+    """The plan as a time-sharing block, or as its one distribution when
+    `single` (the solve skipped time sharing)."""
+    if single:
+        return {"kind": "single", "q": _q_as_dict(pairs, plan.mixture().q)}
+    return {
+        "kind": "time_sharing",
+        "anchor": str(pairs.machine.states[plan.anchor])
+        if pairs.machine else int(plan.anchor),
+        "weights": [float(w) for w in plan.weights],
+        "components": [_q_as_dict(pairs, c.q) for c in plan.components],
+    }
 
 
 def _solver_opts(args) -> SolverOptions:
     return SolverOptions(tol=args.tol, starts=args.starts, seed=args.seed)
-
-
-def _construction_plan(ch: LoadedChannel, result, n: int, blend):
-    """Turn the optimizer argmax into per-segment types ready to build."""
-    if isinstance(result.argmax, TimeSharingPlan):
-        plan = result.argmax
-        comps = []
-        anchor = plan.anchor
-        thetas = []
-        for comp in plan.components:
-            fixed, anchor, th = blend_for_construction(
-                PairDistribution(ch.pairs, comp.q), anchor, n, blend)
-            comps.append(fixed)
-            thetas.append(th)
-        plan = TimeSharingPlan(plan.weights, tuple(comps), anchor)
-        return plan, anchor, max(thetas)
-    q, anchor, theta = blend_for_construction(result.argmax, None, n, blend)
-    return q, anchor, theta
 
 
 def cmd_check(ch: LoadedChannel, args):
@@ -207,7 +189,7 @@ def cmd_optimize(ch: LoadedChannel, args):
         "concave": res.concave,
         "scc_id": res.scc_id,
         "support_connected": res.support_connected,
-        "argmax": _argmax_dict(res.argmax, ch.pairs),
+        "argmax": _argmax_dict(res.argmax, ch.pairs, res.concave),
     }
     return out, "json"
 
@@ -215,16 +197,16 @@ def cmd_optimize(ch: LoadedChannel, args):
 def cmd_uce(ch: LoadedChannel, args):
     d = bhattacharyya(ch.kernel, ch.pairs)
     single = maximize_e0_single(d, ch.pairs, ch.cost, _solver_opts(args))
-    anchor = single.argmax.most_visited()
+    anchor = single.argmax.anchor
     if single.concave:  # time sharing cannot beat a concave E0
-        value, plan = single.value, TimeSharingPlan(np.array([1.0]), (single.argmax,), anchor)
+        value, plan = single.value, single.argmax
     else:
         value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, _solver_opts(args))
     out = {
         "value": value,
         "single_value": single.value,
         "anchor": str(ch.machine.states[anchor]),
-        "plan": _argmax_dict(plan, ch.pairs),
+        "plan": _argmax_dict(plan, ch.pairs, False),
     }
     return out, "json"
 
@@ -232,18 +214,8 @@ def cmd_uce(ch: LoadedChannel, args):
 def _build_codebook(ch: LoadedChannel, args) -> Codebook:
     d = bhattacharyya(ch.kernel, ch.pairs)
     res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
-    source, anchor, _ = _construction_plan(ch, res, args.n, args.blend)
-    arc_cost = ch.cost.pair_costs(ch.pairs)
-    if isinstance(source, PairDistribution):
-        source = round_type(source, args.n, arc_cost)
-    cands = build_ensemble(source, args.codewords, args.n, args.seed, anchor, d, arc_cost)
-    # strict cost gate on the rounded types (segments sum over the block)
-    budget = args.n * ch.cost.gamma
-    total = sum(float(arc_cost @ spec.counts) for spec in cands.certificate)
-    if total > budget + 1e-9 * max(1.0, abs(budget)):
-        raise InfeasibleError(
-            f"rounded type cost {total:g} exceeds the per-codeword budget {budget:g}")
-    return expurgate(cands, d, args.codewords, args.rho, ch.machine)
+    return build_codebook(res.argmax, d, ch.cost, args.n, args.codewords, args.seed,
+                          ch.machine, args.blend, args.rho)[0]
 
 
 def cmd_build_code(ch: LoadedChannel, args):
@@ -251,30 +223,17 @@ def cmd_build_code(ch: LoadedChannel, args):
     return book.to_json_dict(), "json"
 
 
-def _codebook_from_json(doc: dict, ch: LoadedChannel) -> Codebook:
-    states = {str(s): i for i, s in enumerate(ch.machine.states)}
-    paths = np.array([[states[s] for s in row] for row in doc["state_paths"]],
-                     dtype=np.int64)
-    codewords = np.asarray(doc["codewords"], dtype=np.int64)
-    lookup = ch.pairs.index_lookup()
-    arc_paths = lookup[paths, np.roll(paths, -1, axis=1)]
-    _require((arc_paths >= 0).all(), "codebook paths use infeasible pairs")
-    cert = []
-    for seg in doc["type_counts"]:
-        counts = np.zeros(len(ch.pairs), dtype=np.int64)
-        for ent in seg["counts"]:
-            a = ch.pairs.index_of(states[ent["from"]], states[ent["to"]])
-            counts[a] = int(ent["count"])
-        cert.append(MarkovTypeSpec(ch.pairs, counts, int(seg["length"])))
-    return Codebook(ch.machine, ch.pairs, codewords, paths, arc_paths,
-                    tuple(cert), float(doc["min_pair_distance"]),
-                    int(doc["seed"]), float(doc["rho"]))
+def _read_json(path: str, what: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{what} is not valid JSON: {exc}") from None
 
 
 def cmd_simulate(ch: LoadedChannel, args):
     if args.code:
-        with open(args.code, "r", encoding="utf-8") as fh:
-            book = _codebook_from_json(json.load(fh), ch)
+        book = Codebook.from_json_dict(_read_json(args.code, "codebook"), ch.machine, ch.pairs)
     else:
         book = _build_codebook(ch, args)
     rep = simulate(ch.kernel, book, args.trials, args.seed,
@@ -288,11 +247,7 @@ def cmd_simulate(ch: LoadedChannel, args):
 def cmd_zrho(ch: LoadedChannel, args):
     d = bhattacharyya(ch.kernel, ch.pairs)
     res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
-    if isinstance(res.argmax, TimeSharingPlan):
-        q = res.argmax.mixture()
-    else:
-        q = res.argmax
-    q, _, _ = blend_for_construction(q, None, max(args.n, 64), args.blend)
+    q, _, _ = blend_for_construction(res.argmax.mixture(), None, max(args.n, 64), args.blend)
     ref = e0(q, d)
     if args.rhos:
         rhos = [float(tok) for tok in args.rhos.split(",")]
@@ -445,11 +400,7 @@ def run(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         t0 = time.perf_counter()
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"spec is not valid JSON: {exc}") from None
+        doc = _read_json(args.spec, "spec")
         ch = load_channel(doc)
         result, kind = COMMANDS[args.command][0](ch, args)
     except ValidationError as exc:

@@ -8,7 +8,8 @@ randomized circuits form a pool; 2M-1 candidates are anchored rotations
 of them, chosen greedily so that each lies as far as possible from the
 nearest one chosen before it. The M best under the soft pairwise-distance
 score are kept, and their minimum pairwise distance d_min bounds every
-kept codeword's error probability by (M-1) exp(-d_min).
+kept codeword's error probability by (M-1) exp(-d_min). `build_codebook`
+runs the whole construction from an exponent argmax.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bhatt import DistanceMatrix
-from .errors import ValidationError
+from .errors import InfeasibleError, ValidationError
 from .exponent import (CostModel, PairDistribution, TimeSharingPlan,
                        feasibility_sccs, support_is_connected)
 from .fsm import FeasiblePairSet, StateMachine, strong_components
@@ -337,14 +338,12 @@ def emit_codeword(path: np.ndarray, machine: StateMachine) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """2M-1 anchored walks of the type (or per-segment types)."""
+    """2M-1 anchored walks of the per-segment types."""
 
     pairs: FeasiblePairSet
     paths: np.ndarray            # (n_candidates, n) states
     arc_paths: np.ndarray        # (n_candidates, n) arc indices
-    certificate: tuple           # MarkovTypeSpec per segment
-    segment_lengths: tuple
-    anchor: int
+    certificate: tuple           # MarkovTypeSpec per segment, in block order
     seed: int
 
     @property
@@ -361,51 +360,30 @@ def _segment_lengths(weights: np.ndarray, n: int) -> np.ndarray:
     return base
 
 
-def build_ensemble(source, M: int, n: int, seed: int, anchor: int | None = None,
-                   d: DistanceMatrix | None = None,
-                   arc_cost: np.ndarray | None = None) -> CandidateSet:
-    """2M-1 candidates chosen by distance among 2M-1 seeded circuits.
+def build_ensemble(types, M: int, n: int, seed: int, anchor: int,
+                   d: DistanceMatrix | None = None) -> CandidateSet:
+    """2M-1 candidates chosen by distance among 2M-1 seeded circuits per
+    segment.
 
-    The pool is 2M-1 randomized-Hierholzer circuits of the type. Every
-    candidate is an anchored rotation of pool circuits (the same closed
-    walk restarted at one of its visits to the anchor, so it keeps the
-    certified arc counts), picked greedily to maximize its minimum summed
-    distance to the candidates already chosen; see `_spread_rotations`.
-    Distances are those of `d`, or the arc Hamming distance (1 wherever
-    the arcs differ) when `d` is None.
-
-    A TimeSharingPlan is realized segment per segment: lengths are the
-    largest-remainder rounding of n*w(u) and every segment is its own
-    anchored circuit, rotated on its own, so concatenation needs no seam
-    repair. Segment types are rounded under `arc_cost` (see `round_type`).
+    `types` is one MarkovTypeSpec or a sequence of them, the segments of a
+    time-sharing block in order; their lengths must sum to n. Every segment
+    is its own circuit anchored at `anchor`, rotated on its own, so
+    concatenation needs no seam repair. The pool is 2M-1
+    randomized-Hierholzer circuits of each type. Every candidate segment is
+    an anchored rotation of a pool circuit (the same closed walk restarted
+    at one of its visits to the anchor, so it keeps the certified arc
+    counts), picked greedily to maximize its minimum summed distance to the
+    candidates already chosen; see `_spread_rotations`. Distances are those
+    of `d`, or the arc Hamming distance (1 wherever the arcs differ) when
+    `d` is None.
     """
     if M < 1:
         raise ValidationError("M must be >= 1")
-    if isinstance(source, TimeSharingPlan):
-        keep = source.weights > 1e-12
-        weights = source.weights[keep] / source.weights[keep].sum()
-        comps = [c for c, k in zip(source.components, keep) if k]
-        anchor = source.anchor if anchor is None else anchor
-        lengths = _segment_lengths(weights, n)
-        specs = []
-        for comp, ell in zip(comps, lengths):
-            sup = int((comp.q > 1e-12).sum())
-            if ell < sup:
-                raise ValidationError(
-                    f"segment of length {ell} cannot realize a support of size {sup}")
-            specs.append(round_type(comp, int(ell), arc_cost))
-        pairs = comps[0].pairs
-    elif isinstance(source, MarkovTypeSpec):
-        if source.n != n:
-            raise ValidationError(f"type has n={source.n}, requested {n}")
-        specs = [source]
-        lengths = np.array([n], dtype=np.int64)
-        pairs = source.pairs
-        if anchor is None:
-            raise ValidationError("anchor is required for a single type")
-    else:
-        raise ValidationError("source must be a MarkovTypeSpec or TimeSharingPlan")
-
+    specs = [types] if isinstance(types, MarkovTypeSpec) else list(types)
+    if not specs or sum(spec.n for spec in specs) != n:
+        raise ValidationError(
+            f"segment lengths total {sum(spec.n for spec in specs)}, requested {n}")
+    pairs = specs[0].pairs
     for spec in specs:
         if anchor not in set(spec.support_states().tolist()):
             raise ValidationError(f"anchor {anchor} is outside a segment's support")
@@ -425,8 +403,7 @@ def build_ensemble(source, M: int, n: int, seed: int, anchor: int | None = None,
     arc_paths = lookup[paths, np.roll(paths, -1, axis=1)]
     if (arc_paths < 0).any():
         raise ValidationError("candidate walk uses an infeasible pair")
-    return CandidateSet(pairs, paths, arc_paths, tuple(specs),
-                        tuple(int(v) for v in lengths), int(anchor), int(seed))
+    return CandidateSet(pairs, paths, arc_paths, tuple(specs), int(seed))
 
 
 def _arc_features(sup: np.ndarray, L: int, d: DistanceMatrix | None):
@@ -541,6 +518,50 @@ class Codebook:
             "rho": self.rho,
         }
 
+    @classmethod
+    def from_json_dict(cls, doc: dict, machine: StateMachine,
+                       pairs: FeasiblePairSet) -> "Codebook":
+        """Inverse of to_json_dict on the channel the book was built for. A
+        document with a missing key, a state the machine lacks or a pair it
+        cannot take raises ValidationError."""
+        index = {str(s): i for i, s in enumerate(machine.states)}
+        lookup = pairs.index_lookup()
+
+        def state(label):
+            if label not in index:
+                raise ValidationError(f"codebook state {label!r} is not a state of the channel")
+            return index[label]
+
+        def arc(tail, head):
+            a = int(lookup[state(tail), state(head)])
+            if a < 0:
+                raise ValidationError(f"codebook pair {tail} -> {head} is not feasible")
+            return a
+
+        try:
+            paths = np.array([[state(s) for s in row] for row in doc["state_paths"]],
+                             dtype=np.int64)
+            codewords = np.asarray(doc["codewords"], dtype=np.int64)
+            arc_paths = lookup[paths, np.roll(paths, -1, axis=1)]
+            cert = []
+            for seg in doc["type_counts"]:
+                counts = np.zeros(len(pairs), dtype=np.int64)
+                for ent in seg["counts"]:
+                    counts[arc(ent["from"], ent["to"])] = int(ent["count"])
+                cert.append(MarkovTypeSpec(pairs, counts, int(seg["length"])))
+            meta = float(doc["min_pair_distance"]), int(doc["seed"]), float(doc["rho"])
+        except ValidationError:
+            raise
+        except KeyError as exc:
+            raise ValidationError(f"codebook lacks the key {exc}") from None
+        except (TypeError, ValueError, IndexError) as exc:
+            raise ValidationError(f"malformed codebook: {exc}") from None
+        if (arc_paths < 0).any():
+            raise ValidationError("codebook paths use infeasible pairs")
+        if codewords.shape != paths.shape:
+            raise ValidationError("codewords and state paths differ in shape")
+        return cls(machine, pairs, codewords, paths, arc_paths, tuple(cert), *meta)
+
 
 def pairwise_path_distances(arc_paths: np.ndarray, d: DistanceMatrix) -> np.ndarray:
     """Symmetric matrix of summed per-step distances between walks."""
@@ -639,3 +660,35 @@ def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
     uni[comp.arcs] = 1.0 / L_c
     blended = PairDistribution(pairs, (1.0 - theta) * q.q + theta * uni)
     return blended, anchor, float(theta)
+
+
+def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n: int,
+                   M: int, seed: int, machine: StateMachine, theta: float | None = None,
+                   rho: float | None = None) -> tuple[Codebook, float]:
+    """The codebook construction for an exponent argmax.
+
+    The block is split among the plan's segments of positive weight by the
+    largest-remainder rounding of n*w. Each segment's distribution is
+    blended at block length n (`blend_for_construction`, mass `theta`,
+    default automatic) and rounded to an integer type of its length, with
+    residual ties going to the cheaper arc (`round_type`). The types' total
+    cost must stay within n*gamma (InfeasibleError otherwise). The 2M-1
+    candidates of `build_ensemble` are then expurgated to M at `rho`.
+
+    Returns the codebook and the largest blend theta applied."""
+    keep = plan.weights > 1e-12
+    comps = [c for c, k in zip(plan.components, keep) if k]
+    lengths = _segment_lengths(plan.weights[keep] / plan.weights[keep].sum(), n)
+    arc_cost = cost.pair_costs(comps[0].pairs)
+    types, thetas = [], []
+    for comp, ell in zip(comps, lengths):
+        q, _, applied = blend_for_construction(comp, plan.anchor, n, theta)
+        types.append(round_type(q, int(ell), arc_cost))
+        thetas.append(applied)
+    budget = n * cost.gamma
+    total = sum(float(arc_cost @ t.counts) for t in types)
+    if total > budget + 1e-9 * max(1.0, abs(budget)):
+        raise InfeasibleError(
+            f"rounded type cost {total:g} exceeds the per-codeword budget {budget:g}")
+    cands = build_ensemble(types, M, n, seed, plan.anchor, d)
+    return expurgate(cands, d, M, rho, machine), max(thetas)

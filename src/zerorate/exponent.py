@@ -24,9 +24,10 @@ import numpy as np
 from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
 from .fsm import FeasiblePairSet, strong_components
-from .polytope import PGOptions, Polytope, _highs_lp, maximize_quadratic
+from .polytope import Polytope, _highs_lp, maximize_quadratic
 
 MARGINAL_TOL = 1e-10
+SWEEP_POINTS = 17  # budgets in maximize_uce's value-versus-cost sweep
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +96,8 @@ class CostModel:
 @dataclass(frozen=True, eq=False)
 class TimeSharingPlan:
     """Convex combination of pair distributions realized by segmenting the
-    block; every segment is anchored at the shared state sigma."""
+    block; every segment is anchored at the shared state sigma. A single
+    distribution is the plan with one segment."""
 
     weights: np.ndarray
     components: tuple
@@ -111,6 +113,8 @@ class TimeSharingPlan:
         self.weights.setflags(write=False)
 
     def mixture(self) -> PairDistribution:
+        if len(self.components) == 1:
+            return self.components[0]
         q = sum(w * comp.q for w, comp in zip(self.weights, self.components))
         return PairDistribution(self.components[0].pairs, q)
 
@@ -127,7 +131,7 @@ class TimeSharingPlan:
 @dataclass(frozen=True, eq=False)
 class ExponentResult:
     value: float
-    argmax: object  # PairDistribution or TimeSharingPlan
+    argmax: TimeSharingPlan  # one segment unless time sharing was solved
     concave: bool
     scc_id: int
     support_connected: bool
@@ -148,14 +152,8 @@ class FeasibilityComponent:
 @dataclass
 class SolverOptions:
     tol: float = 1e-9
-    max_iter: int = 100_000
     starts: int = 32
     seed: int = 0
-    sweep_points: int = 17
-
-    def pg(self, tol=None) -> PGOptions:
-        return PGOptions(tol=self.tol if tol is None else tol,
-                         max_iter=self.max_iter)
 
 
 def e0(q, d: DistanceMatrix) -> float:
@@ -267,7 +265,7 @@ def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
         starts.append(rng.dirichlet(np.ones(n)))
     best_q, best_v = None, -np.inf
     for s in starts:
-        q, v = maximize_quadratic(sub_d, poly, s, opts.pg(tol))
+        q, v = maximize_quadratic(sub_d, poly, s, opts.tol if tol is None else tol)
         if v > best_v + 1e-15:
             best_q, best_v = q, v
     return best_q, best_v
@@ -296,14 +294,14 @@ def _maximize_per_component(d: DistanceMatrix, pairs: FeasiblePairSet, cost: Cos
         concave = concavity_test(DistanceMatrix(sub_d)).concave
         if time_share and not concave:
             val, arg = maximize_uce(d, pairs, cost, min(comp.states), opts)
-            connected = all(support_is_connected(c, pairs) for c in arg.components)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
             q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
                                          opts, feasible=feasible)
-            arg = _embed(pairs, comp.arcs, q_sub)
-            connected = support_is_connected(arg, pairs)
+            q = _embed(pairs, comp.arcs, q_sub)
+            arg = TimeSharingPlan(np.array([1.0]), (q,), q.most_visited(comp.states))
         if best is None or val > best.value + 1e-15:
+            connected = all(support_is_connected(c, pairs) for c in arg.components)
             best = ExponentResult(val, arg, concave, cid, connected)
     if best is None:
         if saw_finite:
@@ -325,7 +323,9 @@ def maximize_e0_single(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostMode
 def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
                 opts: SolverOptions | None = None) -> ExponentResult:
     """The zero-rate exponent: per component, the single-distribution
-    maximum when E0 is concave there, otherwise the time-sharing value."""
+    maximum when E0 is concave there, otherwise the time-sharing value. The
+    argmax is a TimeSharingPlan either way, with one segment (anchored at
+    its most visited state) when time sharing was not solved."""
     return _maximize_per_component(d, pairs, cost, opts or SolverOptions(), True)
 
 
@@ -384,7 +384,7 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
             pool.append((q, v, float(costs @ q)))
 
         budgets = np.unique(np.concatenate([
-            np.linspace(c_lo, c_hi, max(opts.sweep_points, 3)), [cost.gamma]]))
+            np.linspace(c_lo, c_hi, SWEEP_POINTS), [cost.gamma]]))
         prev = None
         for b in budgets:
             extra = (prev,) if prev is not None else ()

@@ -22,6 +22,11 @@ from .errors import InfeasibleError, ValidationError
 from .fsm import FeasiblePairSet, StateMachine, augment, feasible_pairs, shift_register
 
 STATE_GUARD = 4096
+SPECTRAL_GRID = 4096    # scan points of |H|^2 on [0, pi] before golden section
+MAX_HARMONICS = 4096    # error harmonics kept explicitly; the rest is tail mass
+TAIL_REL_TOL = 1e-12    # tail mass above this share of R_ee(0) marks stats degraded
+DENOMINATOR_CAP = 64    # irrationalize treats p/q with q up to this as rational
+AMPLITUDE_TOL = 1e-10   # choose_amplitude's bisection width, relative to max_level
 
 
 @dataclass(frozen=True)
@@ -158,14 +163,14 @@ def amplitude_response2(h: np.ndarray, omega) -> np.ndarray:
     return out if np.ndim(omega) else float(out[0])
 
 
-def spectral_bound(spec: IsiSpec, grid: int = 4096) -> tuple[float, float]:
+def spectral_bound(spec: IsiSpec) -> tuple[float, float]:
     """Gamma * max_w |H|^2 / (4 sigma^2): grid scan over [0, pi] refined by
     golden section to 1e-10 in omega."""
-    om = np.linspace(0.0, np.pi, grid)
+    om = np.linspace(0.0, np.pi, SPECTRAL_GRID)
     vals = amplitude_response2(spec.h, om)
     i = int(np.argmax(vals))
     lo = om[max(i - 1, 0)]
-    hi = om[min(i + 1, grid - 1)]
+    hi = om[min(i + 1, SPECTRAL_GRID - 1)]
     inv = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - inv * (b - a)
@@ -193,12 +198,6 @@ def spectral_bound(spec: IsiSpec, grid: int = 4096) -> tuple[float, float]:
 def quantize_midrise(v, delta: float):
     """Uniform midrise quantizer with step delta: levels (i - 1/2) delta."""
     return delta * (np.floor(np.asarray(v) / delta) + 0.5)
-
-
-@dataclass(frozen=True)
-class TruncationConfig:
-    max_m: int = 4096       # harmonics kept explicitly; the rest is tail mass
-    rel_tol: float = 1e-12
 
 
 def _phase_breakpoints(A: float, delta: float) -> np.ndarray:
@@ -264,7 +263,6 @@ class QuantizedSinusoidStats:
     ree0: float
     rxe0: float
     power: float             # A^2/2 + 2 R_xe(0) + R_ee(0), computed exactly
-    truncation: TruncationConfig
 
     def r_ee(self, lag: int) -> float:
         if lag == 0:
@@ -276,11 +274,10 @@ class QuantizedSinusoidStats:
 
     @property
     def degraded(self) -> bool:
-        return self.tail_mass > self.truncation.rel_tol * max(self.ree0, 1e-300)
+        return self.tail_mass > TAIL_REL_TOL * max(self.ree0, 1e-300)
 
 
-def gray_stats(A: float, delta: float, omega0: float,
-               truncation: TruncationConfig | None = None) -> QuantizedSinusoidStats:
+def gray_stats(A: float, delta: float, omega0: float) -> QuantizedSinusoidStats:
     """Spectral decomposition of the quantization error of a sinusoid.
 
     eps_m sits at the folded frequency lambda_m = <(2m-1) w0 / 2pi>; the
@@ -290,17 +287,16 @@ def gray_stats(A: float, delta: float, omega0: float,
     mass (the harmonic powers decay like 1/m^2, so the explicit list alone
     converges slowly).
     """
-    trunc = truncation or TruncationConfig()
     if A <= 0 or delta <= 0:
         raise ValidationError("A and delta must be positive")
     ree0, rxe0, power_q = _phase_averages(A, delta)
-    eps = _error_harmonics(A, delta, trunc.max_m)
-    m = np.arange(1, trunc.max_m + 1)
+    eps = _error_harmonics(A, delta, MAX_HARMONICS)
+    m = np.arange(1, MAX_HARMONICS + 1)
     lambdas = ((2 * m - 1) * omega0 / (2.0 * np.pi)) % 1.0
     tail = max(ree0 - 2.0 * float(eps.sum()), 0.0)
     return QuantizedSinusoidStats(float(A), float(delta), float(omega0),
                                   float(rxe0 / A), eps, lambdas, tail,
-                                  float(ree0), float(rxe0), float(power_q), trunc)
+                                  float(ree0), float(rxe0), float(power_q))
 
 
 @dataclass(frozen=True)
@@ -347,8 +343,7 @@ def power_identity_check(A: float, delta: float, omega0: float,
             "n_samples": n_samples}
 
 
-def choose_amplitude(gamma: float, delta: float, max_level: float,
-                     tol: float = 1e-10) -> float:
+def choose_amplitude(gamma: float, delta: float, max_level: float) -> float:
     """Largest A <= max_level whose quantized power stays within gamma,
     by bisection on the exact phase-average power (nondecreasing in A)."""
     def power(a):
@@ -360,7 +355,7 @@ def choose_amplitude(gamma: float, delta: float, max_level: float,
     if power(lo) > gamma:
         raise InfeasibleError(
             f"power budget {gamma:g} below the smallest quantizer level power")
-    while hi - lo > tol * max_level:
+    while hi - lo > AMPLITUDE_TOL * max_level:
         mid = 0.5 * (lo + hi)
         if power(mid) <= gamma:
             lo = mid
@@ -369,12 +364,12 @@ def choose_amplitude(gamma: float, delta: float, max_level: float,
     return float(lo)
 
 
-def irrationalize(omega: float, denominator_cap: int = 64) -> tuple[float, bool]:
+def irrationalize(omega: float) -> tuple[float, bool]:
     """Nudge frequencies that are small-denominator rational multiples of
     2 pi (including 0 and pi) off the resonance: omega +- 2 pi sqrt(2) 1e-3,
     keeping the result inside (0, pi)."""
     frac = omega / (2.0 * np.pi)
-    rational = any(abs(frac * q - round(frac * q)) < 1e-9 for q in range(1, denominator_cap + 1))
+    rational = any(abs(frac * q - round(frac * q)) < 1e-9 for q in range(1, DENOMINATOR_CAP + 1))
     if not rational:
         return float(omega), False
     step = 2.0 * np.pi * np.sqrt(2.0) * 1e-3

@@ -277,35 +277,20 @@ def _entropy(p: np.ndarray) -> float:
 
 
 def _quad_constraints(q_star: PairDistribution):
-    """Equality system for the coupled quadruple table, flattened (L*L,)."""
+    """Equality system for the coupled quadruple table, flattened (L*L,):
+    both pair marginals equal q*, and the joint law of the two heads equals
+    that of the two tails (rows kron(H, H) - kron(T, T), T and H the S x L
+    tail and head indicators; all-zero rows dropped)."""
     pairs = q_star.pairs
     L = len(pairs)
-    S = pairs.n_states
-    rows = []
-    rhs = []
-    # left pair marginal = q*
-    for i in range(L):
-        row = np.zeros((L, L))
-        row[i, :] = 1.0
-        rows.append(row.ravel())
-        rhs.append(q_star.q[i])
-    # right pair marginal = q*
-    for j in range(L):
-        row = np.zeros((L, L))
-        row[:, j] = 1.0
-        rows.append(row.ravel())
-        rhs.append(q_star.q[j])
-    # stationarity: joint law of heads equals joint law of tails
-    tails, heads = pairs.tails, pairs.heads
-    for a in range(S):
-        for b in range(S):
-            row = np.zeros((L, L))
-            row[np.ix_(heads == a, heads == b)] += 1.0
-            row[np.ix_(tails == a, tails == b)] -= 1.0
-            if np.abs(row).sum():
-                rows.append(row.ravel())
-                rhs.append(0.0)
-    return np.asarray(rows), np.asarray(rhs)
+    eye, ones = np.eye(L), np.ones((1, L))
+    states = np.arange(pairs.n_states)[:, None]
+    tail = (pairs.tails[None, :] == states).astype(float)
+    head = (pairs.heads[None, :] == states).astype(float)
+    stat = np.kron(head, head) - np.kron(tail, tail)
+    stat = stat[stat.any(axis=1)]
+    a_eq = np.vstack([np.kron(eye, ones), np.kron(ones, eye), stat])
+    return a_eq, np.concatenate([q_star.q, q_star.q, np.zeros(len(stat))])
 
 
 def delta_of(w: np.ndarray, pairs) -> float:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import InfeasibleError
 
 FEAS_TOL = 1e-9
+PG_MAX_ITER = 100_000
 
 
 def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
@@ -173,15 +174,10 @@ class Polytope:
         return float(lo.fun), float(-hi.fun)
 
 
-@dataclass
-class PGOptions:
-    tol: float = 1e-9
-    max_iter: int = 100_000
-
-
 def maximize_quadratic(dmat: np.ndarray, poly: Polytope, start: np.ndarray,
-                       opts: PGOptions = PGOptions()) -> tuple[np.ndarray, float]:
-    """Projected gradient ascent on x^T D x from a given start.
+                       tol: float) -> tuple[np.ndarray, float]:
+    """Projected gradient ascent on x^T D x from a given start, stopped when
+    a step gains at most tol or after PG_MAX_ITER steps.
 
     Step 1/(2||D||) makes the iteration monotone; for D concave on the
     feasible affine hull the limit is the global constrained maximum,
@@ -191,11 +187,11 @@ def maximize_quadratic(dmat: np.ndarray, poly: Polytope, start: np.ndarray,
     step = 1.0 / lip
     x = poly.project(np.asarray(start, dtype=float))
     fx = float(x @ dmat @ x)
-    for _ in range(opts.max_iter):
+    for _ in range(PG_MAX_ITER):
         g = 2.0 * (dmat @ x)
         x_new = poly.project(x + step * g)
         f_new = float(x_new @ dmat @ x_new)
-        if f_new <= fx + opts.tol:
+        if f_new <= fx + tol:
             if f_new > fx:
                 x, fx = x_new, f_new
             break

@@ -399,3 +399,32 @@ def project_by_face_enumeration(a, b, v, cost=None, gamma=0.0, tol=1e-12):
             if feasible and dist < best_dist:
                 best, best_dist = x, dist
     return best, best_dist
+
+
+def quad_constraints_loop(q_star) -> tuple[np.ndarray, np.ndarray]:
+    """Reference for montecarlo._quad_constraints, one (L, L) row table at a
+    time: left and right pair marginals equal q*, then one stationarity row
+    per state pair (a, b) with heads (a, b) minus tails (a, b), all-zero rows
+    skipped."""
+    pairs = q_star.pairs
+    L, S = len(pairs), pairs.n_states
+    rows, rhs = [], []
+    for i in range(L):
+        row = np.zeros((L, L))
+        row[i, :] = 1.0
+        rows.append(row.ravel())
+        rhs.append(q_star.q[i])
+    for j in range(L):
+        row = np.zeros((L, L))
+        row[:, j] = 1.0
+        rows.append(row.ravel())
+        rhs.append(q_star.q[j])
+    for a in range(S):
+        for b in range(S):
+            row = np.zeros((L, L))
+            row[np.ix_(pairs.heads == a, pairs.heads == b)] += 1.0
+            row[np.ix_(pairs.tails == a, pairs.tails == b)] -= 1.0
+            if np.abs(row).sum():
+                rows.append(row.ravel())
+                rhs.append(0.0)
+    return np.asarray(rows), np.asarray(rhs)

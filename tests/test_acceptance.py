@@ -116,7 +116,7 @@ def test_criterion_04_direct_part_distance():
         _, m, pairs, kern, d, cost = make_isi([1.0, 0.5], gamma=1.0)
         res = zr.maximize_e0(d, pairs, cost)
         n, M = 512, 4
-        q, anchor, _ = zr.blend_for_construction(res.argmax, None, n, None)
+        q, anchor, _ = zr.blend_for_construction(res.argmax.mixture(), None, n, None)
         spec = zr.round_type(q, n)
         cands = zr.build_ensemble(spec, M, n, seed=0, anchor=anchor)
         book = zr.expurgate(cands, d, M, machine=m)

@@ -96,9 +96,12 @@ def test_discrete_nonnegative_zero_iff_identical(row_a, row_b):
     kern = zr.discrete_kernel(tuple(range(len(row_a))), [row_a, row_b])
     d = zr.bhattacharyya(kern, pairs)
     assert d.d[0, 1] >= 0.0
-    if np.allclose(row_a, row_b, atol=1e-15):
-        assert d.d[0, 1] <= 1e-12
-    elif np.max(np.abs(np.array(row_a) - np.array(row_b))) > 1e-6:
+    # d = -ln(1 - x) with x = (1/2) sum (sqrt a - sqrt b)^2, so x <= d <= x/(1-x):
+    # zero for identical rows and of order |a - b|^2 for near-identical ones
+    root = np.sqrt(kern.pmf)
+    x = 0.5 * float(((root[0] - root[1]) ** 2).sum())
+    assert x - 1e-14 <= d.d[0, 1] <= x / (1.0 - x) + 1e-14
+    if np.max(np.abs(np.array(row_a) - np.array(row_b))) > 1e-6:
         assert d.d[0, 1] > 0.0
 
 

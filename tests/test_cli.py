@@ -151,6 +151,31 @@ def test_build_code_and_simulate(tmp_path, capsys):
     assert len(rep["result"]["pe_estimates"]) == 3
 
 
+@pytest.mark.parametrize("case, reason", [("unknown state", "codebook state '1'"),
+                                          ("missing key", "'type_counts'"),
+                                          ("bad json", "codebook is not valid JSON")],
+                         ids=["unknown state", "missing key", "bad json"])
+def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
+    spec = write_spec(tmp_path, ISI_DOC)
+    code_path = tmp_path / "book.json"
+    code, _, _ = run_cli(capsys, "build-code", "--spec", spec, "--n", "32",
+                         "--codewords", "2", "--out", str(code_path))
+    assert code == 0
+    if case == "unknown state":  # the book's states are not quantized_two_tap's
+        spec = str(ROOT / "bench/specs/quantized_two_tap.json")
+    elif case == "missing key":
+        book = json.loads(code_path.read_text())
+        del book["type_counts"]
+        code_path.write_text(json.dumps(book))
+    else:
+        code_path.write_text("{\"n\": 32,")
+    code, stdout, err = run_cli(capsys, "simulate", "--spec", spec, "--code",
+                                str(code_path), "--trials", "10")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+    assert reason in err
+
+
 def test_simulate_without_code_builds(tmp_path, capsys):
     spec = write_spec(tmp_path, ISI_DOC)
     code, stdout, _ = run_cli(capsys, "simulate", "--spec", spec, "--n", "32",
@@ -294,6 +319,25 @@ def test_simulate_trial_log_flag(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(log.read_text())))
     assert len(rows) == 1 + 80
+
+
+def test_isi_pipeline_script_builds_the_cli_codebook(tmp_path, capsys):
+    """scripts/isi_pipeline.py (defaults: h = (1, 0.5), levels +-1, gamma 1)
+    goes through the same construction as build-code on specs/isi_binary.json."""
+    summary = tmp_path / "summary.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts/isi_pipeline.py"),
+                           "--n", "32", "--codewords", "2", "--trials", "200",
+                           "--json", str(summary)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    book_path = tmp_path / "book.json"
+    code, _, _ = run_cli(capsys, "build-code", "--spec", str(SPECS / "isi_binary.json"),
+                         "--n", "32", "--codewords", "2", "--seed", "0",
+                         "--out", str(book_path))
+    assert code == 0
+    assert json.loads(summary.read_text())["codebook"] == json.loads(book_path.read_text())
 
 
 @pytest.mark.parametrize("argv", [["optimize", "--bogus"], ["check", "--k-list", "8"],

@@ -227,23 +227,23 @@ def test_ensemble_time_sharing_segments(order1):
     _, pairs = order1
     comp1 = zr.PairDistribution(pairs, np.full(4, 0.25))
     comp2 = zr.PairDistribution(pairs, np.array([0.5, 0.25, 0.25, 0.0]))
-    plan = zr.TimeSharingPlan(np.array([0.5, 0.5]), (comp1, comp2), anchor=0)
-    cands = zr.build_ensemble(plan, M=2, n=16, seed=1)
-    assert cands.segment_lengths == (8, 8)
+    types = [zr.round_type(comp1, 8), zr.round_type(comp2, 8)]
+    cands = zr.build_ensemble(types, M=2, n=16, seed=1, anchor=0)
+    assert tuple(s.n for s in cands.certificate) == (8, 8)
     assert cands.paths.shape == (3, 16)
     # each segment is closed at the anchor
     assert (cands.paths[:, 0] == 0).all()
     assert (cands.paths[:, 8] == 0).all()
-    for spec, ell in zip(cands.certificate, cands.segment_lengths):
-        assert spec.n == ell
 
 
 def test_ensemble_segment_too_short(order1):
-    _, pairs = order1
+    m, pairs = order1
+    _, _, _, _, d, _ = make_isi([1.0, 0.5])
     comp = zr.PairDistribution(pairs, np.full(4, 0.25))
     plan = zr.TimeSharingPlan(np.array([0.9, 0.1]), (comp, comp), anchor=0)
     with pytest.raises(ValidationError):
-        zr.build_ensemble(plan, M=2, n=20, seed=0)  # second segment length 2 < 4
+        # second segment length 2 < 4
+        zr.build_codebook(plan, d, zr.CostModel.free(2), n=20, M=2, seed=0, machine=m)
 
 
 @pytest.mark.parametrize("gaussian", [False, True])
@@ -266,15 +266,16 @@ def test_ensemble_matches_direct_greedy(order1, gaussian):
 
 def test_ensemble_time_sharing_segment_types(order1):
     # every segment of every candidate is a closed walk of its own type
-    m, pairs = order1
+    _, pairs = order1
     _, _, _, _, d, _ = make_isi([1.0, 0.5])
     comp1 = zr.PairDistribution(pairs, np.full(4, 0.25))
     comp2 = zr.PairDistribution(pairs, np.array([0.5, 0.25, 0.25, 0.0]))
-    plan = zr.TimeSharingPlan(np.array([0.5, 0.5]), (comp1, comp2), anchor=0)
-    cands = zr.build_ensemble(plan, M=3, n=32, seed=2, d=d)
+    types = [zr.round_type(comp1, 16), zr.round_type(comp2, 16)]
+    cands = zr.build_ensemble(types, M=3, n=32, seed=2, anchor=0, d=d)
     lookup = pairs.index_lookup()
     start = 0
-    for spec, ell in zip(cands.certificate, cands.segment_lengths):
+    for spec in cands.certificate:
+        ell = spec.n
         seg = cands.paths[:, start:start + ell]
         assert (seg[:, 0] == 0).all()
         arcs = lookup[seg, np.roll(seg, -1, axis=1)]
@@ -317,8 +318,7 @@ def test_expurgate_never_keeps_identical_pair(order1):
     paths[1] = paths[0]  # plant an identical pair among three candidates
     arcs = base.arc_paths.copy()
     arcs[1] = arcs[0]
-    planted = CandidateSet(pairs, paths, arcs, base.certificate,
-                           base.segment_lengths, 0, 9)
+    planted = CandidateSet(pairs, paths, arcs, base.certificate, 9)
     book = zr.expurgate(planted, d, M=2, machine=m)
     assert book.min_pair_distance > 0.0  # the clones were never kept together
 
@@ -378,7 +378,7 @@ def test_blend_repairs_disconnected_argmax():
     _, m, pairs, _, d, cost = make_isi([1.0, 0.5])
     res = zr.maximize_e0(d, pairs, cost)
     assert not res.support_connected
-    q, anchor, theta = zr.blend_for_construction(res.argmax, None, 512, None)
+    q, anchor, theta = zr.blend_for_construction(res.argmax.mixture(), None, 512, None)
     assert theta > 0
     assert zr.support_is_connected(q, pairs)
     spec = zr.round_type(q, 512)
@@ -391,7 +391,7 @@ def test_min_distance_approaches_value_at_long_blocks(seed):
     _, m, pairs, _, d, cost = make_isi([1.0, 0.5])
     res = zr.maximize_e0(d, pairs, cost)
     n = 16384
-    q, anchor, _ = zr.blend_for_construction(res.argmax, None, n, None)
+    q, anchor, _ = zr.blend_for_construction(res.argmax.mixture(), None, n, None)
     spec = zr.round_type(q, n)
     cands = zr.build_ensemble(spec, M=4, n=n, seed=seed, anchor=anchor)
     book = zr.expurgate(cands, d, M=4, machine=m)
@@ -404,7 +404,7 @@ def test_direct_part_distance_other_seeds(seed):
     _, m, pairs, _, d, cost = make_isi([1.0, 0.5], gamma=1.0)
     res = zr.maximize_e0(d, pairs, cost)
     n, M = 512, 4
-    q, anchor, _ = zr.blend_for_construction(res.argmax, None, n, None)
+    q, anchor, _ = zr.blend_for_construction(res.argmax.mixture(), None, n, None)
     spec = zr.round_type(q, n)
     cands = zr.build_ensemble(spec, M, n, seed=seed, anchor=anchor)
     book = zr.expurgate(cands, d, M, machine=m)

@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerorate as zr
+from zerorate.cli import load_channel
 from zerorate.errors import InfeasibleError, UnsupportedChannelError
 from zerorate.exponent import component_polytope
 
@@ -142,14 +146,14 @@ def test_maximize_bsc_matches_grid_oracle():
     assert res.concave
     assert res.value == pytest.approx(oracle, abs=1e-6)
     assert res.value == pytest.approx(0.25541, abs=5e-6)
-    assert np.allclose(res.argmax.q, 0.25, atol=1e-6)
+    assert np.allclose(res.argmax.mixture().q, 0.25, atol=1e-6)
 
 
 def test_maximize_memoryless_gaussian_budget():
     _, _, pairs, _, d, cost = make_isi([1.0], levels=(1.0, -1.0), gamma=1.0)
     res = zr.maximize_e0(d, pairs, cost)
     assert res.value == pytest.approx(0.25, abs=1e-9)
-    assert np.allclose(res.argmax.q, 0.25, atol=1e-5)
+    assert np.allclose(res.argmax.mixture().q, 0.25, atol=1e-5)
 
 
 def test_maximize_two_scc_budget_selects_feasible_component():
@@ -191,7 +195,7 @@ def test_degenerate_single_arc_value_zero():
     d = zr.DistanceMatrix(np.zeros((1, 1)))
     res = zr.maximize_e0(d, pairs, zr.CostModel.free(1))
     assert res.value == 0.0
-    assert res.argmax.q[0] == 1.0
+    assert res.argmax.mixture().q[0] == 1.0
 
 
 def test_register_solver_matches_dense_scan():
@@ -223,6 +227,32 @@ def test_uce_beats_single_on_crafted_instance():
     assert res.value == pytest.approx(oracle, abs=1e-4)
     # mixture meets the budget
     assert res.argmax.cost(cost) <= cost.gamma + 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="maximize_uce stops at 0.2388531 on the time-sharing "
+                   "spec; a feasible two-segment plan reaches 0.2389220 (ROADMAP item 4)")
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_time_sharing_value_reaches_explicit_plan(seed):
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "bench/specs/time_sharing.json").read_text())
+    ch = load_channel(doc)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    labels = ch.pairs.pair_labels()
+
+    def dist(entries):
+        q = np.zeros(len(ch.pairs))
+        for label, mass in entries.items():
+            q[labels.index(label)] = mass
+        return zr.PairDistribution(ch.pairs, q)
+
+    rich = dist({"A->A": 0.5, "B->B": 0.5})           # cost 1 per use
+    cheap = dist({"B->B": 0.011, "C->C": 0.989})      # cost 0.011 per use
+    costs = ch.cost.pair_costs(ch.pairs)
+    w = (ch.cost.gamma - costs @ cheap.q) / (costs @ rich.q - costs @ cheap.q)
+    plan = zr.TimeSharingPlan(np.array([w, 1.0 - w]), (rich, cheap), anchor=0)
+    assert plan.cost(ch.cost) <= ch.cost.gamma + 1e-12
+    res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(seed=seed))
+    assert res.value >= plan.value(d) - 1e-12
 
 
 def test_uce_upper_bounds_single_always():

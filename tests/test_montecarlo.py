@@ -11,18 +11,20 @@ import zerorate as zr
 from zerorate import montecarlo
 from zerorate.cli import load_channel
 from zerorate.codebook import Codebook
+from zerorate.exponent import component_polytope
 from zerorate.montecarlo import (_GaussianStatistic, _loglik, _sample_outputs,
                                  empirical_exponent_consistency)
 
 from conftest import make_bsc, make_isi
 from oracles import (gaussian_two_codeword_error, loglik_broadcast,
-                     sample_outputs_broadcast, zrho_dense_newton)
+                     quad_constraints_loop, sample_outputs_broadcast,
+                     zrho_dense_newton)
 
 
 def small_book(h=(1.0, 0.5), n=16, M=2, seed=0, theta=0.3):
     _, m, pairs, kern, d, cost = make_isi(h)
     res = zr.maximize_e0(d, pairs, cost)
-    q, anchor, _ = zr.blend_for_construction(res.argmax, None, n, theta)
+    q, anchor, _ = zr.blend_for_construction(res.argmax.mixture(), None, n, theta)
     spec = zr.round_type(q, n)
     cands = zr.build_ensemble(spec, M, n, seed, anchor)
     return m, pairs, kern, d, zr.expurgate(cands, d, M, machine=m)
@@ -317,6 +319,21 @@ def test_zrho_quadruple_constraints_hold():
     assert np.allclose(res.argmin.heads_joint(), res.argmin.tails_joint(), atol=1e-7)
 
 
+@pytest.mark.parametrize("spec", ["specs/bsc.json", "specs/isi_binary.json",
+                                  "specs/isi_two_tap.json",
+                                  "bench/specs/quantized_two_tap.json",
+                                  "bench/specs/time_sharing.json"])
+def test_quad_constraints_match_loop_reference(spec):
+    doc = json.loads((Path(__file__).resolve().parent.parent / spec).read_text())
+    pairs = load_channel(doc).pairs
+    rng = np.random.default_rng(0)
+    poly = component_polytope(pairs, np.arange(len(pairs)))
+    q = zr.PairDistribution(pairs, poly.project(rng.dirichlet(np.ones(len(pairs)))))
+    a_eq, b_eq = montecarlo._quad_constraints(q)
+    ref_a, ref_b = quad_constraints_loop(q)
+    assert np.array_equal(a_eq, ref_a) and np.array_equal(b_eq, ref_b)
+
+
 def test_zrho_guard_on_state_count():
     # 9-state machine exceeds the quadruple-table guard
     m = zr.shift_register([0.0, 1.0, 2.0], 2)
@@ -335,8 +352,7 @@ def cli_zrho_q(spec_path: str, n: int = 512):
     ch = load_channel(doc)
     d = zr.bhattacharyya(ch.kernel, ch.pairs)
     res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(starts=8, seed=0))
-    q = res.argmax.mixture() if isinstance(res.argmax, zr.TimeSharingPlan) else res.argmax
-    return zr.blend_for_construction(q, None, n, None)[0], d
+    return zr.blend_for_construction(res.argmax.mixture(), None, n, None)[0], d
 
 
 def assert_feasible(res, q, tol):
