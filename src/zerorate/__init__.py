@@ -13,7 +13,7 @@ from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
 from .exponent import (ConcavityReport, CostModel, ExponentResult,
                        PairDistribution, SolverOptions, TimeSharingPlan,
                        concavity_test, e0, feasibility_sccs, maximize_e0,
-                       maximize_e0_single, maximize_uce, support_is_connected)
+                       maximize_uce, support_is_connected)
 from .fsm import (FeasiblePairSet, StateMachine, StructuralReport, augment,
                   check_structure, feasible_pairs, shift_register)
 from .isi import (IsiSpec, QuantizedSinusoidStats, build_isi_machine,

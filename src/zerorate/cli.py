@@ -27,8 +27,7 @@ from .bhatt import (ChannelKernel, bhattacharyya, discrete_kernel,
                     gaussian_kernel)
 from .codebook import Codebook, blend_for_construction, build_codebook
 from .errors import InfeasibleError, ValidationError
-from .exponent import (CostModel, SolverOptions, TimeSharingPlan, e0,
-                       maximize_e0, maximize_e0_single, maximize_uce)
+from .exponent import CostModel, SolverOptions, TimeSharingPlan, e0, maximize_e0
 from .fsm import (StateMachine, augment, augment_origin, check_structure,
                   feasible_pairs)
 from .isi import (IsiSpec, build_isi_machine, choose_amplitude, gray_stats,
@@ -196,17 +195,12 @@ def cmd_optimize(ch: LoadedChannel, args):
 
 def cmd_uce(ch: LoadedChannel, args):
     d = bhattacharyya(ch.kernel, ch.pairs)
-    single = maximize_e0_single(d, ch.pairs, ch.cost, _solver_opts(args))
-    anchor = single.argmax.anchor
-    if single.concave:  # time sharing cannot beat a concave E0
-        value, plan = single.value, single.argmax
-    else:
-        value, plan = maximize_uce(d, ch.pairs, ch.cost, anchor, _solver_opts(args))
+    res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
     out = {
-        "value": value,
-        "single_value": single.value,
-        "anchor": str(ch.machine.states[anchor]),
-        "plan": _argmax_dict(plan, ch.pairs, False),
+        "value": res.value,
+        "single_value": res.single_value,
+        "anchor": str(ch.machine.states[res.argmax.anchor]),
+        "plan": _argmax_dict(res.argmax, ch.pairs, False),
     }
     return out, "json"
 

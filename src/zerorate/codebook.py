@@ -492,9 +492,6 @@ class Codebook:
     def M(self) -> int:
         return self.codewords.shape[0]
 
-    def codeword_costs(self, cost: CostModel) -> np.ndarray:
-        return cost.phi[self.codewords].sum(axis=1)
-
     def to_json_dict(self) -> dict:
         states = self.machine.states
         cert = []
@@ -686,7 +683,7 @@ def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n:
         types.append(round_type(q, int(ell), arc_cost))
         thetas.append(applied)
     budget = n * cost.gamma
-    total = sum(float(arc_cost @ t.counts) for t in types)
+    total = sum(t.cost(cost) for t in types)
     if total > budget + 1e-9 * max(1.0, abs(budget)):
         raise InfeasibleError(
             f"rounded type cost {total:g} exceeds the per-codeword budget {budget:g}")

@@ -3,10 +3,13 @@ constrained maximization, with and without time-sharing.
 
 E0(q) = q^T D q over distributions q on feasible pairs with equal
 marginals, connected support within one strongly connected feasibility
-component, and marginal cost within budget. When E0 is concave on the
-simplex (checked through the reduced matrix), a single projected-gradient
-solve is exact; otherwise the upper concave envelope is approached by
-time-sharing mixtures whose only coupling is the shared cost budget.
+component, and marginal cost within budget. `maximize_e0` is the one
+solver entry point. Time-sharing mixtures couple their segments only
+through the shared cost budget, so they can beat a single distribution
+only where E0 is not concave (checked through the reduced matrix) and the
+budget binds; there `maximize_uce` approaches the upper concave envelope.
+Everywhere else a multi-start projected-gradient solve is the value,
+exact where E0 is concave.
 
 The connectivity requirement is handled by closure: the maximum over the
 polytope of one strongly connected component equals the supremum over
@@ -27,7 +30,8 @@ from .fsm import FeasiblePairSet, strong_components
 from .polytope import Polytope, _highs_lp, maximize_quadratic
 
 MARGINAL_TOL = 1e-10
-SWEEP_POINTS = 17  # budgets in maximize_uce's value-versus-cost sweep
+SWEEP_POINTS = 17  # budgets in maximize_uce's value-versus-cost sweep, run only
+                   # on non-concave components whose budget binds
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,6 +135,7 @@ class TimeSharingPlan:
 @dataclass(frozen=True, eq=False)
 class ExponentResult:
     value: float
+    single_value: float  # the best single distribution found; at most value
     argmax: TimeSharingPlan  # one segment unless time sharing was solved
     concave: bool
     scc_id: int
@@ -271,13 +276,20 @@ def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
     return best_q, best_v
 
 
-def _maximize_per_component(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
-                            opts: SolverOptions, time_share: bool) -> ExponentResult:
-    """Best value over the feasibility components that have arcs, finite
-    distances and a point within budget. A component is solved by one
-    multi-start run (two starts when E0 is concave there), or, when
-    time_share is set and E0 is not concave, by its time-sharing value."""
+def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
+                opts: SolverOptions | None = None) -> ExponentResult:
+    """The zero-rate exponent: the best value over the feasibility components
+    that have arcs, finite distances and a point within budget.
+
+    A component gets one multi-start single solve (two starts when E0 is
+    concave there), unless E0 is not concave and the budget binds
+    (gamma below the component's largest cost), where time sharing can beat
+    one distribution and `maximize_uce` solves it instead. The argmax is a
+    TimeSharingPlan either way; a single solve gives one segment anchored at
+    its most visited state."""
+    opts = opts or SolverOptions()
     best = None
+    single = -np.inf
     saw_finite = False
     for cid, comp in enumerate(feasibility_sccs(pairs)):
         if not len(comp.arcs):
@@ -292,41 +304,28 @@ def _maximize_per_component(d: DistanceMatrix, pairs: FeasiblePairSet, cost: Cos
         except InfeasibleError:
             continue
         concave = concavity_test(DistanceMatrix(sub_d)).concave
-        if time_share and not concave:
-            val, arg = maximize_uce(d, pairs, cost, min(comp.states), opts)
+        c_range = None if concave else component_polytope(pairs, comp.arcs).linear_range(
+            cost.pair_costs(pairs)[comp.arcs])
+        if c_range is not None and cost.gamma < c_range[1] - 1e-12:
+            val, val_single, arg = maximize_uce(d, pairs, cost, comp, c_range, opts)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
             q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
                                          opts, feasible=feasible)
+            val_single = val
             q = _embed(pairs, comp.arcs, q_sub)
             arg = TimeSharingPlan(np.array([1.0]), (q,), q.most_visited(comp.states))
-        if best is None or val > best.value + 1e-15:
-            connected = all(support_is_connected(c, pairs) for c in arg.components)
-            best = ExponentResult(val, arg, concave, cid, connected)
+        single = max(single, val_single)
+        if best is None or val > best[0] + 1e-15:
+            best = (val, arg, concave, cid)
     if best is None:
         if saw_finite:
             raise InfeasibleError("no feasibility component meets the cost budget")
         raise UnsupportedChannelError(
             "every feasibility component has an infinite distance entry")
-    return best
-
-
-def maximize_e0_single(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
-                       opts: SolverOptions | None = None) -> ExponentResult:
-    """Best single pair distribution (no time-sharing), per component.
-
-    Exact for concave components; best-found via multi-start otherwise.
-    """
-    return _maximize_per_component(d, pairs, cost, opts or SolverOptions(), False)
-
-
-def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
-                opts: SolverOptions | None = None) -> ExponentResult:
-    """The zero-rate exponent: per component, the single-distribution
-    maximum when E0 is concave there, otherwise the time-sharing value. The
-    argmax is a TimeSharingPlan either way, with one segment (anchored at
-    its most visited state) when time sharing was not solved."""
-    return _maximize_per_component(d, pairs, cost, opts or SolverOptions(), True)
+    val, arg, concave, cid = best
+    connected = all(support_is_connected(c, pairs) for c in arg.components)
+    return ExponentResult(val, single, arg, concave, cid, connected)
 
 
 def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
@@ -338,89 +337,74 @@ def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
 
 
 def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
-                 anchor: int, opts: SolverOptions | None = None) -> tuple[float, TimeSharingPlan]:
-    """Time-sharing value over the component containing the anchor state.
+                 comp: FeasibilityComponent, c_range: tuple[float, float],
+                 opts: SolverOptions) -> tuple[float, float, TimeSharingPlan]:
+    """Time-sharing value over one component whose cost budget binds:
+    gamma lies in c_range, the min and max cost per use over the component.
 
-    Components each satisfy the class constraints (feasibility, equal
+    Segments each satisfy the class constraints (feasibility, equal
     marginals, support closure within the component); the mixture must meet
-    the cost budget -- the only coupling, so time-sharing can only help when
-    the budget binds. Solved by a budget sweep (the value-versus-cost curve's
-    upper hull locates the split) followed by alternating maximization:
-    a weight LP over the candidate pool, then per-component multi-start
-    projected gradient at its allotted budget. For indefinite D the result
-    is a certified lower bound (best found), exact in the concave case.
-    """
-    opts = opts or SolverOptions()
-    comp = next((c for c in feasibility_sccs(pairs) if anchor in c.states and len(c.arcs)), None)
-    if comp is None:
-        raise InfeasibleError(f"anchor state {anchor} lies in no component with arcs")
+    the cost budget -- the only coupling. Solved by a budget sweep (the
+    value-versus-cost curve's upper hull locates the split) followed by
+    alternating maximization: a weight LP over the candidate pool, then
+    per-segment multi-start projected gradient at its allotted budget. For
+    indefinite D the result is a certified lower bound (best found).
+
+    Returns the value, the best single distribution at budget gamma, and the
+    plan anchored at the component's smallest state."""
     arcs = comp.arcs
     sub_d = d.d[np.ix_(arcs, arcs)]
-    if np.isinf(sub_d).any():
-        raise UnsupportedChannelError("infinite distances inside the anchor component")
     costs = cost.pair_costs(pairs)[arcs]
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7CE)))
-
-    base = component_polytope(pairs, arcs, None)
-    c_lo, c_hi = base.linear_range(costs)
-    if c_lo > cost.gamma + 1e-9:
-        raise InfeasibleError(
-            f"cost budget {cost.gamma:g} below the cheapest component cost {c_lo:g} "
-            "(mixtures cannot beat the cheapest component; the constraint is linear)")
+    c_lo, c_hi = c_range
 
     def solve_at(budget, extra=(), n_starts=4, tol=1e-8):
         poly = component_polytope(pairs, arcs, cost, budget)
         return _multistart_max(sub_d, poly, rng, n_starts, opts, warm=extra, tol=tol)
 
-    binding = cost.gamma < c_hi - 1e-12
-    if not binding:
-        q, v = solve_at(c_hi, n_starts=opts.starts, tol=opts.tol)
-        best_val = v
-        plan = TimeSharingPlan(np.array([1.0]), (_embed(pairs, arcs, q),), anchor)
-    else:
-        pool: list[tuple[np.ndarray, float, float]] = []  # (q, value, cost)
+    pool: list[tuple[np.ndarray, float, float]] = []  # (q, value, cost)
 
-        def add(q, v):
-            pool.append((q, v, float(costs @ q)))
+    def add(q, v):
+        pool.append((q, v, float(costs @ q)))
 
-        budgets = np.unique(np.concatenate([
-            np.linspace(c_lo, c_hi, SWEEP_POINTS), [cost.gamma]]))
-        prev = None
-        for b in budgets:
-            extra = (prev,) if prev is not None else ()
-            q, v = solve_at(b, extra=extra, n_starts=max(2, opts.starts // 8))
-            add(q, v)
-            prev = q
-        qg, vg = solve_at(cost.gamma, extra=(prev,), n_starts=opts.starts, tol=opts.tol)
-        add(qg, vg)
+    budgets = np.unique(np.concatenate([
+        np.linspace(c_lo, c_hi, SWEEP_POINTS), [cost.gamma]]))
+    prev = None
+    for b in budgets:
+        extra = (prev,) if prev is not None else ()
+        q, v = solve_at(b, extra=extra, n_starts=max(2, opts.starts // 8))
+        add(q, v)
+        prev = q
+    qg, vg = solve_at(cost.gamma, extra=(prev,), n_starts=opts.starts, tol=opts.tol)
+    add(qg, vg)
 
-        best_val = -np.inf
-        best_w = best_idx = None
-        for _ in range(60):
-            vals = np.array([p[1] for p in pool])
-            cs = np.array([p[2] for p in pool])
-            w, val = _weight_lp(vals, cs, cost.gamma)
-            active = np.nonzero(w > 1e-12)[0]
-            stalled = val <= best_val + opts.tol
-            if val > best_val:
-                best_val, best_w, best_idx = val, w, active
-            if stalled:
-                break
-            grew = False
-            for u in active:
-                others = [i for i in active if i != u]
-                spent = sum(w[i] * pool[i][2] for i in others)
-                slack = (cost.gamma - spent) / w[u] if w[u] > 1e-12 else c_hi
-                slack = float(np.clip(slack, c_lo, c_hi))
-                q, v = solve_at(slack, extra=(pool[u][0],), n_starts=max(2, opts.starts // 8))
-                if v > pool[u][1] + 1e-12:
-                    add(q, v)
-                    grew = True
-            if not grew:
-                break
-        comps = tuple(_embed(pairs, arcs, pool[i][0]) for i in best_idx)
-        weights = np.array([best_w[i] for i in best_idx])
-        plan = TimeSharingPlan(weights / weights.sum(), comps, anchor)
-    return best_val, plan
+    best_val = -np.inf
+    best_w = best_idx = None
+    for _ in range(60):
+        vals = np.array([p[1] for p in pool])
+        cs = np.array([p[2] for p in pool])
+        w, val = _weight_lp(vals, cs, cost.gamma)
+        active = np.nonzero(w > 1e-12)[0]
+        stalled = val <= best_val + opts.tol
+        if val > best_val:
+            best_val, best_w, best_idx = val, w, active
+        if stalled:
+            break
+        grew = False
+        for u in active:
+            others = [i for i in active if i != u]
+            spent = sum(w[i] * pool[i][2] for i in others)
+            slack = (cost.gamma - spent) / w[u] if w[u] > 1e-12 else c_hi
+            slack = float(np.clip(slack, c_lo, c_hi))
+            q, v = solve_at(slack, extra=(pool[u][0],), n_starts=max(2, opts.starts // 8))
+            if v > pool[u][1] + 1e-12:
+                add(q, v)
+                grew = True
+        if not grew:
+            break
+    segments = tuple(_embed(pairs, arcs, pool[i][0]) for i in best_idx)
+    weights = np.array([best_w[i] for i in best_idx])
+    plan = TimeSharingPlan(weights / weights.sum(), segments, min(comp.states))
+    return best_val, vg, plan
 
 

@@ -143,27 +143,12 @@ class Polytope:
         return _highs_lp(objective, self.a_eq, self.b_eq, self.cost, self.gamma)
 
     def feasible_point(self) -> np.ndarray:
-        """Any feasible point, or raise. Minimizes the cost as a side effect
-        so the budget diagnosis is sharp."""
+        """The cheapest feasible point (any one without a cost), or raise."""
         obj = self.cost if self.cost is not None else np.zeros(self.dim)
         res = self._linprog(obj)
         if res.status != 0:
-            # distinguish "budget too small" from structurally empty
-            if self.cost is not None:
-                relaxed = Polytope(self.a_eq, self.b_eq, None)
-                try:
-                    q = relaxed.feasible_point()
-                except InfeasibleError:
-                    raise InfeasibleError("equality system has no nonnegative solution") from None
-                cmin = self._min_cost_unbudgeted()
-                raise InfeasibleError(
-                    f"cost budget {self.gamma:g} below the cheapest feasible point ({cmin:g})")
-            raise InfeasibleError("equality system has no nonnegative solution")
+            raise InfeasibleError("polytope is empty")
         return res.x
-
-    def _min_cost_unbudgeted(self) -> float:
-        res = _highs_lp(self.cost, self.a_eq, self.b_eq)
-        return float(res.fun) if res.status == 0 else float("inf")
 
     def linear_range(self, c: np.ndarray) -> tuple[float, float]:
         """min and max of c.x over the polytope."""

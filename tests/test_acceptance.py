@@ -78,10 +78,9 @@ def test_criterion_02_concavity_classifier():
 
         m, pairs, d, cost = make_dmc(NONCONCAVE_DHAT, phi=NONCONCAVE_PHI,
                                      gamma=NONCONCAVE_GAMMA)
-        single = zr.maximize_e0_single(d, pairs, cost)
         res = zr.maximize_e0(d, pairs, cost)
         assert not res.concave
-        assert res.value > single.value + 1e-3
+        assert res.value > res.single_value + 1e-3
         oracle = dmc_uce_two_component_grid(NONCONCAVE_DHAT, NONCONCAVE_PHI,
                                             NONCONCAVE_GAMMA, res=64)
         assert abs(res.value - oracle) <= 1e-4

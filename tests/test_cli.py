@@ -114,23 +114,47 @@ def test_uce_reports_single_and_plan(tmp_path, capsys):
     assert rep["result"]["value"] == pytest.approx(rep["result"]["single_value"], abs=1e-8)
 
 
-def test_uce_on_concave_channel_skips_time_sharing(tmp_path, capsys, monkeypatch):
-    """isi_two_tap is concave with a binding budget: uce returns the single
-    argmax as a one-segment plan without the time-sharing sweep."""
+@pytest.mark.parametrize("spec, value", [
+    (SPECS / "isi_two_tap.json", 3.65625),
+    (ROOT / "bench/specs/quantized_two_tap.json", 0.5365993695628957),
+], ids=["isi_two_tap", "quantized_two_tap"])
+def test_uce_on_concave_channel_skips_time_sharing(spec, value, tmp_path, capsys, monkeypatch):
+    """Time sharing can beat one distribution only where E0 is not concave
+    and the budget binds. isi_two_tap is concave with a binding budget;
+    quantized_two_tap is not concave but has no cost, so its budget never
+    binds. Either way uce returns the single argmax as a one-segment plan
+    without the time-sharing sweep."""
     def no_sweep(*args, **kwargs):
-        raise AssertionError("maximize_uce called on a concave component")
+        raise AssertionError("maximize_uce called where time sharing cannot help")
 
-    monkeypatch.setattr(zerorate.cli, "maximize_uce", no_sweep)
+    monkeypatch.setattr(zerorate.exponent, "maximize_uce", no_sweep)
     out = tmp_path / "uce.json"
-    code, _, _ = run_cli(capsys, "uce", "--spec", str(SPECS / "isi_two_tap.json"),
-                         "--out", str(out))
+    code, _, _ = run_cli(capsys, "uce", "--spec", str(spec), "--out", str(out))
     assert code == 0
     result = json.loads(out.read_text())
-    assert result["value"] == result["single_value"] == pytest.approx(3.65625, abs=1e-9)
+    assert result["value"] == result["single_value"] == pytest.approx(value, abs=1e-9)
     assert result["plan"]["kind"] == "time_sharing"
     assert result["plan"]["weights"] == [1.0]
     assert len(result["plan"]["components"]) == 1
     assert result["plan"]["anchor"] == result["anchor"]
+
+
+def test_optimize_and_uce_report_the_same_plan(tmp_path, capsys):
+    """uce renders the same solve as optimize: on the binding, non-concave
+    time-sharing spec both give one value and one plan, anchor included."""
+    spec = str(ROOT / "bench/specs/time_sharing.json")
+    results = {}
+    for command in ("optimize", "uce"):
+        out = tmp_path / f"{command}.json"
+        code, _, _ = run_cli(capsys, command, "--spec", spec, "--seed", "0", "--out", str(out))
+        assert code == 0
+        results[command] = json.loads(out.read_text())
+    plan, uce = results["optimize"]["argmax"], results["uce"]
+    assert plan["kind"] == uce["plan"]["kind"] == "time_sharing"
+    assert results["optimize"]["value"] == uce["value"]
+    assert plan["anchor"] == uce["plan"]["anchor"] == uce["anchor"]
+    assert plan["weights"] == uce["plan"]["weights"]
+    assert plan["components"] == uce["plan"]["components"]
 
 
 def test_build_code_and_simulate(tmp_path, capsys):

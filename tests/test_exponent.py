@@ -210,18 +210,16 @@ def test_register_solver_matches_dense_scan():
 def test_uce_degenerates_when_concave():
     _, pairs, _, d = make_bsc(0.1)
     res = zr.maximize_e0(d, pairs, zr.CostModel.free(2))
-    value, plan = zr.maximize_uce(d, pairs, zr.CostModel.free(2), anchor=0)
-    assert value == pytest.approx(res.value, abs=1e-8)
-    assert len(plan.components) == 1
+    assert res.single_value == pytest.approx(res.value, abs=1e-8)
+    assert len(res.argmax.components) == 1
 
 
 def test_uce_beats_single_on_crafted_instance():
     m, pairs, d, cost = make_dmc(NONCONCAVE_DHAT, phi=NONCONCAVE_PHI,
                                  gamma=NONCONCAVE_GAMMA)
-    single = zr.maximize_e0_single(d, pairs, cost)
     res = zr.maximize_e0(d, pairs, cost)
     assert not res.concave
-    assert res.value > single.value + 0.05
+    assert res.value > res.single_value + 0.05
     oracle = dmc_uce_two_component_grid(NONCONCAVE_DHAT, NONCONCAVE_PHI,
                                         NONCONCAVE_GAMMA, res=64)
     assert res.value == pytest.approx(oracle, abs=1e-4)
@@ -257,9 +255,8 @@ def test_time_sharing_value_reaches_explicit_plan(seed):
 
 def test_uce_upper_bounds_single_always():
     m, pairs, d, cost = make_dmc(NONCONCAVE_DHAT, phi=NONCONCAVE_PHI, gamma=0.8)
-    single = zr.maximize_e0_single(d, pairs, cost)
-    value, _ = zr.maximize_uce(d, pairs, cost, anchor=0)
-    assert value >= single.value - 1e-9
+    res = zr.maximize_e0(d, pairs, cost)
+    assert res.value >= res.single_value - 1e-9
 
 
 def test_uce_infeasible_below_cheapest():
@@ -267,7 +264,20 @@ def test_uce_infeasible_below_cheapest():
                               gamma=0.5)
     cost = zr.CostModel(np.array([1.0, 1.0, 1.0]), 0.5)
     with pytest.raises(InfeasibleError):
-        zr.maximize_uce(d, pairs, cost, anchor=0)
+        zr.maximize_e0(d, pairs, cost)
+
+
+@given(st.floats(0.0, 1.0))
+@settings(max_examples=12, deadline=None)
+def test_uce_plan_meets_budget_and_dominates_single(gamma):
+    """On the non-concave instance at any budget, the plan's own value is
+    the reported value, its cost is within budget, and it is no worse than
+    the best single distribution."""
+    _, pairs, d, cost = make_dmc(NONCONCAVE_DHAT, phi=NONCONCAVE_PHI, gamma=gamma)
+    res = zr.maximize_e0(d, pairs, cost)
+    assert res.value >= res.single_value - 1e-9
+    assert res.argmax.cost(cost) <= gamma + 1e-9
+    assert abs(res.argmax.value(d) - res.value) <= 1e-9
 
 
 # --------------------------------------------------------------- invariants
