@@ -46,10 +46,9 @@ def main():
           f"support_connected={res.support_connected})")
     print(f"spectral upper bnd : {bound:.6f} at omega={omega_star:.4f}")
 
-    book, theta = zr.build_codebook(res.argmax, d, cost, args.n, args.codewords,
-                                    args.seed, machine, args.blend)
-    print(f"codebook           : M={book.M} n={book.n} rho={book.rho:g} "
-          f"blend={theta:.4f}")
+    book = zr.build_codebook(res.argmax, d, cost, args.n, args.codewords,
+                             args.seed, machine, args.blend)
+    print(f"codebook           : M={book.M} n={book.n} blend={book.blend:.4f}")
     print(f"min pair distance  : {book.min_pair_distance:.2f} "
           f"({book.min_pair_distance / args.n:.4f}/use vs value {res.value:.4f})")
 
@@ -68,7 +67,6 @@ def main():
             "value": res.value,
             "spectral_bound": bound,
             "omega_star": omega_star,
-            "blend": theta,
             "codebook": book.to_json_dict(),
             "simulation": rep.to_json_dict(),
         }

@@ -209,7 +209,7 @@ def _build_codebook(ch: LoadedChannel, args) -> Codebook:
     d = bhattacharyya(ch.kernel, ch.pairs)
     res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
     return build_codebook(res.argmax, d, ch.cost, args.n, args.codewords, args.seed,
-                          ch.machine, args.blend, args.rho)[0]
+                          ch.machine, args.blend)
 
 
 def cmd_build_code(ch: LoadedChannel, args):
@@ -333,7 +333,6 @@ FLAGS = {
     "--blend": dict(type=float, default=None,
                     help="mixing weight toward the uniform circulation when the "
                          "argmax support needs repair (default: auto)"),
-    "--rho": dict(type=float, default=None, help="expurgation rho (default: geometric sweep)"),
     "--rhos": dict(type=str, default=None, help="comma list for the zrho sweep"),
     "--rho-max": dict(type=float, default=1024.0,
                       help="zrho sweeps powers of 4 up to this value"),
@@ -342,7 +341,7 @@ FLAGS = {
     "--k-list": dict(type=str, default="8,16,32"),
 }
 _SOLVER = ("--tol", "--starts")
-_BUILD = _SOLVER + ("--n", "--codewords", "--blend", "--rho")
+_BUILD = _SOLVER + ("--n", "--codewords", "--blend")
 # subcommand -> (handler, the optional flags it reads)
 COMMANDS = {
     "check": (cmd_check, ("--max-r",)),

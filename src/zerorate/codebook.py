@@ -1,19 +1,19 @@
 """Zero-rate codebooks: integer Markov types, randomized Eulerian
-circuits, time-sharing concatenation and expurgation.
+circuits, time-sharing concatenation and greedy max-min selection.
 
 A block of length n is a closed walk on the feasibility digraph whose
 cyclic transition counts realize an integer-rounded pair distribution;
 the walk determines the codeword through the recover map. 2M-1 seeded
-randomized circuits form a pool; 2M-1 candidates are anchored rotations
+randomized circuits form a pool; the M codewords are anchored rotations
 of them, chosen greedily so that each lies as far as possible from the
-nearest one chosen before it. The M best under the soft pairwise-distance
-score are kept, and their minimum pairwise distance d_min bounds every
-kept codeword's error probability by (M-1) exp(-d_min). `build_codebook`
-runs the whole construction from an exponent argmax.
+nearest one chosen before it. Their minimum pairwise distance d_min
+bounds every codeword's error probability by (M-1) exp(-d_min) (union
+bound over the Bhattacharyya bound of each pair). `build_codebook` runs
+the whole construction from an exponent argmax.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .errors import InfeasibleError, ValidationError
 from .exponent import (CostModel, PairDistribution, TimeSharingPlan,
                        feasibility_sccs, support_is_connected)
 from .fsm import FeasiblePairSet, StateMachine, strong_components
-
-RHO_SWEEP = tuple(float(2 ** k) for k in range(0, 11))  # 1, 2, 4, ..., 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,11 +336,11 @@ def emit_codeword(path: np.ndarray, machine: StateMachine) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CandidateSet:
-    """2M-1 anchored walks of the per-segment types."""
+    """M anchored walks of the per-segment types, in greedy pick order."""
 
     pairs: FeasiblePairSet
-    paths: np.ndarray            # (n_candidates, n) states
-    arc_paths: np.ndarray        # (n_candidates, n) arc indices
+    paths: np.ndarray            # (M, n) states
+    arc_paths: np.ndarray        # (M, n) arc indices
     certificate: tuple           # MarkovTypeSpec per segment, in block order
     seed: int
 
@@ -362,18 +360,17 @@ def _segment_lengths(weights: np.ndarray, n: int) -> np.ndarray:
 
 def build_ensemble(types, M: int, n: int, seed: int, anchor: int,
                    d: DistanceMatrix | None = None) -> CandidateSet:
-    """2M-1 candidates chosen by distance among 2M-1 seeded circuits per
-    segment.
+    """M walks chosen by distance among 2M-1 seeded circuits per segment.
 
     `types` is one MarkovTypeSpec or a sequence of them, the segments of a
     time-sharing block in order; their lengths must sum to n. Every segment
     is its own circuit anchored at `anchor`, rotated on its own, so
     concatenation needs no seam repair. The pool is 2M-1
-    randomized-Hierholzer circuits of each type. Every candidate segment is
+    randomized-Hierholzer circuits of each type. Every walk's segment is
     an anchored rotation of a pool circuit (the same closed walk restarted
     at one of its visits to the anchor, so it keeps the certified arc
     counts), picked greedily to maximize its minimum summed distance to the
-    candidates already chosen; see `_spread_rotations`. Distances are those
+    walks already chosen; see `_spread_rotations`. Distances are those
     of `d`, or the arc Hamming distance (1 wherever the arcs differ) when
     `d` is None.
     """
@@ -388,16 +385,15 @@ def build_ensemble(types, M: int, n: int, seed: int, anchor: int,
         if anchor not in set(spec.support_states().tolist()):
             raise ValidationError(f"anchor {anchor} is outside a segment's support")
 
-    n_cand = 2 * M - 1
     lookup = pairs.index_lookup()
     sup = np.unique(np.concatenate([np.nonzero(spec.counts)[0] for spec in specs]))
     features = _arc_features(sup, len(pairs), d)
     pieces = []
     for s, spec in enumerate(specs):
         pool = np.stack([euler_circuit(spec, anchor, (int(seed), c, s))
-                         for c in range(n_cand)])
+                         for c in range(2 * M - 1)])
         arcs = lookup[pool, np.roll(pool, -1, axis=1)]
-        picks = _spread_rotations(pool, arcs, anchor, features, n_cand)
+        picks = _spread_rotations(pool, arcs, anchor, features, M)
         pieces.append([np.roll(pool[i], -k) for i, k in picks])
     paths = np.stack([np.concatenate(row) for row in zip(*pieces)])
     arc_paths = lookup[paths, np.roll(paths, -1, axis=1)]
@@ -432,8 +428,8 @@ def _first_max(obj: np.ndarray) -> int:
 
 
 def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
-                      features, n_cand: int) -> list:
-    """Greedy max-min choice of n_cand anchored rotations of pool circuits.
+                      features, M: int) -> list:
+    """Greedy max-min choice of M anchored rotations of pool circuits.
 
     pool and arcs are the (P, ell) state and arc paths of P circuits. A
     candidate (i, k) is circuit i restarted at position k, a visit to the
@@ -442,8 +438,7 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
     by FFT; rotating circuit i by k rotates them by k. A run starts from
     one unrotated circuit and adds, one by one, the rotation farthest from
     its nearest chosen candidate. Every circuit is tried as the start of a
-    run of M = (n_cand + 1) / 2 picks; the run whose M picks lie farthest
-    apart is continued to n_cand.
+    run of M picks, and the run whose picks lie farthest apart is returned.
     """
     phi, lam = features
     ell = pool.shape[1]
@@ -453,26 +448,25 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
                         n=ell, axis=2)
     off_anchor = np.where(pool == anchor, 0.0, -np.inf)
 
-    def run(start, count):
+    def run(start):
         picks = [(start, 0)]
         nearest = base[start] + off_anchor
         spread = np.inf
-        while len(picks) < count:
+        while len(picks) < M:
             i, k = divmod(_first_max(nearest), ell)
             spread = min(spread, nearest[i, k])
             picks.append((i, k))
             nearest = np.minimum(nearest, np.roll(base[i], k, axis=1))
         return picks, spread
 
-    M = (n_cand + 1) // 2
-    start = _first_max(np.array([run(i, M)[1] for i in range(len(pool))]))
-    return run(start, n_cand)[0]
+    runs = [run(i) for i in range(len(pool))]
+    return runs[_first_max(np.array([spread for _, spread in runs]))][0]
 
 
 @dataclass(frozen=True, eq=False)
 class Codebook:
-    """Expurgated code: M codewords with their state paths and the type
-    certificate they were drawn from."""
+    """M codewords with their state paths, the type certificate they were
+    drawn from and the largest blend theta applied to reach it."""
 
     machine: StateMachine
     pairs: FeasiblePairSet
@@ -482,7 +476,7 @@ class Codebook:
     certificate: tuple
     min_pair_distance: float
     seed: int
-    rho: float
+    blend: float
 
     @property
     def n(self) -> int:
@@ -512,7 +506,7 @@ class Codebook:
             "type_counts": cert,
             "min_pair_distance": self.min_pair_distance,
             "seed": int(self.seed),
-            "rho": self.rho,
+            "blend": self.blend,
         }
 
     @classmethod
@@ -546,7 +540,7 @@ class Codebook:
                 for ent in seg["counts"]:
                     counts[arc(ent["from"], ent["to"])] = int(ent["count"])
                 cert.append(MarkovTypeSpec(pairs, counts, int(seg["length"])))
-            meta = float(doc["min_pair_distance"]), int(doc["seed"]), float(doc["rho"])
+            meta = float(doc["min_pair_distance"]), int(doc["seed"]), float(doc["blend"])
         except ValidationError:
             raise
         except KeyError as exc:
@@ -571,59 +565,31 @@ def pairwise_path_distances(arc_paths: np.ndarray, d: DistanceMatrix) -> np.ndar
 
 
 def expurgate(candidates: CandidateSet, d: DistanceMatrix, M: int,
-              rho: float | None = None, machine: StateMachine | None = None) -> Codebook:
-    """Keep the M candidates with the smallest soft-distance scores
-    B_m(rho) = sum_{m' != m} exp(-dist(m, m')/rho).
+              machine: StateMachine | None = None) -> Codebook:
+    """The codebook of the first M candidates, in their greedy order.
 
-    When rho is None a geometric sweep picks the rho whose kept set has the
-    largest minimum pairwise distance d_min (the large-rho limit made
-    operational). The reported min_pair_distance is that d_min: by the
-    union bound over the Bhattacharyya bound of each pair, every kept
-    codeword's ML error probability is at most (M-1) exp(-d_min). A kept
+    The reported min_pair_distance is their exact minimum pairwise distance
+    d_min: by the union bound over the Bhattacharyya bound of each pair,
+    every codeword's ML error probability is at most (M-1) exp(-d_min). A
     pair at distance 0 (clones, from a type with too few distinct circuits)
-    is refused with a ValidationError.
+    is refused with a ValidationError. The book's blend is 0.
     """
     C = candidates.paths.shape[0]
-    if C < 2 * M - 1:
-        raise ValidationError(f"need at least {2 * M - 1} candidates, got {C}")
+    if C < M:
+        raise ValidationError(f"need at least {M} candidates, got {C}")
     machine = machine or candidates.pairs.machine
     if machine is None:
         raise ValidationError("a machine is needed to emit codewords")
-    dist = pairwise_path_distances(candidates.arc_paths, d)
-
-    def keep_for(r):
-        scores = np.exp(-dist / r).sum(axis=1) - 1.0  # minus the self term
-        kept = np.argsort(scores, kind="stable")[:M]
-        return np.sort(kept)
-
-    def min_dist(kept):
-        if len(kept) < 2:
-            return float("inf")
-        sub = dist[np.ix_(kept, kept)]
-        iu = np.triu_indices(len(kept), 1)
-        return float(sub[iu].min())
-
-    if rho is None:
-        best = None
-        for r in RHO_SWEEP:
-            kept = keep_for(r)
-            md = min_dist(kept)
-            if best is None or md >= best[0] - 1e-12:
-                best = (md, r, kept)
-        md, rho, kept = best
-    else:
-        kept = keep_for(float(rho))
-        md = min_dist(kept)
+    paths, arc_paths = candidates.paths[:M], candidates.arc_paths[:M]
+    dist = pairwise_path_distances(arc_paths, d)
+    md = float(dist[np.triu_indices(M, 1)].min(initial=np.inf))
     if md <= 0.0:
         raise ValidationError(
             f"kept codewords include a pair at distance 0: the type admits too "
             f"few distinct circuits for M={M}")
-
-    paths = candidates.paths[kept]
     codewords = np.stack([emit_codeword(p, machine) for p in paths])
-    return Codebook(machine, candidates.pairs, codewords, paths,
-                    candidates.arc_paths[kept], candidates.certificate,
-                    md, candidates.seed, float(rho))
+    return Codebook(machine, candidates.pairs, codewords, paths, arc_paths,
+                    candidates.certificate, md, candidates.seed, 0.0)
 
 
 def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
@@ -660,8 +626,8 @@ def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
 
 
 def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n: int,
-                   M: int, seed: int, machine: StateMachine, theta: float | None = None,
-                   rho: float | None = None) -> tuple[Codebook, float]:
+                   M: int, seed: int, machine: StateMachine,
+                   theta: float | None = None) -> Codebook:
     """The codebook construction for an exponent argmax.
 
     The block is split among the plan's segments of positive weight by the
@@ -669,10 +635,9 @@ def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n:
     blended at block length n (`blend_for_construction`, mass `theta`,
     default automatic) and rounded to an integer type of its length, with
     residual ties going to the cheaper arc (`round_type`). The types' total
-    cost must stay within n*gamma (InfeasibleError otherwise). The 2M-1
-    candidates of `build_ensemble` are then expurgated to M at `rho`.
-
-    Returns the codebook and the largest blend theta applied."""
+    cost must stay within n*gamma (InfeasibleError otherwise). The M walks
+    of `build_ensemble` become the codebook, which records the largest blend
+    theta applied as its `blend`."""
     keep = plan.weights > 1e-12
     comps = [c for c, k in zip(plan.components, keep) if k]
     lengths = _segment_lengths(plan.weights[keep] / plan.weights[keep].sum(), n)
@@ -687,5 +652,5 @@ def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n:
     if total > budget + 1e-9 * max(1.0, abs(budget)):
         raise InfeasibleError(
             f"rounded type cost {total:g} exceeds the per-codeword budget {budget:g}")
-    cands = build_ensemble(types, M, n, seed, plan.anchor, d)
-    return expurgate(cands, d, M, rho, machine), max(thetas)
+    book = expurgate(build_ensemble(types, M, n, seed, plan.anchor, d), d, M, machine)
+    return replace(book, blend=max(thetas))

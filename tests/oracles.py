@@ -275,12 +275,12 @@ def mutual_reachability(n_states: int, tails, heads) -> np.ndarray:
 
 
 def greedy_rotations(pool: np.ndarray, arcs: np.ndarray, D: np.ndarray, anchor: int,
-                     n_cand: int) -> list:
-    """Direct reference for the candidate selection of build_ensemble: every
+                     M: int) -> list:
+    """Direct reference for the walk selection of build_ensemble: every
     anchored rotation (i, k) of every pool circuit, every distance summed
-    arc by arc. Runs of M = (n_cand + 1) / 2 greedy max-min picks start
-    from each unrotated circuit; the run whose picks lie farthest apart is
-    continued to n_cand. Ties go to the first (circuit, position)."""
+    arc by arc. Runs of M greedy max-min picks start from each unrotated
+    circuit; the run whose picks lie farthest apart is returned. Ties go to
+    the first (circuit, position)."""
     P, n = pool.shape
     cands = [(i, k) for i in range(P) for k in range(n) if pool[i, k] == anchor]
     rolled = {c: np.roll(arcs[c[0]], -c[1]) for c in cands}
@@ -293,18 +293,17 @@ def greedy_rotations(pool: np.ndarray, arcs: np.ndarray, D: np.ndarray, anchor: 
         slack = 1e-9 * max(1.0, abs(top)) if np.isfinite(top) else 0.0
         return next(j for j, v in enumerate(values) if v >= top - slack)
 
-    def run(start, count):
+    def run(start):
         picks, spread = [(start, 0)], np.inf
-        while len(picks) < count:
+        while len(picks) < M:
             near = [min(dist(c, p) for p in picks) for c in cands]
             j = first_max(near)
             spread = min(spread, near[j])
             picks.append(cands[j])
         return picks, spread
 
-    M = (n_cand + 1) // 2
-    start = first_max([run(i, M)[1] for i in range(P)])
-    return run(start, n_cand)[0]
+    runs = [run(i) for i in range(P)]
+    return runs[first_max([spread for _, spread in runs])][0]
 
 
 def zrho_dense_newton(q: np.ndarray, tails, heads, n_states: int, D: np.ndarray,

@@ -177,8 +177,9 @@ def test_build_code_and_simulate(tmp_path, capsys):
 
 @pytest.mark.parametrize("case, reason", [("unknown state", "codebook state '1'"),
                                           ("missing key", "'type_counts'"),
+                                          ("rho book", "codebook lacks the key 'blend'"),
                                           ("bad json", "codebook is not valid JSON")],
-                         ids=["unknown state", "missing key", "bad json"])
+                         ids=["unknown state", "missing key", "rho book", "bad json"])
 def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
     spec = write_spec(tmp_path, ISI_DOC)
     code_path = tmp_path / "book.json"
@@ -191,6 +192,10 @@ def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
         book = json.loads(code_path.read_text())
         del book["type_counts"]
         code_path.write_text(json.dumps(book))
+    elif case == "rho book":  # written before books recorded their blend
+        book = json.loads(code_path.read_text())
+        book["rho"] = book.pop("blend")
+        code_path.write_text(json.dumps(book))
     else:
         code_path.write_text("{\"n\": 32,")
     code, stdout, err = run_cli(capsys, "simulate", "--spec", spec, "--code",
@@ -198,6 +203,15 @@ def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
     assert code == 1 and stdout == ""
     assert err.startswith("error: validation:") and err.count("\n") == 1
     assert reason in err
+
+
+@pytest.mark.parametrize("name, blend", [("isi_binary.json", 0.015625), ("bsc.json", 0.0)])
+def test_build_code_records_blend(name, blend, capsys):
+    # isi_binary's argmax support is disconnected, so theta = 2L/n with L = 4
+    code, stdout, _ = run_cli(capsys, "build-code", "--spec", str(SPECS / name),
+                              "--n", "512", "--seed", "0")
+    assert code == 0
+    assert json.loads(stdout)["result"]["blend"] == blend
 
 
 def test_simulate_without_code_builds(tmp_path, capsys):
@@ -382,7 +396,7 @@ def test_missing_spec_is_a_validation_failure(capsys):
 
 COMMON = {"-h", "--help", "--spec", "--out", "--report", "--seed"}
 SOLVER = {"--tol", "--starts"}
-BUILD = SOLVER | {"--n", "--codewords", "--blend", "--rho"}
+BUILD = SOLVER | {"--n", "--codewords", "--blend"}
 SURFACE = {
     "check": {"--max-r"},
     "distances": set(),

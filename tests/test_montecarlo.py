@@ -43,7 +43,7 @@ def test_identical_codewords_tie_as_error():
                     np.stack([book.codewords[0], book.codewords[0]]),
                     np.stack([book.state_paths[0], book.state_paths[0]]),
                     np.stack([book.arc_paths[0], book.arc_paths[0]]),
-                    book.certificate, 0.0, book.seed, book.rho)
+                    book.certificate, 0.0, book.seed, book.blend)
     rep = zr.simulate(kern, twin, trials=400, seed=2)
     assert (rep.pe_estimates >= 0.5).all()  # ties decode as errors
 
@@ -61,7 +61,7 @@ def with_copy(book, src, dst, M):
     for a in rows:
         a[dst] = a[src]
     return Codebook(book.machine, book.pairs, *rows, book.certificate, 0.0,
-                    book.seed, book.rho)
+                    book.seed, book.blend)
 
 
 # With M = 14 the copy lands in a partial GEMM tile, where a plain
