@@ -3,18 +3,22 @@
 The channel is memoryless over consecutive state pairs, so a trial draws
 y_t from the arc's output law and the ML decoder sums per-step
 log-likelihoods over all codewords (ties count as errors, keeping bounds
-valid). No (trials, M, n) array is built. The discrete metric gathers each
-codeword's log-pmf table at the outputs, summing the same n terms in the
-same order as a broadcast would. The Gaussian metric is the correlation
+valid). No (trials, M, n) array is built. The discrete decoder sees y only
+through its counts per (column pattern, output), a pattern being one
+position's tuple of arcs across the codewords, so a trial's metrics are
+its count row times a (patterns * Y, M) log-pmf table, rounded to integers
+at a scale that makes the product exact: codewords whose per-step terms
+agree as multisets tie bit for bit. The Gaussian metric is the correlation
 form (y.mu - |mu|^2/2) / sigma^2, which drops the -|y|^2/2sigma^2 common to
 every hypothesis and sees y only through its projection onto the span of
 the distinct mean rows (the theorem of irrelevance), so a trial draws that
 projected statistic, r <= M normals, instead of y's n. Each distinct mean
 row gets one column, copied to the codewords sharing it, so identical
-codewords tie exactly. Trials run in batches of about 2**21 values of the
-per-trial array: n outputs for discrete kernels, M metrics for Gaussian
-ones. Batches are whole rows of the draws, so the batch size does
-not change the random streams.
+codewords tie exactly. Trials run in batches of about 2**17 values (1 MiB
+of float64) of the widest per-trial array: max(n, patterns * Y) outputs or
+counts for discrete kernels, M metrics for Gaussian ones. Batches are
+whole rows of the draws, so the batch size does not change the random
+streams.
 
 The z_rho operation minimizes the typed exponent of the soft pairwise
 score over coupled pair processes. With both pair marginals pinned, the
@@ -26,6 +30,7 @@ decrement and KKT residual as its certificate of convergence.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +40,7 @@ from .codebook import Codebook
 from .errors import ValidationError
 from .exponent import PairDistribution
 
-_BATCH_ELEMENTS = 2 ** 21  # output samples per batch (16 MiB of float64)
-_GATHER_ELEMENTS = 2 ** 17  # discrete metric terms gathered at once (1 MiB)
+_BATCH_ELEMENTS = 2 ** 17  # values per batch of the widest per-trial array (1 MiB of float64)
 _NEWTON_TOL = 1e-12  # on half the squared Newton decrement, per unit of max(1, rho)
 _NEWTON_MAX_ITER = 100
 _VANISH = 1e-30  # quadruple-table entries below this are set to zero
@@ -71,31 +75,78 @@ def _rows(elements: int, n: int) -> int:
     return max(1, elements // max(n, 1))
 
 
-def _sample_outputs(kernel: ChannelKernel, arcs: np.ndarray, rng, n_trials: int) -> np.ndarray:
-    """(n_trials, n) discrete outputs for a fixed transmitted arc sequence."""
+def _sample_outputs(kernel: ChannelKernel, arcs: np.ndarray, rng, n_trials: int,
+                    work=None) -> np.ndarray:
+    """(n_trials, n) int64 discrete outputs for a fixed transmitted arc
+    sequence, drawn into work when given: (rows, n) float64 and int64
+    buffers, rows >= n_trials, reused batch after batch because fresh
+    batch-sized arrays are mapped and page-faulted anew each time."""
     # inverse CDF: the output is the number of CDF cells below u; the
     # top cell is never counted, so its cumsum roundoff is harmless
     n = len(arcs)
+    if work is None:
+        work = np.empty((n_trials, n)), np.empty((n_trials, n), dtype=np.int64)
     cdf = np.cumsum(kernel.pmf[arcs], axis=1).T.copy()  # (Y, n)
-    u = rng.random((n_trials, n))
+    u = rng.random(out=work[0][:n_trials])
     y = np.zeros((n_trials, n), dtype=np.min_scalar_type(len(cdf) - 1))
     for cell in cdf[:-1]:
         y += u > cell
-    return y.astype(np.int64)
+    out = work[1][:n_trials]
+    out[...] = y
+    return out
 
 
-def _loglik(kernel: ChannelKernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(n_trials, M) discrete log-likelihood of each codeword hypothesis."""
-    logp = log_pmf(kernel)  # (L, Y)
-    tables = logp[arc_paths].reshape(len(arc_paths), -1)  # (M, n * Y)
-    flat = np.arange(y.shape[1]) * logp.shape[1] + y  # cell (t, y_t) of an (n, Y) table
-    ll = np.empty((len(y), len(arc_paths)))
-    step = _rows(_GATHER_ELEMENTS, y.shape[1])  # rows whose gathers stay in cache
-    for lo in range(0, len(y), step):
-        rows = flat[lo:lo + step]
-        for m, table in enumerate(tables):
-            ll[lo:lo + step, m] = table.take(rows).sum(axis=1)
-    return ll
+class _DiscreteStatistic:
+    """Discrete decoder metrics from per-pattern output counts.
+
+    A position's pattern is its column of arcs across the M codewords, so the
+    log-likelihood of codeword j is the sum over patterns p and outputs y of
+    count(p, y) ln p(y | arc j of p): one GEMM of the (trials, P * Y) count
+    matrix against a (P * Y, M) table. The finite table is rounded to
+    integers at scale 2^s, with 2^s n max|ln p| <= 2^52, so every partial sum
+    is an integer below 2^53 and the GEMM is exact in any order: codewords
+    whose per-step terms agree as multisets tie bit for bit. The rounding
+    moves a metric by at most n 2^-s / 2, the order of float64 summation
+    roundoff. A 0/1 table of the zero-pmf cells, built only when the book
+    uses one, marks -inf metrics. A batch of `rows` trials keeps both its
+    outputs and its count matrix within _BATCH_ELEMENTS values.
+    """
+
+    def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
+        n = arc_paths.shape[1]
+        patterns, pattern = np.unique(arc_paths.T, axis=0, return_inverse=True)
+        logp = log_pmf(kernel)[patterns].transpose(0, 2, 1)  # (P, Y, M)
+        table = logp.reshape(-1, len(arc_paths))
+        finite = np.isfinite(table)
+        top = float(np.abs(table[finite]).max(initial=0.0))
+        s = 52 - math.frexp(n * top)[1]  # n top <= 2^(52 - s)
+        self.table = np.where(finite, np.rint(np.ldexp(table, s)), 0.0)
+        self.quantum = math.ldexp(1.0, -s)
+        self.zero = None if finite.all() else (~finite).astype(float)
+        self.width = len(table)  # P * Y
+        self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width))
+        # flat count-matrix cell of (trial, position) before the output is added
+        self.base = (np.arange(0, self.rows * self.width, self.width)[:, None]
+                     + pattern.reshape(-1) * logp.shape[1])
+        self.work = np.empty((self.rows, n)), np.empty((self.rows, n), dtype=np.int64)
+        self.counts = np.empty((self.rows, self.width))
+        self.kernel, self.arc_paths = kernel, arc_paths
+
+    def metrics(self, y: np.ndarray) -> np.ndarray:
+        """(len(y), M) log-likelihoods of at most `rows` trials' int64
+        outputs y, which are overwritten with their count-matrix cells."""
+        y += self.base[:len(y)]
+        counts = self.counts[:len(y)]
+        counts[...] = np.bincount(y.ravel(), minlength=counts.size).reshape(counts.shape)
+        ll = counts @ self.table
+        ll *= self.quantum
+        if self.zero is not None:
+            ll[counts @ self.zero > 0] = -np.inf
+        return ll
+
+    def draw(self, m: int, rng, n_trials: int) -> np.ndarray:
+        return self.metrics(_sample_outputs(self.kernel, self.arc_paths[m], rng, n_trials,
+                                            self.work))
 
 
 class _GaussianStatistic:
@@ -134,10 +185,8 @@ def _metric_sampler(kernel: ChannelKernel, arc_paths: np.ndarray):
     metrics when codeword m is sent, up to a term common to all hypotheses,
     and rows is the number of trials per batch."""
     if kernel.kind == DISCRETE:
-        def draw(m, rng, n_trials):
-            return _loglik(kernel, arc_paths,
-                           _sample_outputs(kernel, arc_paths[m], rng, n_trials))
-        return draw, _rows(_BATCH_ELEMENTS, arc_paths.shape[1])
+        stat = _DiscreteStatistic(kernel, arc_paths)
+        return stat.draw, stat.rows
     return _GaussianStatistic(kernel, arc_paths).draw, _rows(_BATCH_ELEMENTS, len(arc_paths))
 
 
@@ -417,12 +466,3 @@ def z_rho_sweep(q_star: PairDistribution, d: DistanceMatrix, rhos) -> list[ZRhoR
         results.append(res)
         prev_rho = rho
     return results
-
-
-def empirical_exponent_consistency(book: Codebook, report: SimulationReport) -> bool:
-    """Union-bound consistency: -ln(pe)/n >= d_min/n - ln(M-1)/n within the
-    simulation's three-sigma band."""
-    if book.M < 2 or not np.isfinite(book.min_pair_distance):
-        return True
-    floor_exp = (book.min_pair_distance - np.log(book.M - 1)) / book.n
-    return report.exponent_band[1] >= floor_exp - 1e-12

@@ -125,7 +125,9 @@ class Polytope:
     def _polish(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Projection of v onto the face of y: zero coordinates pinned at 0,
         the budget an equality when tight, the free coordinates solved
-        exactly. Falls back to max(y, 0) when that point is not feasible."""
+        exactly. A free coordinate that the face's point has at 0 comes back
+        as roundoff of either sign, and is clipped to 0. Falls back to
+        max(y, 0) when that point is not feasible."""
         free = y > 1e-10 * max(1.0, np.abs(y).max())
         rows, rhs = self.a_eq[:, free], self.b_eq
         if self.cost is not None and self.cost @ y >= self.gamma - 1e-10:
@@ -133,8 +135,8 @@ class Polytope:
             rhs = np.append(rhs, self.gamma)
         out = np.zeros_like(y)
         out[free] = v[free] - np.linalg.lstsq(rows, rows @ v[free] - rhs, rcond=None)[0]
-        if (out.min(initial=0.0) >= 0.0
-                and np.abs(self.a_eq @ out - self.b_eq).max(initial=0.0) <= FEAS_TOL
+        np.maximum(out, 0.0, out=out)
+        if (np.abs(self.a_eq @ out - self.b_eq).max(initial=0.0) <= FEAS_TOL
                 and (self.cost is None or self.cost @ out <= self.gamma + FEAS_TOL)):
             return out
         return np.maximum(y, 0.0)

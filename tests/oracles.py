@@ -146,17 +146,30 @@ def sample_outputs_broadcast(kernel, arcs: np.ndarray, rng, n_trials: int) -> np
     return mu[None, :] + sigma * rng.standard_normal((n_trials, n))
 
 
+def discrete_terms_broadcast(kernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(n_trials, M, n) per-step terms ln p(y_t | arc) of every codeword."""
+    with np.errstate(divide="ignore"):
+        logp = np.log(kernel.pmf)  # (L, Y)
+    return logp[arc_paths[None, :, :], y[:, None, :].astype(np.int64)]
+
+
 def loglik_broadcast(kernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Reference for montecarlo._loglik: the full (n_trials, M) log-likelihood
-    from a (n_trials, M, n) array of per-step terms."""
+    """Reference for the decoder metrics of montecarlo: the full (n_trials, M)
+    log-likelihood from a (n_trials, M, n) array of per-step terms."""
     if kernel.kind == "discrete":
-        with np.errstate(divide="ignore"):
-            logp = np.log(kernel.pmf)  # (L, Y)
-        per = logp[arc_paths[None, :, :], y[:, None, :].astype(np.int64)]
-        return per.sum(axis=2)
+        return discrete_terms_broadcast(kernel, arc_paths, y).sum(axis=2)
     mu = kernel.means[arc_paths]  # (M, n)
     diff = y[:, None, :] - mu[None, :, :]
     return -(diff * diff).sum(axis=2) / (2.0 * kernel.variance)
+
+
+def empirical_exponent_consistency(book, report) -> bool:
+    """Union-bound consistency: -ln(pe)/n >= d_min/n - ln(M-1)/n within the
+    simulation's three-sigma band."""
+    if book.M < 2 or not np.isfinite(book.min_pair_distance):
+        return True
+    floor_exp = (book.min_pair_distance - np.log(book.M - 1)) / book.n
+    return report.exponent_band[1] >= floor_exp - 1e-12
 
 
 def error_harmonics_per_interval(A: float, delta: float, max_m: int) -> np.ndarray:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerorate.errors import InfeasibleError
@@ -28,6 +28,8 @@ def _violation(a, b, cost, gamma, x):
 @given(n=st.integers(2, 7),
        case=st.sampled_from(["budget", "redundant", "boundary", "zero_cost", "inside"]),
        seed=st.integers(0, 2 ** 32 - 1))
+# a flat polytope where NNLS leaves 1e-10 on coordinates the face pins at 0
+@example(n=3, case="boundary", seed=1343526)
 def test_project_matches_face_enumeration(n, case, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(int(rng.integers(1, n)), n))
