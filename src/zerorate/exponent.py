@@ -357,10 +357,13 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     costs = cost.pair_costs(pairs)[arcs]
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7CE)))
     c_lo, c_hi = c_range
+    # every budget here is at least c_lo, so the cheapest point is the same
+    cheapest = component_polytope(pairs, arcs, cost, c_hi).feasible_point()
 
     def solve_at(budget, extra=(), n_starts=4, tol=1e-8):
         poly = component_polytope(pairs, arcs, cost, budget)
-        return _multistart_max(sub_d, poly, rng, n_starts, opts, warm=extra, tol=tol)
+        return _multistart_max(sub_d, poly, rng, n_starts, opts, warm=extra, tol=tol,
+                               feasible=cheapest)
 
     pool: list[tuple[np.ndarray, float, float]] = []  # (q, value, cost)
 

@@ -200,18 +200,47 @@ def feasible_pairs(machine: StateMachine) -> FeasiblePairSet:
 
 
 def strong_components(n_states: int, tails, heads) -> np.ndarray:
-    """Strongly connected component label of every state of the digraph
-    with the given arcs; states without arcs are singleton components.
-    scipy's csgraph is imported here, on first use, to keep import light."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    """Strongly connected component label (0..k-1) of every state of the
+    digraph with the given arcs; states without arcs are singleton
+    components. Tarjan's algorithm with an explicit stack (Tarjan, SIAM J.
+    Comput. 1(2), 1972): a visited state without a label is on the stack."""
+    succ = [[] for _ in range(n_states)]
+    for t, h in zip(np.asarray(tails).tolist(), np.asarray(heads).tolist()):
+        succ[t].append(h)
+    index, low, labels = [-1] * n_states, [0] * n_states, [-1] * n_states
+    stack, work, visited, k = [], [], 0, 0
 
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
-    adj = csr_matrix((np.ones(len(tails), dtype=bool), (tails, heads)),
-                     shape=(n_states, n_states))
-    _, labels = connected_components(adj, directed=True, connection="strong")
-    return labels
+    def visit(v):
+        nonlocal visited
+        index[v] = low[v] = visited
+        visited += 1
+        stack.append(v)
+        work.append((v, iter(succ[v])))
+
+    for root in range(n_states):
+        if index[root] < 0:
+            visit(root)
+        while work:
+            v, arcs = work[-1]
+            for w in arcs:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if labels[w] < 0:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        labels[w] = k
+                        if w == v:
+                            break
+                    k += 1
+    return np.asarray(labels, dtype=np.int64)
 
 
 def check_structure(machine: StateMachine, max_r: int | None = None) -> StructuralReport:

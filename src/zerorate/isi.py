@@ -5,10 +5,10 @@ quantized-sinusoid lower bound with its quantization loss.
 The second-order statistics of the quantized sinusoid are spectral lines
 at odd multiples of the carrier folded into [0, 1): the error waveform
 e(theta) = Q(A sin theta) - A sin theta is periodic and piecewise equal to
-(level - A sin theta), so its Fourier coefficients -- and all the
-correlation sums built from them -- integrate in closed form piece by
-piece. The classical Bessel-series expressions for the same coefficients
-are slower; the tests keep them as reference oracles.
+(level - A sin theta), so its phase averages and Fourier coefficients are
+closed-form array sums over the level breakpoints. The classical
+Bessel-series expressions are slower; the tests keep them, and the
+per-interval loops, as reference oracles.
 """
 from __future__ import annotations
 
@@ -201,52 +201,50 @@ def quantize_midrise(v, delta: float):
 
 
 def _phase_breakpoints(A: float, delta: float) -> np.ndarray:
+    """0, 2 pi and every phase where A sin(theta) crosses a level boundary
+    k delta, sorted and deduplicated."""
     ks = np.arange(np.floor(-A / delta), np.floor(A / delta) + 1)
-    ths = [0.0, 2.0 * np.pi]
-    for k in ks:
-        v = k * delta / A
-        if -1.0 <= v <= 1.0:
-            a = float(np.arcsin(v))
-            ths.extend([a % (2 * np.pi), (np.pi - a) % (2 * np.pi)])
-    return np.unique(np.asarray(ths))
+    v = ks * delta / A
+    a = np.arcsin(v[(v >= -1.0) & (v <= 1.0)])
+    tp = 2.0 * np.pi
+    return np.unique(np.concatenate([[0.0, tp], a % tp, (np.pi - a) % tp]))
+
+
+def _phase_levels(A: float, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The phase breakpoints and the quantizer level on each interval
+    between consecutive ones."""
+    ths = _phase_breakpoints(A, delta)
+    return ths, quantize_midrise(A * np.sin(0.5 * (ths[:-1] + ths[1:])), delta)
 
 
 def _phase_averages(A: float, delta: float) -> tuple[float, float, float]:
-    """Exact (R_ee(0), R_xe(0), power) by piecewise closed-form integrals
-    over the phase; valid for any frequency with equidistributing phase."""
-    ths = _phase_breakpoints(A, delta)
-    ree0 = rxe0 = power = 0.0
-    for lo, hi in zip(ths[:-1], ths[1:]):
-        mid = 0.5 * (lo + hi)
-        c = float(quantize_midrise(A * np.sin(mid), delta))
-
-        def ierr2(t):  # integral of (c - A sin t)^2
-            return c * c * t + 2.0 * c * A * np.cos(t) + A * A * (t / 2.0 - np.sin(2.0 * t) / 4.0)
-
-        def ixe(t):    # integral of A sin t * (c - A sin t)
-            return -c * A * np.cos(t) - A * A * (t / 2.0 - np.sin(2.0 * t) / 4.0)
-
-        ree0 += ierr2(hi) - ierr2(lo)
-        rxe0 += ixe(hi) - ixe(lo)
-        power += c * c * (hi - lo)
+    """Exact (R_ee(0), R_xe(0), power) by closed-form integrals over the
+    phase intervals of constant level c; valid for any frequency with
+    equidistributing phase. Each interval contributes c^2 (hi - lo) and
+    c A (cos lo - cos hi); the A^2 sin^2 part sums to A^2 pi over the
+    circle."""
+    ths, cs = _phase_levels(A, delta)
+    power = float((cs * cs * np.diff(ths)).sum())
+    cross = -A * float((cs * np.diff(np.cos(ths))).sum())  # integral of c A sin
     tp = 2.0 * np.pi
-    return ree0 / tp, rxe0 / tp, power / tp
+    return (power - 2.0 * cross + A * A * np.pi) / tp, (cross - A * A * np.pi) / tp, power / tp
 
 
 def _error_harmonics(A: float, delta: float, max_m: int) -> np.ndarray:
-    """|Fourier coefficient|^2 of e(theta) at odd order a = 2m-1, m = 1..max_m
-    (the error has odd harmonics only), in closed form. The -A sin(theta)
-    part integrates over the whole circle, so it only enters at a = 1. The
-    level part, summed by parts over the intervals [theta_j, theta_j+1) of
-    level c_j, is sum_j (c_j-1 - c_j) e^{-i a theta_j} / (-i a), with
-    c_-1 = c_last since theta_0 = 0 and the circle closes."""
-    ths = _phase_breakpoints(A, delta)[:-1]
-    cs = quantize_midrise(A * np.sin(0.5 * (ths + np.append(ths[1:], 2.0 * np.pi))), delta)
-    orders = (2 * np.arange(1, max_m + 1) - 1).astype(float)
-    coeff = np.exp(-1j * orders[:, None] * ths[None, :]) @ (np.roll(cs, 1) - cs)
-    coeff /= -1j * orders * 2.0 * np.pi
-    coeff[0] -= A / 2j
-    return np.abs(coeff) ** 2
+    """|Fourier coefficient|^2 of e(theta) at odd order a = 2m-1, m = 1..max_m,
+    in closed form by the quarter-wave sine series. Q(A sin theta) is odd and
+    symmetric about pi/2, so only odd sine terms survive, with
+    b_a = 4/(pi a) sum_j (c_j - c_j-1) cos(a phi_j) over the breakpoints
+    phi_j in [0, pi/2) and c_-1 = 0 (summation by parts; cos(a pi/2) = 0
+    closes the quarter wave). The -A sin(theta) part only enters b_1, and a
+    sine term b sin(a theta) has |coefficient|^2 = b^2/4."""
+    ths, cs = _phase_levels(A, delta)
+    first = ths[:-1] < np.pi / 2
+    orders = 2.0 * np.arange(1, max_m + 1) - 1.0
+    b = np.cos(np.outer(orders, ths[:-1][first])) @ np.diff(cs[first], prepend=0.0)
+    b *= 4.0 / (np.pi * orders)
+    b[0] -= A
+    return b * b / 4.0
 
 
 @dataclass(frozen=True, eq=False)

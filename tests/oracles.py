@@ -172,12 +172,49 @@ def empirical_exponent_consistency(book, report) -> bool:
     return report.exponent_band[1] >= floor_exp - 1e-12
 
 
+def phase_breakpoints_loop(A: float, delta: float) -> np.ndarray:
+    """Reference for isi._phase_breakpoints: one arcsin per level boundary
+    k delta inside [-A, A], both solutions of A sin(theta) = k delta kept."""
+    ks = np.arange(np.floor(-A / delta), np.floor(A / delta) + 1)
+    ths = [0.0, 2.0 * np.pi]
+    for k in ks:
+        v = k * delta / A
+        if -1.0 <= v <= 1.0:
+            a = float(np.arcsin(v))
+            ths.extend([a % (2 * np.pi), (np.pi - a) % (2 * np.pi)])
+    return np.unique(np.asarray(ths))
+
+
+def phase_averages_per_interval(A: float, delta: float) -> tuple[float, float, float]:
+    """Reference for isi._phase_averages: (R_ee(0), R_xe(0), power) as the
+    sum of the closed-form integrals over each phase interval, with the
+    level found by quantizing the interval's midpoint."""
+    from zerorate.isi import quantize_midrise
+    ths = phase_breakpoints_loop(A, delta)
+    ree0 = rxe0 = power = 0.0
+    for lo, hi in zip(ths[:-1], ths[1:]):
+        mid = 0.5 * (lo + hi)
+        c = float(quantize_midrise(A * np.sin(mid), delta))
+
+        def ierr2(t):  # integral of (c - A sin t)^2
+            return c * c * t + 2.0 * c * A * np.cos(t) + A * A * (t / 2.0 - np.sin(2.0 * t) / 4.0)
+
+        def ixe(t):    # integral of A sin t * (c - A sin t)
+            return -c * A * np.cos(t) - A * A * (t / 2.0 - np.sin(2.0 * t) / 4.0)
+
+        ree0 += ierr2(hi) - ierr2(lo)
+        rxe0 += ixe(hi) - ixe(lo)
+        power += c * c * (hi - lo)
+    tp = 2.0 * np.pi
+    return ree0 / tp, rxe0 / tp, power / tp
+
+
 def error_harmonics_per_interval(A: float, delta: float, max_m: int) -> np.ndarray:
     """Reference for isi._error_harmonics: |Fourier coefficient|^2 of the
     quantization error at odd order 2m-1, m = 1..max_m, integrating the level
-    and the sine part interval by interval."""
-    from zerorate.isi import _phase_breakpoints, quantize_midrise
-    ths = _phase_breakpoints(A, delta)
+    and the sine part interval by interval over the whole circle."""
+    from zerorate.isi import quantize_midrise
+    ths = phase_breakpoints_loop(A, delta)
     los, his = ths[:-1][None, :], ths[1:][None, :]
     cs = quantize_midrise(A * np.sin(0.5 * (los + his)), delta)
     orders = (2 * np.arange(1, max_m + 1) - 1).astype(float)[:, None]

@@ -463,3 +463,18 @@ def test_cold_start_loads_scipy_only_for_solvers():
     assert steps["distances"] == [0, []]
     # the probe sees an import when one happens
     assert steps["optimize"][0] == 0 and "scipy.optimize" in steps["optimize"][1]
+
+
+SHIPPED_SPECS = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs").glob("*.json"))
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda p: p.name)
+def test_cold_check_loads_no_scipy(spec):
+    src = str(Path(zerorate.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, str(spec), f"check:{spec}"],
+                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
+                          check=True)
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert steps["check"] == [0, []]

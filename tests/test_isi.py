@@ -1,15 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import jv
 
 import zerorate as zr
 from zerorate.errors import ValidationError
-from zerorate.isi import (IsiSpec, _error_harmonics, build_isi_machine, e0_isi,
-                          quantize_midrise, window_distribution_to_pairs)
+from zerorate.isi import (IsiSpec, _error_harmonics, _phase_averages, _phase_breakpoints,
+                          build_isi_machine, e0_isi, quantize_midrise,
+                          window_distribution_to_pairs)
 
 from conftest import make_isi
 from oracles import (b_bessel_series, bessel_j_simpson, eps_bessel_series,
-                     error_harmonics_per_interval, quantized_sine_time_averages)
+                     error_harmonics_per_interval, phase_averages_per_interval,
+                     phase_breakpoints_loop, quantized_sine_time_averages)
 
 W0 = 2 * np.pi * (np.sqrt(2) - 1) / 4
 
@@ -194,6 +200,38 @@ def test_error_harmonics_match_per_interval_integrals(A, delta):
     fast = _error_harmonics(A, delta, 4096)
     ref = error_harmonics_per_interval(A, delta, 4096)
     assert np.abs(fast - ref).max() <= 1e-15
+
+
+# A = 3.0, delta = 0.5 has a breakpoint exactly at pi/2, where the quarter wave
+# closes; A < delta/2 crosses no level boundary but 0
+@pytest.mark.parametrize("A, delta", [(3.0, 0.5), (3.1617, 0.0625), (0.2, 1.0), (5.0, 0.05)])
+def test_error_harmonics_quarter_wave_cases(A, delta):
+    fast = _error_harmonics(A, delta, 4096)
+    ref = error_harmonics_per_interval(A, delta, 4096)
+    assert np.abs(fast - ref).max() <= 1e-15
+
+
+@given(st.floats(1e-3, 20.0), st.floats(1e-2, 2.0))
+@example(3.0, 0.5)
+@example(1.0, 0.25)
+@example(0.2, 1.0)
+@example(1e-3, 1e-2)
+@settings(max_examples=100, deadline=None)
+def test_phase_averages_match_per_interval_loop(A, delta):
+    assert np.array_equal(_phase_breakpoints(A, delta), phase_breakpoints_loop(A, delta))
+    fast = _phase_averages(A, delta)
+    ref = phase_averages_per_interval(A, delta)
+    assert np.abs(np.subtract(fast, ref)).max() <= 1e-12 * max(1.0, A * A)
+
+
+def test_gray_stats_peak_memory():
+    tracemalloc.start()
+    try:
+        zr.gray_stats(3.1617, 0.0625, W0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 def test_eps_bessel_series_matches_exact_harmonics():
