@@ -74,45 +74,31 @@ def load_channel(doc: dict) -> LoadedChannel:
     base = StateMachine.from_tables(blk["states"], blk["alphabet"], values,
                                     blk["next_state"], blk.get("recover"))
     augmented = base.recover is None
-    if augmented:
-        origin = augment_origin(base)
-        machine = augment(base)
-    else:
-        origin = None
-        machine = base
+    machine = augment(base) if augmented else base
     pairs = feasible_pairs(machine)
-
-    # kernel rows are keyed by the pre-augmentation (state, symbol)
-    if augmented:
-        row_state = np.array([origin[t][0] for t in pairs.tails], dtype=np.int64)
-    else:
-        row_state = pairs.tails
     kblk = blk["kernel"]
     _require(kblk.get("kind") in ("discrete", "gaussian"),
              "kernel kind must be 'discrete' or 'gaussian'")
+    # kernel tables are keyed by the pre-augmentation (state, symbol) of each pair
+    tail_state = [s for s, _ in augment_origin(base)] if augmented else range(base.n_states)
+    cells = [(base.states[tail_state[t]], machine.alphabet[x])
+             for t, x in zip(pairs.tails, pairs.symbols)]
+
+    def table(key, missing, convert=lambda v: v):
+        rows = []
+        for st, sym in cells:
+            try:
+                rows.append(convert(kblk[key][st][sym]))
+            except (KeyError, TypeError):
+                raise ValidationError(f"{missing} for state {st!r}, symbol {sym!r}") from None
+        return rows
+
     if kblk["kind"] == "discrete":
         _require("outputs" in kblk and "pmf" in kblk, "discrete kernel needs outputs and pmf")
-        outs = list(kblk["outputs"])
-        rows = []
-        for a in range(len(pairs)):
-            st = base.states[row_state[a]]
-            sym = machine.alphabet[pairs.symbols[a]]
-            try:
-                rows.append(kblk["pmf"][st][sym])
-            except (KeyError, TypeError):
-                raise ValidationError(f"pmf missing row for state {st!r}, symbol {sym!r}") from None
-        kernel = discrete_kernel(outs, rows)
+        kernel = discrete_kernel(list(kblk["outputs"]), table("pmf", "pmf missing row"))
     else:
         _require("mean" in kblk and "variance" in kblk, "gaussian kernel needs mean and variance")
-        means = []
-        for a in range(len(pairs)):
-            st = base.states[row_state[a]]
-            sym = machine.alphabet[pairs.symbols[a]]
-            try:
-                means.append(float(kblk["mean"][st][sym]))
-            except (KeyError, TypeError):
-                raise ValidationError(f"mean missing for state {st!r}, symbol {sym!r}") from None
-        kernel = gaussian_kernel(means, float(kblk["variance"]))
+        kernel = gaussian_kernel(table("mean", "mean missing", float), float(kblk["variance"]))
 
     cblk = blk.get("cost")
     if cblk is None:
@@ -141,19 +127,21 @@ def _argmax_dict(plan: TimeSharingPlan, pairs, single: bool) -> dict:
         return {"kind": "single", "q": _q_as_dict(pairs, plan.mixture().q)}
     return {
         "kind": "time_sharing",
-        "anchor": str(pairs.machine.states[plan.anchor])
-        if pairs.machine else int(plan.anchor),
+        "anchor": str(pairs.machine.states[plan.anchor]),
         "weights": [float(w) for w in plan.weights],
         "components": [_q_as_dict(pairs, c.q) for c in plan.components],
     }
 
 
-def _solver_opts(args) -> SolverOptions:
-    return SolverOptions(tol=args.tol, starts=args.starts, seed=args.seed)
+def _solve(ch: LoadedChannel, args):
+    """The distance matrix and the exponent solve under the solver flags."""
+    d = bhattacharyya(ch.kernel, ch.pairs)
+    opts = SolverOptions(tol=args.tol, starts=args.starts, seed=args.seed)
+    return d, maximize_e0(d, ch.pairs, ch.cost, opts)
 
 
 def cmd_check(ch: LoadedChannel, args):
-    rep = check_structure(ch.machine, args.max_r)
+    rep = check_structure(ch.machine)
     d = bhattacharyya(ch.kernel, ch.pairs)
     out = {
         "n_states": ch.machine.n_states,
@@ -181,8 +169,7 @@ def cmd_distances(ch: LoadedChannel, args):
 
 
 def cmd_optimize(ch: LoadedChannel, args):
-    d = bhattacharyya(ch.kernel, ch.pairs)
-    res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
+    _, res = _solve(ch, args)
     out = {
         "value": res.value,
         "concave": res.concave,
@@ -194,8 +181,7 @@ def cmd_optimize(ch: LoadedChannel, args):
 
 
 def cmd_uce(ch: LoadedChannel, args):
-    d = bhattacharyya(ch.kernel, ch.pairs)
-    res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
+    _, res = _solve(ch, args)
     out = {
         "value": res.value,
         "single_value": res.single_value,
@@ -206,10 +192,9 @@ def cmd_uce(ch: LoadedChannel, args):
 
 
 def _build_codebook(ch: LoadedChannel, args) -> Codebook:
-    d = bhattacharyya(ch.kernel, ch.pairs)
-    res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
+    d, res = _solve(ch, args)
     return build_codebook(res.argmax, d, ch.cost, args.n, args.codewords, args.seed,
-                          ch.machine, args.blend)
+                          ch.machine)
 
 
 def cmd_build_code(ch: LoadedChannel, args):
@@ -239,9 +224,8 @@ def cmd_simulate(ch: LoadedChannel, args):
 
 
 def cmd_zrho(ch: LoadedChannel, args):
-    d = bhattacharyya(ch.kernel, ch.pairs)
-    res = maximize_e0(d, ch.pairs, ch.cost, _solver_opts(args))
-    q, _, _ = blend_for_construction(res.argmax.mixture(), None, max(args.n, 64), args.blend)
+    d, res = _solve(ch, args)
+    q, _, _ = blend_for_construction(res.argmax.mixture(), None, max(args.n, 64))
     ref = e0(q, d)
     if args.rhos:
         rhos = [float(tok) for tok in args.rhos.split(",")]
@@ -270,15 +254,22 @@ def _uniform_delta(levels: np.ndarray) -> float:
     return float(gaps[0])
 
 
-def _isi_bound_dict(spec: IsiSpec) -> dict:
+def _quantizer(spec: IsiSpec, omega_star: float, omega0: float, delta: float,
+               max_level: float):
+    """Statistics and loss of the quantized sinusoid on a uniform grid of step
+    delta, at the largest amplitude within the power budget."""
+    stats = gray_stats(choose_amplitude(spec.gamma, delta, max_level), delta, omega0)
+    return stats, quantization_loss(spec, stats.A, omega_star, stats)
+
+
+def cmd_isi_bound(ch: LoadedChannel, args):
+    spec = _isi_only(ch)
     value, omega_star = spectral_bound(spec)
     delta = _uniform_delta(spec.levels)
-    max_level = float(np.max(np.abs(spec.levels)))
-    a_amp = choose_amplitude(spec.gamma, delta, max_level)
     omega0, perturbed = irrationalize(omega_star)
-    stats = gray_stats(a_amp, delta, omega0)
-    loss = quantization_loss(spec, a_amp, omega_star, stats)
-    return {
+    stats, loss = _quantizer(spec, omega_star, omega0, delta,
+                             float(np.max(np.abs(spec.levels))))
+    out = {
         "h": spec.h.tolist(),
         "sigma2": spec.sigma2,
         "gamma": spec.gamma,
@@ -287,7 +278,7 @@ def _isi_bound_dict(spec: IsiSpec) -> dict:
         "omega_star": omega_star,
         "omega0": omega0,
         "omega0_perturbed": perturbed,
-        "A": a_amp,
+        "A": stats.A,
         "delta": delta,
         "Lambda": loss.Lambda,
         "lower_bound": loss.lower_bound,
@@ -295,10 +286,7 @@ def _isi_bound_dict(spec: IsiSpec) -> dict:
         "eps_truncation_m": int(len(stats.eps)),
         "eps_tail_mass": stats.tail_mass,
     }
-
-
-def cmd_isi_bound(ch: LoadedChannel, args):
-    return _isi_bound_dict(_isi_only(ch)), "json"
+    return out, "json"
 
 
 def cmd_isi_loss(ch: LoadedChannel, args):
@@ -312,11 +300,8 @@ def cmd_isi_loss(ch: LoadedChannel, args):
     for k in ks:
         _require(k >= 2 and k % 2 == 0, "quantizer sizes must be even and >= 2")
         delta = base_delta * base_k / k
-        max_level = (k - 1) * delta / 2.0
-        a_amp = choose_amplitude(spec.gamma, delta, max_level)
-        stats = gray_stats(a_amp, delta, omega0)
-        loss = quantization_loss(spec, a_amp, omega_star, stats)
-        rows.append([str(k), _float_str(delta), _float_str(a_amp),
+        stats, loss = _quantizer(spec, omega_star, omega0, delta, (k - 1) * delta / 2.0)
+        rows.append([str(k), _float_str(delta), _float_str(stats.A),
                      _float_str(loss.Lambda), _float_str(loss.lower_bound),
                      _float_str(value)])
     return rows, "csv"
@@ -329,10 +314,6 @@ FLAGS = {
     "--trials": dict(type=int, default=10_000),
     "--tol": dict(type=float, default=1e-9),
     "--starts": dict(type=int, default=32),
-    "--max-r": dict(type=int, default=None),
-    "--blend": dict(type=float, default=None,
-                    help="mixing weight toward the uniform circulation when the "
-                         "argmax support needs repair (default: auto)"),
     "--rhos": dict(type=str, default=None, help="comma list for the zrho sweep"),
     "--rho-max": dict(type=float, default=1024.0,
                       help="zrho sweeps powers of 4 up to this value"),
@@ -341,16 +322,16 @@ FLAGS = {
     "--k-list": dict(type=str, default="8,16,32"),
 }
 _SOLVER = ("--tol", "--starts")
-_BUILD = _SOLVER + ("--n", "--codewords", "--blend")
+_BUILD = _SOLVER + ("--n", "--codewords")
 # subcommand -> (handler, the optional flags it reads)
 COMMANDS = {
-    "check": (cmd_check, ("--max-r",)),
+    "check": (cmd_check, ()),
     "distances": (cmd_distances, ()),
     "optimize": (cmd_optimize, _SOLVER),
     "uce": (cmd_uce, _SOLVER),
     "build-code": (cmd_build_code, _BUILD),
     "simulate": (cmd_simulate, _BUILD + ("--trials", "--trial-log", "--code")),
-    "zrho": (cmd_zrho, _SOLVER + ("--n", "--blend", "--rhos", "--rho-max")),
+    "zrho": (cmd_zrho, _SOLVER + ("--n", "--rhos", "--rho-max")),
     "isi-bound": (cmd_isi_bound, ()),
     "isi-loss": (cmd_isi_loss, ("--k-list",)),
 }

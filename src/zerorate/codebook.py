@@ -513,8 +513,9 @@ class Codebook:
     def from_json_dict(cls, doc: dict, machine: StateMachine,
                        pairs: FeasiblePairSet) -> "Codebook":
         """Inverse of to_json_dict on the channel the book was built for. A
-        document with a missing key, a state the machine lacks or a pair it
-        cannot take raises ValidationError."""
+        document with a missing key, a state the machine lacks, a pair it
+        cannot take, codewords other than those its state paths emit, or an
+        n or M other than the shape of its codewords raises ValidationError."""
         index = {str(s): i for i, s in enumerate(machine.states)}
         lookup = pairs.index_lookup()
 
@@ -541,6 +542,7 @@ class Codebook:
                     counts[arc(ent["from"], ent["to"])] = int(ent["count"])
                 cert.append(MarkovTypeSpec(pairs, counts, int(seg["length"])))
             meta = float(doc["min_pair_distance"]), int(doc["seed"]), float(doc["blend"])
+            shape = int(doc["M"]), int(doc["n"])
         except ValidationError:
             raise
         except KeyError as exc:
@@ -551,6 +553,11 @@ class Codebook:
             raise ValidationError("codebook paths use infeasible pairs")
         if codewords.shape != paths.shape:
             raise ValidationError("codewords and state paths differ in shape")
+        if shape != paths.shape:
+            raise ValidationError(f"codebook declares M={shape[0]}, n={shape[1]} but holds "
+                                  f"{paths.shape[0]} codewords of length {paths.shape[1]}")
+        if any((emit_codeword(p, machine) != x).any() for p, x in zip(paths, codewords)):
+            raise ValidationError("codewords differ from the symbols their state paths emit")
         return cls(machine, pairs, codewords, paths, arc_paths, tuple(cert), *meta)
 
 
@@ -565,21 +572,19 @@ def pairwise_path_distances(arc_paths: np.ndarray, d: DistanceMatrix) -> np.ndar
 
 
 def expurgate(candidates: CandidateSet, d: DistanceMatrix, M: int,
-              machine: StateMachine | None = None) -> Codebook:
+              machine: StateMachine) -> Codebook:
     """The codebook of the first M candidates, in their greedy order.
 
     The reported min_pair_distance is their exact minimum pairwise distance
     d_min: by the union bound over the Bhattacharyya bound of each pair,
     every codeword's ML error probability is at most (M-1) exp(-d_min). A
     pair at distance 0 (clones, from a type with too few distinct circuits)
-    is refused with a ValidationError. The book's blend is 0.
+    is refused with a ValidationError. `machine` emits the codewords. The
+    book's blend is 0.
     """
     C = candidates.paths.shape[0]
     if C < M:
         raise ValidationError(f"need at least {M} candidates, got {C}")
-    machine = machine or candidates.pairs.machine
-    if machine is None:
-        raise ValidationError("a machine is needed to emit codewords")
     paths, arc_paths = candidates.paths[:M], candidates.arc_paths[:M]
     dist = pairwise_path_distances(arc_paths, d)
     md = float(dist[np.triu_indices(M, 1)].min(initial=np.inf))
@@ -626,14 +631,13 @@ def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
 
 
 def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n: int,
-                   M: int, seed: int, machine: StateMachine,
-                   theta: float | None = None) -> Codebook:
+                   M: int, seed: int, machine: StateMachine) -> Codebook:
     """The codebook construction for an exponent argmax.
 
     The block is split among the plan's segments of positive weight by the
     largest-remainder rounding of n*w. Each segment's distribution is
-    blended at block length n (`blend_for_construction`, mass `theta`,
-    default automatic) and rounded to an integer type of its length, with
+    blended at block length n (`blend_for_construction` with its automatic
+    mass) and rounded to an integer type of its length, with
     residual ties going to the cheaper arc (`round_type`). The types' total
     cost must stay within n*gamma (InfeasibleError otherwise). The M walks
     of `build_ensemble` become the codebook, which records the largest blend
@@ -644,7 +648,7 @@ def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n:
     arc_cost = cost.pair_costs(comps[0].pairs)
     types, thetas = [], []
     for comp, ell in zip(comps, lengths):
-        q, _, applied = blend_for_construction(comp, plan.anchor, n, theta)
+        q, _, applied = blend_for_construction(comp, plan.anchor, n)
         types.append(round_type(q, int(ell), arc_cost))
         thetas.append(applied)
     budget = n * cost.gamma

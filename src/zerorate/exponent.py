@@ -256,16 +256,15 @@ def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray) -> PairD
 
 
 def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
-                    opts: SolverOptions, warm=(), tol=None,
-                    feasible=None) -> tuple[np.ndarray, float]:
+                    opts: SolverOptions, feasible: np.ndarray, warm=(),
+                    tol=None) -> tuple[np.ndarray, float]:
     """Best stationary point of q^T D q over the polytope from several
-    starts, `warm` (earlier solutions) among them; deterministic given the
-    generator state. `feasible` is the polytope's feasible point when the
-    caller already has it."""
+    starts, `warm` (earlier solutions) and `feasible` (a feasible point of
+    the polytope) among them; deterministic given the generator state."""
     n = poly.dim
     starts = [np.full(n, 1.0 / n)]
     starts.extend(np.asarray(s, dtype=float) for s in warm)
-    starts.append(poly.feasible_point() if feasible is None else feasible)
+    starts.append(feasible)
     for _ in range(max(n_starts - len(starts), 0)):
         starts.append(rng.dirichlet(np.ones(n)))
     best_q, best_v = None, -np.inf
@@ -311,7 +310,7 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
         else:
             rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
             q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
-                                         opts, feasible=feasible)
+                                         opts, feasible)
             val_single = val
             q = _embed(pairs, comp.arcs, q_sub)
             arg = TimeSharingPlan(np.array([1.0]), (q,), q.most_visited(comp.states))
@@ -362,8 +361,8 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
 
     def solve_at(budget, extra=(), n_starts=4, tol=1e-8):
         poly = component_polytope(pairs, arcs, cost, budget)
-        return _multistart_max(sub_d, poly, rng, n_starts, opts, warm=extra, tol=tol,
-                               feasible=cheapest)
+        return _multistart_max(sub_d, poly, rng, n_starts, opts, cheapest, warm=extra,
+                               tol=tol)
 
     pool: list[tuple[np.ndarray, float, float]] = []  # (q, value, cost)
 

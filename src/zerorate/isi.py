@@ -22,9 +22,7 @@ from .errors import InfeasibleError, ValidationError
 from .fsm import FeasiblePairSet, StateMachine, augment, feasible_pairs, shift_register
 
 STATE_GUARD = 4096
-SPECTRAL_GRID = 4096    # scan points of |H|^2 on [0, pi] before golden section
 MAX_HARMONICS = 4096    # error harmonics kept explicitly; the rest is tail mass
-TAIL_REL_TOL = 1e-12    # tail mass above this share of R_ee(0) marks stats degraded
 DENOMINATOR_CAP = 64    # irrationalize treats p/q with q up to this as rational
 AMPLITUDE_TOL = 1e-10   # choose_amplitude's bisection width, relative to max_level
 
@@ -164,35 +162,28 @@ def amplitude_response2(h: np.ndarray, omega) -> np.ndarray:
 
 
 def spectral_bound(spec: IsiSpec) -> tuple[float, float]:
-    """Gamma * max_w |H|^2 / (4 sigma^2): grid scan over [0, pi] refined by
-    golden section to 1e-10 in omega."""
-    om = np.linspace(0.0, np.pi, SPECTRAL_GRID)
-    vals = amplitude_response2(spec.h, om)
-    i = int(np.argmax(vals))
-    lo = om[max(i - 1, 0)]
-    hi = om[min(i + 1, SPECTRAL_GRID - 1)]
-    inv = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv * (b - a)
-    e = a + inv * (b - a)
-    fc = amplitude_response2(spec.h, c)
-    fe = amplitude_response2(spec.h, e)
-    while b - a > 1e-10:
-        if fc >= fe:
-            b, e, fe = e, c, fc
-            c = b - inv * (b - a)
-            fc = amplitude_response2(spec.h, c)
-        else:
-            a, c, fc = c, e, fe
-            e = a + inv * (b - a)
-            fe = amplitude_response2(spec.h, e)
-    omega_star = 0.5 * (a + b)
-    for snap in (0.0, np.pi):  # exact endpoints beat the bracket midpoint
-        if abs(omega_star - snap) < 1e-6 and \
-                amplitude_response2(spec.h, snap) >= amplitude_response2(spec.h, omega_star):
-            omega_star = snap
-    value = spec.gamma * amplitude_response2(spec.h, omega_star) / (4.0 * spec.sigma2)
-    return float(value), float(omega_star)
+    """Gamma * max_w |H|^2 / (4 sigma^2) and its argmax w* in [0, pi], exactly.
+
+    |H|^2 = r_0 + 2 sum_k r_k cos(k w), r the autocorrelation of h, is a
+    Chebyshev series f(c) in c = cos w, so its stationary points inside
+    (0, pi) are the roots of f' in (-1, 1); the ends 0 and pi complete the
+    candidates. Every root's real part, clipped to [-1, 1], is evaluated, so
+    a root that roundoff moves off the real axis still counts. A candidate
+    within roundoff of the best yields to an end, 0 before pi."""
+    from numpy.polynomial import chebyshev  # not loaded by `import zerorate`
+
+    h = spec.h
+    r = np.correlate(h, h, "full")[len(h) - 1:]
+    slope = chebyshev.chebder(np.concatenate([r[:1], 2.0 * r[1:]]))
+    slope = chebyshev.chebtrim(slope, 1e-15 * np.abs(slope).max(initial=0.0))
+    roots = chebyshev.chebroots(slope)
+    omegas = np.concatenate([[0.0, np.pi], np.arccos(np.clip(roots.real, -1.0, 1.0))])
+    vals = amplitude_response2(h, omegas)
+    slack = 16.0 * np.finfo(float).eps * float(np.abs(h).sum()) ** 2
+    best = int(np.flatnonzero(vals >= vals.max() - slack)[0])
+    omega_star = float(omegas[best])
+    value = spec.gamma * amplitude_response2(h, omega_star) / (4.0 * spec.sigma2)
+    return float(value), omega_star
 
 
 def quantize_midrise(v, delta: float):
@@ -270,10 +261,6 @@ class QuantizedSinusoidStats:
     def r_xe(self, lag: int) -> float:
         return float(self.A * self.B * np.cos(self.omega0 * lag))
 
-    @property
-    def degraded(self) -> bool:
-        return self.tail_mass > TAIL_REL_TOL * max(self.ree0, 1e-300)
-
 
 def gray_stats(A: float, delta: float, omega0: float) -> QuantizedSinusoidStats:
     """Spectral decomposition of the quantization error of a sinusoid.
@@ -301,9 +288,7 @@ def gray_stats(A: float, delta: float, omega0: float) -> QuantizedSinusoidStats:
 class LossReport:
     Lambda: float
     lower_bound: float
-    h2_max: float
     power_used: float
-    omega0: float
 
 
 def quantization_loss(spec: IsiSpec, A: float, omega_star: float,
@@ -323,7 +308,7 @@ def quantization_loss(spec: IsiSpec, A: float, omega_star: float,
     lam += stats.tail_mass * max(h2max - mean_resp, 0.0)
     power = stats.power
     lower = (power * h2max - lam) / (4.0 * spec.sigma2)
-    return LossReport(float(lam), float(lower), h2max, float(power), stats.omega0)
+    return LossReport(float(lam), float(lower), float(power))
 
 
 def power_identity_check(A: float, delta: float, omega0: float,

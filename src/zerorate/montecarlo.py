@@ -190,6 +190,20 @@ def _metric_sampler(kernel: ChannelKernel, arc_paths: np.ndarray):
     return _GaussianStatistic(kernel, arc_paths).draw, _rows(_BATCH_ELEMENTS, len(arc_paths))
 
 
+def _decode(draw, rows: int, m: int, rng, trials: int):
+    """ML decisions on `trials` transmissions of codeword m, in batches of
+    at most `rows`: yields each batch's first trial index, its (batch, M)
+    metrics and the mask of wrong decisions. Ties decode as errors
+    (conservative); a lone codeword is never wrong."""
+    done = 0
+    while done < trials:
+        batch = min(rows, trials - done)
+        ll = draw(m, rng, batch)
+        others = np.delete(ll, m, axis=1).max(axis=1, initial=-np.inf)
+        yield done, ll, others >= ll[:, m]
+        done += batch
+
+
 def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
              trial_log=None) -> SimulationReport:
     """Per-codeword ML error rates with exact binomial standard errors.
@@ -214,24 +228,13 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
     draw, rows = _metric_sampler(kernel, book.arc_paths)
     for m in range(M):
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), m)))
-        done = 0
-        while done < trials:
-            batch = min(rows, trials - done)
-            if M > 1:
-                ll = draw(m, rng, batch)
-                own = ll[:, m]
-                others = np.delete(ll, m, axis=1)
-                # ties decode as errors (conservative)
-                wrong = others.max(axis=1) >= own
-                errors[m] += int(wrong.sum())
-                decoded = np.argmax(ll, axis=1)
-            else:
-                wrong = np.zeros(batch, dtype=bool)
-                decoded = np.zeros(batch, dtype=np.int64)
+        for done, ll, wrong in _decode(draw, rows, m, rng, trials):
+            errors[m] += int(wrong.sum())
             if log_fh is not None:
+                batch = len(ll)
                 log.writerows(zip(range(done, done + batch), [m] * batch,
-                                  decoded.tolist(), (~wrong).astype(np.int64).tolist()))
-            done += batch
+                                  np.argmax(ll, axis=1).tolist(),
+                                  (~wrong).astype(np.int64).tolist()))
     if close_log:
         log_fh.close()
     pe = errors / trials
@@ -264,13 +267,7 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
         raise ValidationError("paths must have equal length")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A)))
     draw, rows = _metric_sampler(kernel, np.stack([arcs_a, arcs_b]))
-    errs = 0
-    done = 0
-    while done < trials:
-        batch = min(rows, trials - done)
-        ll = draw(0, rng, batch)
-        errs += int((ll[:, 1] >= ll[:, 0]).sum())
-        done += batch
+    errs = sum(int(wrong.sum()) for _, _, wrong in _decode(draw, rows, 0, rng, trials))
     p = errs / trials
     se = float(np.sqrt(p * (1 - p) / trials))
     if d is None:

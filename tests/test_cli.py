@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,8 +179,12 @@ def test_build_code_and_simulate(tmp_path, capsys):
 @pytest.mark.parametrize("case, reason", [("unknown state", "codebook state '1'"),
                                           ("missing key", "'type_counts'"),
                                           ("rho book", "codebook lacks the key 'blend'"),
-                                          ("bad json", "codebook is not valid JSON")],
-                         ids=["unknown state", "missing key", "rho book", "bad json"])
+                                          ("bad json", "codebook is not valid JSON"),
+                                          ("inverted codeword", "their state paths emit"),
+                                          ("wrong n", "declares M=2, n=999"),
+                                          ("wrong M", "declares M=7, n=32")],
+                         ids=["unknown state", "missing key", "rho book", "bad json",
+                              "inverted codeword", "wrong n", "wrong M"])
 def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
     spec = write_spec(tmp_path, ISI_DOC)
     code_path = tmp_path / "book.json"
@@ -195,6 +200,15 @@ def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
     elif case == "rho book":  # written before books recorded their blend
         book = json.loads(code_path.read_text())
         book["rho"] = book.pop("blend")
+        code_path.write_text(json.dumps(book))
+    elif case in ("inverted codeword", "wrong n", "wrong M"):  # contradicts its own paths
+        book = json.loads(code_path.read_text())
+        if case == "inverted codeword":
+            book["codewords"][0] = [1 - x for x in book["codewords"][0]]
+        elif case == "wrong n":
+            book["n"] = 999
+        else:
+            book["M"] = 7
         code_path.write_text(json.dumps(book))
     else:
         code_path.write_text("{\"n\": 32,")
@@ -359,25 +373,6 @@ def test_simulate_trial_log_flag(tmp_path, capsys):
     assert len(rows) == 1 + 80
 
 
-def test_isi_pipeline_script_builds_the_cli_codebook(tmp_path, capsys):
-    """scripts/isi_pipeline.py (defaults: h = (1, 0.5), levels +-1, gamma 1)
-    goes through the same construction as build-code on specs/isi_binary.json."""
-    summary = tmp_path / "summary.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts/isi_pipeline.py"),
-                           "--n", "32", "--codewords", "2", "--trials", "200",
-                           "--json", str(summary)],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    book_path = tmp_path / "book.json"
-    code, _, _ = run_cli(capsys, "build-code", "--spec", str(SPECS / "isi_binary.json"),
-                         "--n", "32", "--codewords", "2", "--seed", "0",
-                         "--out", str(book_path))
-    assert code == 0
-    assert json.loads(summary.read_text())["codebook"] == json.loads(book_path.read_text())
-
-
 @pytest.mark.parametrize("argv", [["optimize", "--bogus"], ["check", "--k-list", "8"],
                                   ["build-code", "--n", "many"],
                                   ["uce", "--relax-components"]], ids=" ".join)
@@ -396,15 +391,15 @@ def test_missing_spec_is_a_validation_failure(capsys):
 
 COMMON = {"-h", "--help", "--spec", "--out", "--report", "--seed"}
 SOLVER = {"--tol", "--starts"}
-BUILD = SOLVER | {"--n", "--codewords", "--blend"}
+BUILD = SOLVER | {"--n", "--codewords"}
 SURFACE = {
-    "check": {"--max-r"},
+    "check": set(),
     "distances": set(),
     "optimize": SOLVER,
     "uce": SOLVER,
     "build-code": BUILD,
     "simulate": BUILD | {"--trials", "--trial-log", "--code"},
-    "zrho": SOLVER | {"--n", "--blend", "--rhos", "--rho-max"},
+    "zrho": SOLVER | {"--n", "--rhos", "--rho-max"},
     "isi-bound": set(),
     "isi-loss": {"--k-list"},
 }
@@ -419,6 +414,20 @@ def test_subcommand_takes_only_the_flags_it_reads(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for act in sub.choices[command]._actions for opt in act.option_strings}
     assert options == COMMON | SURFACE[command]
+
+
+def test_readme_flag_table_matches_the_parser():
+    """README's subcommand/flag table names exactly the optional flags each
+    subcommand registers besides --spec, --out, --report and --seed."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| subcommand | flags |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, flags = line.strip("|").split("|", 1)
+        table[name.strip().strip("`")] = set(re.findall(r"--[a-z][a-z-]*", flags))
+    assert table == {name: set(flags) for name, (_, flags) in COMMANDS.items()}
 
 
 # Runs in a fresh interpreter: loads every spec, then one CLI command per

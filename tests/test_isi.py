@@ -143,8 +143,20 @@ def test_spectral_bound_flat():
 def test_spectral_bound_interior_peak():
     h = [1.0, 0.0, -1.0]  # |H|^2 = 4 sin^2(w): peak at pi/2
     val, om = zr.spectral_bound(IsiSpec(h, 1.0, [1.0, -1.0], 1.0))
-    assert om == pytest.approx(np.pi / 2, abs=1e-8)
+    assert om == pytest.approx(np.pi / 2, abs=1e-12)
     assert val == pytest.approx(1.0, abs=1e-10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=1, max_size=6)
+       .filter(lambda h: any(h)))
+def test_spectral_bound_dominates_a_fine_grid(h):
+    # gamma = 1 and sigma2 = 1/4 make the bound max |H|^2 itself
+    val, om = zr.spectral_bound(IsiSpec(h, 0.25, [1.0, -1.0], 1.0))
+    grid = zr.isi.amplitude_response2(h, np.linspace(0.0, np.pi, 20001))
+    assert val >= grid.max() - 1e-12
+    assert 0.0 <= om <= np.pi
+    assert val == zr.isi.amplitude_response2(h, om)
 
 
 def test_spectral_dominates_binary_solver():
