@@ -7,7 +7,9 @@ Each line reads `spec command exit sha256-of-out first-stderr-line`, with
 `-` standing for a missing artifact or an empty stderr. Two checkouts that
 print the same lines produce the same `--out` bytes, exit codes and error
 reasons, so diffing the output of two revisions is a refactoring check.
-Runs go through `zerorate.cli.run` in this process with small fixed sizes.
+Runs go through `zerorate.cli.run` in this process with small fixed sizes;
+`simulate` sends 5000 trials per codeword, so on discrete kernels each
+codeword spans several batches and the codewords run on the worker pool.
 The last lines probe two CLI usage errors.
 """
 import os
@@ -32,7 +34,7 @@ from zerorate import cli  # noqa: E402
 # only flags the command reads, so the same argv is valid on every revision
 SIZES = {
     "build-code": ("--n", "64", "--codewords", "4"),
-    "simulate": ("--n", "64", "--codewords", "4", "--trials", "200"),
+    "simulate": ("--n", "64", "--codewords", "4", "--trials", "5000"),
     "zrho": ("--n", "64"),
 }
 COMMANDS = ("check", "distances", "optimize", "uce", "build-code", "simulate",

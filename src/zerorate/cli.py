@@ -212,7 +212,8 @@ def _read_json(path: str, what: str):
 
 def cmd_simulate(ch: LoadedChannel, args):
     if args.code:
-        book = Codebook.from_json_dict(_read_json(args.code, "codebook"), ch.machine, ch.pairs)
+        book = Codebook.from_json_dict(_read_json(args.code, "codebook"), ch.machine, ch.pairs,
+                                       bhattacharyya(ch.kernel, ch.pairs))
     else:
         book = _build_codebook(ch, args)
     rep = simulate(ch.kernel, book, args.trials, args.seed,

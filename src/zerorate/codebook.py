@@ -510,12 +510,16 @@ class Codebook:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, machine: StateMachine,
-                       pairs: FeasiblePairSet) -> "Codebook":
-        """Inverse of to_json_dict on the channel the book was built for. A
-        document with a missing key, a state the machine lacks, a pair it
-        cannot take, codewords other than those its state paths emit, or an
-        n or M other than the shape of its codewords raises ValidationError."""
+    def from_json_dict(cls, doc: dict, machine: StateMachine, pairs: FeasiblePairSet,
+                       d: DistanceMatrix) -> "Codebook":
+        """Inverse of to_json_dict on the channel the book was built for, whose
+        distance matrix is d. A document with a missing key, a state the
+        machine lacks, a pair it cannot take, codewords other than those its
+        state paths emit, an n or M other than the shape of its codewords,
+        segment arc counts other than its type_counts, or a
+        min_pair_distance other than its paths' d_min under d raises
+        ValidationError. The d_min check is exact: the writer computed it the
+        same way, and JSON floats round-trip."""
         index = {str(s): i for i, s in enumerate(machine.states)}
         lookup = pairs.index_lookup()
 
@@ -558,17 +562,36 @@ class Codebook:
                                   f"{paths.shape[0]} codewords of length {paths.shape[1]}")
         if any((emit_codeword(p, machine) != x).any() for p, x in zip(paths, codewords)):
             raise ValidationError("codewords differ from the symbols their state paths emit")
+        M, L = paths.shape[0], len(pairs)
+        ends = np.cumsum([0] + [spec.n for spec in cert])
+        if ends[-1] != paths.shape[1]:
+            raise ValidationError(f"type_counts segments total {ends[-1]}, "
+                                  f"codewords have length {paths.shape[1]}")
+        for s, (spec, end) in enumerate(zip(cert, ends[1:])):
+            block = arc_paths[:, end - spec.n:end] + L * np.arange(M)[:, None]
+            if (np.bincount(block.ravel(), minlength=M * L).reshape(M, L) != spec.counts).any():
+                raise ValidationError(f"codeword arcs in segment {s} differ from its type_counts")
+        md = _min_distance(arc_paths, d)
+        if md != meta[0]:
+            raise ValidationError(f"codebook min_pair_distance {meta[0]!r} differs from its "
+                                  f"paths' minimum pairwise distance {md!r}")
         return cls(machine, pairs, codewords, paths, arc_paths, tuple(cert), *meta)
 
 
 def pairwise_path_distances(arc_paths: np.ndarray, d: DistanceMatrix) -> np.ndarray:
-    """Symmetric matrix of summed per-step distances between walks."""
+    """Symmetric matrix of summed per-step distances between walks, one
+    (C - i - 1, n) gather per row i."""
     C = arc_paths.shape[0]
     out = np.zeros((C, C))
-    for i in range(C):
-        for j in range(i + 1, C):
-            out[i, j] = out[j, i] = float(d.d[arc_paths[i], arc_paths[j]].sum())
+    for i in range(C - 1):
+        out[i, i + 1:] = out[i + 1:, i] = d.d[arc_paths[i], arc_paths[i + 1:]].sum(axis=1)
     return out
+
+
+def _min_distance(arc_paths: np.ndarray, d: DistanceMatrix) -> float:
+    """d_min of the walks: their least pairwise distance, inf for one walk."""
+    dist = pairwise_path_distances(arc_paths, d)
+    return float(dist[np.triu_indices(len(arc_paths), 1)].min(initial=np.inf))
 
 
 def expurgate(candidates: CandidateSet, d: DistanceMatrix, M: int,
@@ -586,8 +609,7 @@ def expurgate(candidates: CandidateSet, d: DistanceMatrix, M: int,
     if C < M:
         raise ValidationError(f"need at least {M} candidates, got {C}")
     paths, arc_paths = candidates.paths[:M], candidates.arc_paths[:M]
-    dist = pairwise_path_distances(arc_paths, d)
-    md = float(dist[np.triu_indices(M, 1)].min(initial=np.inf))
+    md = _min_distance(arc_paths, d)
     if md <= 0.0:
         raise ValidationError(
             f"kept codewords include a pair at distance 0: the type admits too "

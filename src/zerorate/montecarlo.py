@@ -20,6 +20,18 @@ counts for discrete kernels, M metrics for Gaussian ones. Batches are
 whole rows of the draws, so the batch size does not change the random
 streams.
 
+Codeword m draws from its own stream, SeedSequence((seed, m)), so the
+codewords are independent jobs. When each needs more than one batch and no
+trial log is asked for, they run on k = min(M, CPUs the process may use)
+worker threads; numpy drops the interpreter lock in the draws, compares and
+GEMMs. The workers share one batch budget: each draws batches of rows // k
+trials into its own block of the batch buffers, so live batch memory does
+not grow with k. Neither a stream nor a codeword's metrics depend on the
+batch size or on the thread, and the error counts are collected in codeword
+order, so the report does not depend on k. One batch per codeword is too
+little work to pay for a pool, and a trial log is written in trial order by
+the calling thread, so both run inline.
+
 The z_rho operation minimizes the typed exponent of the soft pairwise
 score over coupled pair processes. With both pair marginals pinned, the
 objective is -rho * H(W|U) - <w, d> plus a constant, U being the
@@ -30,7 +42,9 @@ decrement and KKT residual as its certificate of convergence.
 """
 from __future__ import annotations
 
+import copy
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,6 +162,18 @@ class _DiscreteStatistic:
         return self.metrics(_sample_outputs(self.kernel, self.arc_paths[m], rng, n_trials,
                                             self.work))
 
+    def split(self, k: int) -> list:
+        """k copies sharing the read-only tables, each owning a disjoint block
+        of rows // k rows of the batch buffers, so k batches in flight take
+        the memory of one."""
+        r = self.rows // k
+        parts = [copy.copy(self) for _ in range(k)]
+        for i, part in enumerate(parts):
+            block = slice(i * r, (i + 1) * r)
+            part.rows, part.counts = r, self.counts[block]
+            part.work = tuple(buf[block] for buf in self.work)
+        return parts
+
 
 class _GaussianStatistic:
     """Gaussian decoder metrics drawn through the projected statistic.
@@ -169,6 +195,7 @@ class _GaussianStatistic:
         self.loading = u[:, :r] * (s[:r] / np.sqrt(kernel.variance))  # U S / sigma
         self.offset = (gram - 0.5 * np.diag(gram)) / kernel.variance  # row k: mean row k sent
         self.column = inverse.reshape(-1)  # codeword -> mean row
+        self.rows = _rows(_BATCH_ELEMENTS, len(arc_paths))
 
     def metrics(self, m: int, w: np.ndarray) -> np.ndarray:
         """(len(w), M) metrics when codeword m is sent and V^T z = w."""
@@ -179,29 +206,73 @@ class _GaussianStatistic:
     def draw(self, m: int, rng, n_trials: int) -> np.ndarray:
         return self.metrics(m, rng.standard_normal((n_trials, len(self.basis))))
 
+    def split(self, k: int) -> list:
+        """k copies drawing batches of rows // k trials."""
+        parts = [copy.copy(self) for _ in range(k)]
+        for part in parts:
+            part.rows = self.rows // k
+        return parts
 
-def _metric_sampler(kernel: ChannelKernel, arc_paths: np.ndarray):
-    """(draw, rows): draw(m, rng, trials) gives the (trials, M) decoder
-    metrics when codeword m is sent, up to a term common to all hypotheses,
-    and rows is the number of trials per batch."""
+
+def _statistic(kernel: ChannelKernel, arc_paths: np.ndarray):
+    """The decoder statistic of the book's kernel: draw(m, rng, trials)
+    gives the (trials, M) decoder metrics when codeword m is sent, up to a
+    term common to all hypotheses, in batches of at most `rows` trials."""
     if kernel.kind == DISCRETE:
-        stat = _DiscreteStatistic(kernel, arc_paths)
-        return stat.draw, stat.rows
-    return _GaussianStatistic(kernel, arc_paths).draw, _rows(_BATCH_ELEMENTS, len(arc_paths))
+        return _DiscreteStatistic(kernel, arc_paths)
+    return _GaussianStatistic(kernel, arc_paths)
 
 
-def _decode(draw, rows: int, m: int, rng, trials: int):
-    """ML decisions on `trials` transmissions of codeword m, in batches of
-    at most `rows`: yields each batch's first trial index, its (batch, M)
-    metrics and the mask of wrong decisions. Ties decode as errors
-    (conservative); a lone codeword is never wrong."""
-    done = 0
-    while done < trials:
-        batch = min(rows, trials - done)
-        ll = draw(m, rng, batch)
+def _count_errors(stat, m: int, rng, trials: int, log=None) -> int:
+    """Wrong ML decisions on `trials` transmissions of codeword m, in
+    batches of at most stat.rows. Ties decode as errors (conservative); a
+    lone codeword is never wrong. log, a csv writer, receives one row
+    (trial, codeword, decoded, correct) per transmission."""
+    errors = 0
+    for done in range(0, trials, stat.rows):
+        ll = stat.draw(m, rng, min(stat.rows, trials - done))
         others = np.delete(ll, m, axis=1).max(axis=1, initial=-np.inf)
-        yield done, ll, others >= ll[:, m]
-        done += batch
+        wrong = others >= ll[:, m]
+        errors += int(wrong.sum())
+        if log is not None:
+            batch = len(ll)
+            log.writerows(zip(range(done, done + batch), [m] * batch,
+                              np.argmax(ll, axis=1).tolist(),
+                              (~wrong).astype(np.int64).tolist()))
+    return errors
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _count_errors_pooled(parts: list, rngs: list, trials: int) -> list[int]:
+    """_count_errors of every codeword, one thread per part; a running
+    codeword draws into a part no other running codeword holds. The counts
+    come back in codeword order; an error in a worker is raised here, and
+    an exception here cancels the codewords that have not started."""
+    import queue
+    from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import: only when used
+    idle = queue.SimpleQueue()
+    for part in parts:
+        idle.put(part)
+
+    def task(m: int) -> int:
+        part = idle.get()
+        try:
+            return _count_errors(part, m, rngs[m], trials)
+        finally:
+            idle.put(part)
+
+    pool = ThreadPoolExecutor(len(parts))
+    try:
+        futures = [pool.submit(task, m) for m in range(len(rngs))]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
@@ -209,12 +280,13 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
     """Per-codeword ML error rates with exact binomial standard errors.
 
     trial_log, when given, receives one CSV row (trial, codeword, decoded,
-    correct) per transmission; it may be a path or a writable text file."""
+    correct) per transmission; it may be a path or a writable text file.
+    The codewords run on one worker thread per CPU (see the module
+    docstring for when they run inline)."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     M, n = book.M, book.n
-    errors = np.zeros(M, dtype=np.int64)
-    log_fh = None
+    log_fh = log = None
     close_log = False
     if trial_log is not None:
         import csv
@@ -225,18 +297,18 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
             close_log = True
         log = csv.writer(log_fh)
         log.writerow(["trial", "codeword", "decoded", "correct"])
-    draw, rows = _metric_sampler(kernel, book.arc_paths)
-    for m in range(M):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), m)))
-        for done, ll, wrong in _decode(draw, rows, m, rng, trials):
-            errors[m] += int(wrong.sum())
-            if log_fh is not None:
-                batch = len(ll)
-                log.writerows(zip(range(done, done + batch), [m] * batch,
-                                  np.argmax(ll, axis=1).tolist(),
-                                  (~wrong).astype(np.int64).tolist()))
+    stat = _statistic(kernel, book.arc_paths)
+    rngs = [np.random.default_rng(np.random.SeedSequence((int(seed), m))) for m in range(M)]
+    # one thread writes the log in trial order, and one batch per codeword
+    # is too little work to pay for a pool
+    workers = 1 if log is not None or trials <= stat.rows else min(M, _cpu_count(), stat.rows)
+    if workers == 1:
+        errors = [_count_errors(stat, m, rng, trials, log) for m, rng in enumerate(rngs)]
+    else:
+        errors = _count_errors_pooled(stat.split(workers), rngs, trials)
     if close_log:
         log_fh.close()
+    errors = np.array(errors, dtype=np.int64)
     pe = errors / trials
     se = np.sqrt(pe * (1.0 - pe) / trials)
     worst = float(pe.max())
@@ -266,8 +338,7 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
     if arcs_a.shape != arcs_b.shape:
         raise ValidationError("paths must have equal length")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A)))
-    draw, rows = _metric_sampler(kernel, np.stack([arcs_a, arcs_b]))
-    errs = sum(int(wrong.sum()) for _, _, wrong in _decode(draw, rows, 0, rng, trials))
+    errs = _count_errors(_statistic(kernel, np.stack([arcs_a, arcs_b])), 0, rng, trials)
     p = errs / trials
     se = float(np.sqrt(p * (1 - p) / trials))
     if d is None:

@@ -126,6 +126,16 @@ def count_euler_circuits(tails, heads, counts, anchor) -> int:
     return len(seen)
 
 
+def pairwise_path_distances_loop(arc_paths: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Reference for codebook.pairwise_path_distances: one sum per pair."""
+    C = arc_paths.shape[0]
+    out = np.zeros((C, C))
+    for i in range(C):
+        for j in range(i + 1, C):
+            out[i, j] = out[j, i] = float(D[arc_paths[i], arc_paths[j]].sum())
+    return out
+
+
 def gaussian_two_codeword_error(d_e: float, sigma: float) -> float:
     """Exact ML error between two codewords at Euclidean distance d_e."""
     from scipy.stats import norm

@@ -182,9 +182,13 @@ def test_build_code_and_simulate(tmp_path, capsys):
                                           ("bad json", "codebook is not valid JSON"),
                                           ("inverted codeword", "their state paths emit"),
                                           ("wrong n", "declares M=2, n=999"),
-                                          ("wrong M", "declares M=7, n=32")],
+                                          ("wrong M", "declares M=7, n=32"),
+                                          ("forged distance", "min_pair_distance 1000000000.0"),
+                                          ("forged type", "differ from its type_counts"),
+                                          ("short type", "segments total 30")],
                          ids=["unknown state", "missing key", "rho book", "bad json",
-                              "inverted codeword", "wrong n", "wrong M"])
+                              "inverted codeword", "wrong n", "wrong M", "forged distance",
+                              "forged type", "short type"])
 def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
     spec = write_spec(tmp_path, ISI_DOC)
     code_path = tmp_path / "book.json"
@@ -209,6 +213,20 @@ def test_simulate_rejects_malformed_code(case, reason, tmp_path, capsys):
             book["n"] = 999
         else:
             book["M"] = 7
+        code_path.write_text(json.dumps(book))
+    elif case in ("forged distance", "forged type", "short type"):  # contradicts its arcs
+        book = json.loads(code_path.read_text())
+        counts = book["type_counts"][0]["counts"]
+        assert sorted(c["count"] for c in counts) == [2, 2, 14, 14]
+        if case == "forged distance":
+            book["min_pair_distance"] = 1e9
+        elif case == "forged type":  # the balanced, connected type 13/3/3/13
+            for c in counts:
+                c["count"] += 1 if c["count"] == 2 else -1
+        else:  # 13/2/2/13, a valid type of length 30
+            book["type_counts"][0]["length"] = 30
+            for c in counts:
+                c["count"] -= c["count"] == 14
         code_path.write_text(json.dumps(book))
     else:
         code_path.write_text("{\"n\": 32,")

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerorate as zr
-from zerorate.codebook import CandidateSet
+from zerorate.codebook import CandidateSet, pairwise_path_distances
 from zerorate.errors import ValidationError
 
 from conftest import make_isi
-from oracles import count_euler_circuits, greedy_rotations
+from oracles import (count_euler_circuits, greedy_rotations,
+                     pairwise_path_distances_loop)
 
 
 def reg_q(a, b):
@@ -406,3 +409,17 @@ def test_codebook_json_round_trip_fields(order1):
                         "type_counts", "min_pair_distance", "seed", "blend"}
     assert doc["n"] == 16 and doc["M"] == 2
     assert len(doc["codewords"]) == 2 and len(doc["codewords"][0]) == 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(1, 3000), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_pairwise_path_distances_match_the_loop(L, C, n, infinite, seed):
+    gen = np.random.default_rng(seed)
+    D = gen.exponential(size=(L, L))
+    D = D + D.T
+    if infinite:
+        D[gen.random((L, L)) < 0.1] = np.inf
+    paths = gen.integers(0, L, size=(C, n))
+    dist = pairwise_path_distances(paths, zr.DistanceMatrix(D))
+    assert np.array_equal(dist, pairwise_path_distances_loop(paths, D))  # bit for bit

@@ -1,6 +1,9 @@
+import inspect
 import io
 import itertools
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerorate as zr
-from zerorate import montecarlo
+from zerorate import bhatt, montecarlo
 from zerorate.cli import load_channel
 from zerorate.codebook import Codebook
 from zerorate.exponent import component_polytope
@@ -345,6 +348,91 @@ def test_batch_size_changes_nothing(kind, monkeypatch):
     assert small_pair == pair
     same_log = small_log == log  # a plain assert would diff two 2000-line strings
     assert same_log
+
+
+def several_batches(kind, monkeypatch):
+    """(kernel, book) of the given kind, with _BATCH_ELEMENTS cut so that
+    500 trials span many batches even when three workers share them."""
+    if kind == "gaussian":
+        _, _, kern, _, book = small_book(M=4, n=16)
+        width = book.M
+    else:
+        kern, _, book = bsc_book(n=16, M=4, p=0.2) if kind == "discrete" else wide_book()
+        width = max(book.n, len(np.unique(book.arc_paths.T, axis=0)) * len(kern.outputs))
+    monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 30 * width + 3)  # 30-trial batches
+    return kern, book
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "discrete", "wide"])
+def test_worker_count_changes_nothing(kind, monkeypatch):
+    kern, book = several_batches(kind, monkeypatch)
+    pools = []
+    pooled = montecarlo._count_errors_pooled
+    monkeypatch.setattr(montecarlo, "_count_errors_pooled",
+                        lambda parts, *args: pools.append(len(parts)) or pooled(parts, *args))
+    reports = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often: a shared buffer would garble draws
+    try:
+        for k in (1, 2, 3):
+            monkeypatch.setattr(montecarlo, "_cpu_count", lambda k=k: k)
+            reports[k] = zr.simulate(kern, book, trials=500, seed=9).to_json_dict()
+        # a trial log keeps the codewords inline and in order
+        reports["log"] = zr.simulate(kern, book, trials=500, seed=9,
+                                     trial_log=io.StringIO()).to_json_dict()
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools == [2, 3]
+    assert sum(reports[1]["errors"]) > 0
+    assert reports[2] == reports[1] and reports[3] == reports[1]
+    assert reports["log"] == reports[1]
+
+
+def test_worker_error_cancels_the_codewords_not_started(monkeypatch):
+    kern, book = several_batches("discrete", monkeypatch)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    started, never = [], threading.Event()
+
+    def count_errors(stat, m, rng, trials, log=None):
+        started.append(m)
+        if m == 0:
+            raise FloatingPointError("codeword 0")
+        never.wait(0.3)  # holds both workers until codeword 0's error has been read
+        return 0
+
+    monkeypatch.setattr(montecarlo, "_count_errors", count_errors)
+    with pytest.raises(FloatingPointError, match="codeword 0"):
+        zr.simulate(kern, book, trials=500, seed=9)
+    assert book.M == 4 and sorted(started) == [0, 1, 2]
+
+
+def test_workers_call_no_public_function(monkeypatch):
+    """bench/tracing.py keeps one process-wide span stack around the public
+    functions, so only the main thread may call them."""
+    kern, book = several_batches("discrete", monkeypatch)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    callers, workers = [], set()
+
+    def on_thread(fn, record):
+        def wrapped(*args, **kwargs):
+            record(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapped
+
+    public = {id(fn): fn for mod in (montecarlo, bhatt) for name, fn in vars(mod).items()
+              if not name.startswith("_") and inspect.isfunction(fn)
+              and fn.__module__ == mod.__name__}
+    for key in [k for k in sys.modules if k == "zerorate" or k.startswith("zerorate.")]:
+        for name, obj in list(vars(sys.modules[key]).items()):
+            if id(obj) in public:
+                monkeypatch.setattr(sys.modules[key], name, on_thread(obj, callers.append))
+    monkeypatch.setattr(montecarlo, "_count_errors",
+                        on_thread(montecarlo._count_errors, workers.add))
+    rep = zr.simulate(kern, book, trials=500, seed=9)
+    assert rep.errors.sum() > 0
+    assert workers and threading.main_thread() not in workers  # the pool ran
+    assert {"simulate", "log_pmf"} <= {f.__name__ for f in public.values()}
+    assert len(callers) >= 2 and set(callers) == {threading.main_thread()}
 
 
 def test_exponent_consistency_with_min_distance():
