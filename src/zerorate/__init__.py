@@ -5,7 +5,7 @@ and the Gaussian inter-symbol-interference specialization."""
 __version__ = "0.1.0"
 
 from .bhatt import (ChannelKernel, DistanceMatrix, bhattacharyya,
-                    discrete_kernel, gaussian_kernel, likelihood)
+                    discrete_kernel, gaussian_kernel)
 from .codebook import (CandidateSet, Codebook, MarkovTypeSpec,
                        blend_for_construction, build_codebook, build_ensemble,
                        emit_codeword, euler_circuit, expurgate, round_type)
@@ -18,7 +18,7 @@ from .fsm import (FeasiblePairSet, StateMachine, StructuralReport, augment,
                   check_structure, feasible_pairs, shift_register)
 from .isi import (IsiSpec, QuantizedSinusoidStats, build_isi_machine,
                   choose_amplitude, e0_isi, gray_stats, irrationalize,
-                  power_identity_check, quantization_loss, spectral_bound)
+                  quantization_loss, spectral_bound)
 from .montecarlo import (QuadrupleDistribution, SimulationReport,
                          pairwise_check, simulate, z_rho, z_rho_sweep)
 

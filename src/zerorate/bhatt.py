@@ -111,20 +111,6 @@ def bhattacharyya(kernel: ChannelKernel, pairs: FeasiblePairSet) -> DistanceMatr
     return DistanceMatrix(d)
 
 
-def likelihood(kernel: ChannelKernel, pair: int, y) -> float:
-    """ln p(y | pair): log-pmf for discrete outputs, log-density for Gaussian."""
-    if kernel.kind == GAUSSIAN:
-        mu = kernel.means[pair]
-        v = kernel.variance
-        return float(-((y - mu) ** 2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v))
-    try:
-        yi = kernel.outputs.index(y)
-    except ValueError:
-        raise ValidationError(f"output {y!r} not in the output alphabet") from None
-    p = kernel.pmf[pair, yi]
-    return float(np.log(p)) if p > 0 else float("-inf")
-
-
 def log_pmf(kernel: ChannelKernel) -> np.ndarray:
     """Dense (L, |Y|) table of ln p(y|pair); -inf where p = 0."""
     with np.errstate(divide="ignore"):

@@ -162,16 +162,18 @@ class SolverOptions:
 
 
 def e0(q, d: DistanceMatrix) -> float:
-    """The quadratic functional q^T D q; zero for point masses."""
+    """The quadratic functional q^T D q; zero for point masses. Only the
+    support of q enters, so D may be infinite off it."""
     vec = q.q if hasattr(q, "q") else np.asarray(q, dtype=float)
     if len(vec) != len(d):
         raise ValidationError("dimension mismatch between q and D")
-    sup = np.nonzero(vec > 0)[0]
-    if np.isinf(d.d[np.ix_(sup, sup)]).any():
+    sup = np.flatnonzero(vec)
+    block = d.d[np.ix_(sup, sup)]
+    if np.isinf(block).any():
         raise UnsupportedChannelError(
             "infinite Bhattacharyya distance on the support of q "
             "(disjoint output supports); zero-rate theory does not apply")
-    return float(vec @ d.d @ vec)
+    return float(vec[sup] @ block @ vec[sup])
 
 
 def concavity_test(d: DistanceMatrix, tol: float = 1e-9) -> ConcavityReport:
@@ -356,13 +358,14 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     costs = cost.pair_costs(pairs)[arcs]
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7CE)))
     c_lo, c_hi = c_range
-    # every budget here is at least c_lo, so the cheapest point is the same
-    cheapest = component_polytope(pairs, arcs, cost, c_hi).feasible_point()
+    # every budget here is at least c_lo, so the cheapest point is the same;
+    # the budgets share one null space and one cache of projection pieces
+    poly = component_polytope(pairs, arcs, cost, c_hi)
+    cheapest = poly.feasible_point()
 
     def solve_at(budget, extra=(), n_starts=4, tol=1e-8):
-        poly = component_polytope(pairs, arcs, cost, budget)
-        return _multistart_max(sub_d, poly, rng, n_starts, opts, cheapest, warm=extra,
-                               tol=tol)
+        return _multistart_max(sub_d, poly.at_budget(budget), rng, n_starts, opts, cheapest,
+                               warm=extra, tol=tol)
 
     pool: list[tuple[np.ndarray, float, float]] = []  # (q, value, cost)
 

@@ -102,27 +102,6 @@ def pair_means(machine: StateMachine, pairs: FeasiblePairSet, h: np.ndarray) -> 
     return mu
 
 
-def window_distribution_to_pairs(q_tuples: np.ndarray, machine: StateMachine,
-                                 pairs: FeasiblePairSet) -> np.ndarray:
-    """Map a distribution over (k+1)-windows (axes oldest..newest) onto the
-    feasible pairs of the register machine (the window <-> pair bijection).
-
-    For k = 0 the window law only constrains the emitted symbol; the
-    product law over (previous, current) realizes it with equal marginals.
-    """
-    K = machine.n_symbols
-    k = q_tuples.ndim - 1
-    q = np.zeros(len(pairs))
-    if k == 0:
-        tail_sym = machine.recover[pairs.tails]
-        return q_tuples[tail_sym] * q_tuples[pairs.symbols]
-    tuples = _register_tuples(K, k)
-    for a in range(len(pairs)):
-        window = tuples[pairs.tails[a]] + (int(pairs.symbols[a]),)
-        q[a] = q_tuples[window]
-    return q
-
-
 def e0_isi(q_tuples: np.ndarray, spec: IsiSpec) -> float:
     """Closed-form exponent of a stationary window law:
     (1/4 sigma^2) [sum_ij h_i h_j E(x_0 x_|i-j|) - (sum_i h_i E x_0)^2]."""
@@ -309,21 +288,6 @@ def quantization_loss(spec: IsiSpec, A: float, omega_star: float,
     power = stats.power
     lower = (power * h2max - lam) / (4.0 * spec.sigma2)
     return LossReport(float(lam), float(lower), float(power))
-
-
-def power_identity_check(A: float, delta: float, omega0: float,
-                         n_samples: int = 10 ** 6, phase: float = 0.0) -> dict:
-    """Time-average power of the quantized sinusoid against the
-    decomposition A^2/2 + 2 R_xe(0) + R_ee(0)."""
-    t = np.arange(1, n_samples + 1, dtype=float)
-    x = quantize_midrise(A * np.sin(omega0 * t + phase), delta)
-    emp = float(np.mean(x * x))
-    ree0, rxe0, _ = _phase_averages(A, delta)
-    series = A * A / 2.0 + 2.0 * rxe0 + ree0
-    rel = abs(emp - series) / max(abs(series), 1e-300)
-    return {"empirical": emp, "decomposition": series, "rel_error": rel,
-            "A": A, "delta": delta, "omega0": omega0, "phase": phase,
-            "n_samples": n_samples}
 
 
 def choose_amplitude(gamma: float, delta: float, max_level: float) -> float:

@@ -457,9 +457,12 @@ def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float) -> ZRhoResult
         raise ValidationError("rho must be positive")
     pairs = q_star.pairs
     L = len(pairs)
-    dmat = d.d
-    if np.isinf(dmat).any():
-        raise ValidationError("z_rho requires finite distances")
+    # every feasible w vanishes off supp(q*)^2, so only distances there enter
+    on_q = q_star.q > 0
+    support = np.outer(on_q, on_q)
+    if np.isinf(d.d[support]).any():
+        raise ValidationError("z_rho requires finite distances on the support of q*")
+    dmat = np.where(support, d.d, 0.0)
     if pairs.n_states > 8:
         raise ValidationError("state space too large for the quadruple table (S <= 8)")
     S = pairs.n_states

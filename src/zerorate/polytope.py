@@ -3,15 +3,25 @@
 The feasible sets in this package are intersections of an affine subspace
 (probability total and marginal-balance rows), the nonnegative orthant and
 at most one cost halfspace. Euclidean projection onto them is exact and
-finite: a least-distance program over the affine set's null space, solved
-by one NNLS (Lawson & Hanson), then re-solved on the face it identifies so
-zero coordinates come back exactly zero. An empty polytope raises. The
-quadratic E0 objective is maximized by projected gradient with a
-1/Lipschitz step, which is monotone and globally convergent in the concave
-case. LPs go to HiGHS; scipy.optimize is imported on first use.
+piecewise affine: on each active set it is one affine map of the point.
+A polytope caches these maps as pieces, keyed by the face (the free
+coordinates and whether the budget is tight) and the independent active
+constraints that carry the multipliers. A projection first tries the few
+most recently used pieces; one is accepted only with its KKT certificate
+(free coordinates positive, multipliers nonnegative, stationarity and
+feasibility residuals zero, a loose budget still met), so the warm path
+returns the same point as a cold solve. Otherwise one NNLS (Lawson &
+Hanson) on the least-distance program finds the face and the active set,
+and the piece built for them gives the point, with zero coordinates
+exactly zero. An empty polytope raises. Siblings at other budgets share
+the null space and the pieces. The quadratic E0 objective is maximized by
+projected gradient with a 1/Lipschitz step, which is monotone and
+globally convergent in the concave case. LPs go to HiGHS; scipy.optimize
+is imported on first use.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +30,9 @@ from .errors import InfeasibleError
 
 FEAS_TOL = 1e-9
 PG_MAX_ITER = 100_000
+FREE_TOL = 1e-10   # a coordinate (or budget slack) above this is off its bound
+KKT_TOL = 1e-12    # roundoff allowed in multiplier signs and KKT residuals
+RECENT_PIECES = 8  # pieces tried before falling back to NNLS
 
 
 def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
@@ -35,6 +48,24 @@ def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
                    bounds=(0, None), method="highs")
 
 
+@dataclass(frozen=True, eq=False)
+class _Piece:
+    """The projection on one active set as an affine map of (v, 1, gamma):
+    rows @ [v, 1, gamma] stacks the free coordinates of the point, then the
+    multipliers, the budget slack when the budget is loose, and the
+    stationarity and equality residuals with both signs. The projection is
+    this piece's point exactly when every entry is at least lower * scale."""
+
+    free: np.ndarray   # indices of the free coordinates
+    rows: np.ndarray
+    lower: np.ndarray
+
+    def evaluate(self, ext: np.ndarray):
+        """(stacked values, free coordinates of the point)."""
+        z = self.rows @ ext
+        return z, z[:len(self.free)]
+
+
 @dataclass
 class Polytope:
     """{x >= 0, A x = b, c.x <= gamma}; c may be None for no halfspace."""
@@ -47,11 +78,17 @@ class Polytope:
     _null: np.ndarray = field(init=False, repr=False)
     _g: np.ndarray = field(init=False, repr=False)
     _cost_norm: float = field(init=False, repr=False, default=0.0)
+    _eq_gap: float = field(init=False, repr=False)
     _gap: float = field(init=False, repr=False)
+    # shared with at_budget siblings: key -> _Piece, and the most recently
+    # accepted pieces, newest first
+    _pieces: dict = field(init=False, repr=False, default_factory=dict)
+    _recent: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         self.a_eq = np.asarray(self.a_eq, dtype=float)
         self.b_eq = np.asarray(self.b_eq, dtype=float)
+        self.gamma = float(self.gamma)
         if self.cost is not None:
             self.cost = np.asarray(self.cost, dtype=float)
             if not self.cost.any():
@@ -66,7 +103,7 @@ class Polytope:
         self._null = vt[rank:].T
         # violation that no point can repair: the equality residual, and the
         # budget when the cost is constant on {A x = b}
-        self._gap = float(np.abs(self.a_eq @ self._x0 - self.b_eq).max(initial=0.0))
+        self._eq_gap = float(np.abs(self.a_eq @ self._x0 - self.b_eq).max(initial=0.0))
         self._g = self._null
         if self.cost is not None:
             row = self.cost @ self._null
@@ -76,8 +113,21 @@ class Polytope:
                 # large costs the unscaled NNLS returns infeasible points
                 self._cost_norm = norm
                 self._g = np.vstack([self._null, -row / norm])
-            else:
-                self._gap = max(self._gap, float(self.cost @ self._x0) - self.gamma)
+        self._set_gap()
+
+    def _set_gap(self):
+        self._gap = self._eq_gap
+        if self.cost is not None and not self._cost_norm:
+            self._gap = max(self._gap, float(self.cost @ self._x0) - self.gamma)
+
+    def at_budget(self, gamma: float) -> "Polytope":
+        """The same polytope with budget gamma. It shares the null space and
+        the projection pieces with this one, since the budget enters a piece
+        only through its offset."""
+        twin = copy.copy(self)
+        twin.gamma = float(gamma)
+        twin._set_gap()
+        return twin
 
     @property
     def dim(self) -> int:
@@ -87,21 +137,37 @@ class Polytope:
         """Euclidean projection, exact up to roundoff; raises on an empty
         polytope.
 
-        With p the projection of x onto {A x = b} and x = p + N u, it is the
-        least-distance program min |u| s.t. G u >= h, G = [N; -c^T N / k],
-        h = [-p; (c.p - gamma) / k], k = |c^T N|, solved as one NNLS (Lawson &
-        Hanson, Solving Least Squares Problems, 1974, ch. 23). Emptiness shows
-        as a vanishing last residual. The point is then re-projected onto the
-        face it identifies, so its zero coordinates are exactly zero."""
-        from scipy.optimize import nnls
+        A recently used piece whose certificate holds at x gives the point.
+        Otherwise, with p the projection of x onto {A x = b} and x = p + N u,
+        the projection is the least-distance program min |u| s.t. G u >= h,
+        G = [N; -c^T N / k], h = [-p; (c.p - gamma) / k], k = |c^T N|, solved
+        as one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974,
+        ch. 23). Emptiness shows as a vanishing last residual. The piece of
+        the face it identifies, with the multipliers on its passive set,
+        then gives the point, so its zero coordinates are exactly zero."""
         if self._gap > FEAS_TOL:
             raise InfeasibleError("polytope is empty")
         v = np.asarray(x, dtype=float)
+        ext = np.concatenate([v, (1.0, self.gamma)])
+        scale = max(1.0, float(np.abs(ext).max()))
+        recent = self._recent
+        for i, piece in enumerate(recent):
+            z, xf = piece.evaluate(ext)
+            if (z >= scale * piece.lower).all():
+                if i:
+                    recent.insert(0, recent.pop(i))
+                out = np.zeros(len(v))
+                out[piece.free] = xf
+                return out
+        return self._project_cold(v, ext, scale)
+
+    def _project_cold(self, v: np.ndarray, ext: np.ndarray, scale: float) -> np.ndarray:
+        from scipy.optimize import nnls
         p = self._x0 + self._null @ (self._null.T @ (v - self._x0))
         h = -p
         if self._cost_norm:
             h = np.append(h, (self.cost @ p - self.gamma) / self._cost_norm)
-        scale = max(1.0, np.abs(h).max())
+        h_scale = max(1.0, np.abs(h).max())
         e = np.vstack([self._g.T, h])
         f = np.zeros(len(e))
         f[-1] = 1.0
@@ -110,7 +176,7 @@ class Polytope:
         # roundoff alone can make the program look infeasible. The larger
         # slack is tried only when the smaller one finds no point.
         for slack in (1e-14, 1e-10):
-            e[-1] = h - slack * scale
+            e[-1] = h - slack * h_scale
             try:
                 w, _ = nnls(e, f, maxiter=10 * len(h))
             except RuntimeError:  # the iteration cap
@@ -118,28 +184,83 @@ class Polytope:
             r = e @ w - f
             if -r[-1] > 1e-14:
                 u = -r[:-1] / r[-1]
-                if (self._g @ u - h).min() >= -FEAS_TOL * scale:
-                    return self._polish(v, p + self._null @ u)
+                if (self._g @ u - h).min() >= -FEAS_TOL * h_scale:
+                    return self._on_face(p + self._null @ u, np.nonzero(w > 0)[0],
+                                         ext, scale)
         raise InfeasibleError("polytope is empty")
 
-    def _polish(self, v: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Projection of v onto the face of y: zero coordinates pinned at 0,
-        the budget an equality when tight, the free coordinates solved
-        exactly. A free coordinate that the face's point has at 0 comes back
-        as roundoff of either sign, and is clipped to 0. Falls back to
-        max(y, 0) when that point is not feasible."""
-        free = y > 1e-10 * max(1.0, np.abs(y).max())
-        rows, rhs = self.a_eq[:, free], self.b_eq
-        if self.cost is not None and self.cost @ y >= self.gamma - 1e-10:
-            rows = np.vstack([rows, self.cost[free]])
-            rhs = np.append(rhs, self.gamma)
-        out = np.zeros_like(y)
-        out[free] = v[free] - np.linalg.lstsq(rows, rows @ v[free] - rhs, rcond=None)[0]
-        np.maximum(out, 0.0, out=out)
-        if (np.abs(self.a_eq @ out - self.b_eq).max(initial=0.0) <= FEAS_TOL
-                and (self.cost is None or self.cost @ out <= self.gamma + FEAS_TOL)):
-            return out
-        return np.maximum(y, 0.0)
+    def _on_face(self, y: np.ndarray, passive: np.ndarray, ext: np.ndarray,
+                 scale: float) -> np.ndarray:
+        """The point of the piece for y's face and the passive set: zero
+        coordinates pinned at 0, the budget an equality when tight, the free
+        coordinates solved exactly. A free coordinate that the face's point
+        has at 0 comes back as roundoff of either sign, and is clipped to 0.
+        Falls back to max(y, 0) when that point is not feasible. A piece
+        whose certificate holds here joins the recent ones."""
+        n = self.dim
+        free = y > FREE_TOL * max(1.0, np.abs(y).max())
+        tight = self.cost is not None and bool(self.cost @ y >= self.gamma - FREE_TOL)
+        # a multiplier belongs to a bound the face holds: a pinned
+        # coordinate, or the budget row (index n) when it is tight
+        passive = passive[(passive < n) & ~free[np.minimum(passive, n - 1)]
+                          | (passive == n) & tight]
+        key = (free.tobytes(), tight, passive.tobytes())
+        piece = self._pieces.get(key)
+        if piece is None:
+            piece = self._pieces[key] = self._build_piece(free, tight, passive)
+        z, xf = piece.evaluate(ext)
+        out = np.zeros(n)
+        out[piece.free] = np.maximum(xf, 0.0)
+        if (np.abs(self.a_eq @ out - self.b_eq).max(initial=0.0) > FEAS_TOL
+                or self.cost is not None and self.cost @ out > self.gamma + FEAS_TOL):
+            return np.maximum(y, 0.0)
+        if (z >= scale * piece.lower).all():
+            self._recent.insert(0, piece)
+            del self._recent[RECENT_PIECES:]
+        return out
+
+    def _build_piece(self, free: np.ndarray, tight: bool, passive: np.ndarray) -> _Piece:
+        """The affine maps of one active set. The free coordinates are
+        x_F = (I - R^+ R) v_F + R^+ r with R the equality rows on F (and the
+        cost row when tight), r = (b, gamma). The stationarity gap
+        d = N^T (x - v) must equal G_P^T m for the multipliers m >= 0 of the
+        passive rows P of G; m = (G_P^T)^+ d, and the residual is the rest
+        of d."""
+        n = self.dim
+        idx = np.nonzero(free)[0]
+        n_b = len(self.b_eq)
+        rows = self.a_eq[:, idx]
+        if tight:
+            rows = np.vstack([rows, self.cost[idx]])
+        pinv = np.linalg.pinv(rows)
+        # the point's free coordinates on the columns (v, 1, gamma)
+        point = np.zeros((len(idx), n + 2))
+        point[:, idx] = np.eye(len(idx)) - pinv @ rows
+        point[:, n] = pinv[:, :n_b] @ self.b_eq
+        if tight:
+            point[:, n + 1] = pinv[:, n_b]
+        # d = N^T (x - v)
+        gap = self._null[idx].T @ point
+        gap[:, :n] -= self._null.T
+        g_p = self._g[passive]
+        mult = np.linalg.pinv(g_p.T) @ gap
+        resid = gap - g_p.T @ mult
+        # equality rows of the face, and the budget row when tight
+        primal = rows @ point
+        primal[:n_b, n] -= self.b_eq
+        if tight:
+            primal[n_b, n + 1] -= 1.0
+        blocks = [point, mult]
+        lower = [np.full(len(idx), FREE_TOL), np.full(len(mult), -KKT_TOL)]
+        if self.cost is not None and not tight:
+            slack = -self.cost[idx] @ point
+            slack[n + 1] += 1.0
+            blocks.append(slack[None, :])
+            lower.append([FREE_TOL])
+        for block in (resid, primal):
+            blocks += [block, -block]
+            lower.append(np.full(2 * len(block), -KKT_TOL))
+        return _Piece(idx, np.vstack(blocks), np.concatenate(lower))
 
     def _linprog(self, objective: np.ndarray):
         return _highs_lp(objective, self.a_eq, self.b_eq, self.cost, self.gamma)
@@ -184,4 +305,3 @@ def maximize_quadratic(dmat: np.ndarray, poly: Polytope, start: np.ndarray,
             break
         x, fx = x_new, f_new
     return x, fx
-

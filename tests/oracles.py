@@ -1,13 +1,18 @@
 """Independent brute-force oracles the tests check the library against.
 
 Everything here is deliberately dumb: dense grids, exhaustive recursion,
-long time averages. None of it shares code with the solvers."""
+long time averages. None of it shares code with the solvers, except that
+power_identity_check holds a time average against the library's phase
+averages. Helpers that only tests call (likelihood,
+window_distribution_to_pairs) live here too."""
 from __future__ import annotations
 
 import itertools
 
 import numpy as np
 from scipy.special import jv
+
+from zerorate.errors import ValidationError
 
 
 def dmc_e0_grid(dhat: np.ndarray, phi=None, gamma=None, res=64, refine=4):
@@ -487,3 +492,41 @@ def quad_constraints_loop(q_star) -> tuple[np.ndarray, np.ndarray]:
                 rows.append(row.ravel())
                 rhs.append(0.0)
     return np.asarray(rows), np.asarray(rhs)
+
+
+def likelihood(kernel, pair: int, y) -> float:
+    """ln p(y | pair) of one output: log-pmf for a discrete kernel (an output
+    outside the alphabet raises ValidationError), log-density for a Gaussian."""
+    if kernel.kind == "gaussian":
+        mu, v = kernel.means[pair], kernel.variance
+        return float(-((y - mu) ** 2) / (2.0 * v) - 0.5 * np.log(2.0 * np.pi * v))
+    if y not in kernel.outputs:
+        raise ValidationError(f"output {y!r} not in the output alphabet")
+    p = kernel.pmf[pair, kernel.outputs.index(y)]
+    return float(np.log(p)) if p > 0 else float("-inf")
+
+
+def window_distribution_to_pairs(q_tuples: np.ndarray, machine, pairs) -> np.ndarray:
+    """A law over (k+1)-windows (axes oldest..newest) on the feasible pairs
+    of the order-k register machine, through the window <-> pair bijection
+    (states are the k-tuples in lexicographic order). For k = 0 the window
+    law only fixes the emitted symbol, and the product law over (previous,
+    current) realizes it with equal marginals."""
+    k = q_tuples.ndim - 1
+    if k == 0:
+        return q_tuples[machine.recover[pairs.tails]] * q_tuples[pairs.symbols]
+    tuples = sorted(itertools.product(range(machine.n_symbols), repeat=k))
+    return np.array([q_tuples[tuples[t] + (int(a),)]
+                     for t, a in zip(pairs.tails, pairs.symbols)])
+
+
+def power_identity_check(A: float, delta: float, omega0: float,
+                         n_samples: int = 10 ** 6, phase: float = 0.0) -> dict:
+    """Time-average power of the quantized sinusoid against the library's
+    decomposition A^2/2 + 2 R_xe(0) + R_ee(0) from its phase averages."""
+    from zerorate.isi import _phase_averages
+    emp = quantized_sine_time_averages(A, delta, omega0, phase, n_samples)[2]
+    ree0, rxe0, _ = _phase_averages(A, delta)
+    series = A * A / 2.0 + 2.0 * rxe0 + ree0
+    return {"empirical": emp, "decomposition": series,
+            "rel_error": abs(emp - series) / max(abs(series), 1e-300)}

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +268,30 @@ def test_zrho_csv_monotone(tmp_path, capsys):
     ref = float(rows[1][4])
     assert zs == sorted(zs)
     assert all(z <= ref + 1e-9 for z in zs)
+
+
+# two self-loop components; state t's symbol 1 has an output no other pair
+# emits, so D is infinite on t's component but finite on the argmax's
+INF_OUTSIDE_SUPPORT_DOC = {"fsc": {
+    "states": ["s", "t"], "alphabet": ["0", "1"], "values": {"0": 0.0, "1": 1.0},
+    "next_state": {"s": {"0": "s", "1": "s"}, "t": {"0": "t", "1": "t"}},
+    "kernel": {"kind": "discrete", "outputs": ["a", "b", "c"],
+               "pmf": {"s": {"0": [1.0, 0.0, 0.0], "1": [0.36, 0.64, 0.0]},
+                       "t": {"0": [0.5, 0.5, 0.0], "1": [0.0, 0.0, 1.0]}}}}}
+
+
+def test_zrho_with_infinite_distance_outside_the_support(tmp_path, capsys):
+    spec = write_spec(tmp_path, INF_OUTSIDE_SUPPORT_DOC)
+    out_path = tmp_path / "z.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, "zrho", "--spec", spec, "--rhos", "1,16",
+                               "--out", str(out_path))
+    assert (code, err, caught) == (0, "", [])
+    rows = list(csv.reader(io.StringIO(out_path.read_text())))
+    # E0 of the uniform law on s's four pairs: 0.5 * -ln 0.6
+    assert float(rows[1][4]) == pytest.approx(0.5 * np.log(0.6), abs=1e-12)
+    assert all(np.isfinite([float(x) for x in r]).all() for r in rows[1:])
 
 
 def test_isi_bound(tmp_path, capsys):

@@ -9,13 +9,13 @@ from scipy.special import jv
 import zerorate as zr
 from zerorate.errors import ValidationError
 from zerorate.isi import (IsiSpec, _error_harmonics, _phase_averages, _phase_breakpoints,
-                          build_isi_machine, e0_isi, quantize_midrise,
-                          window_distribution_to_pairs)
+                          build_isi_machine, e0_isi, quantize_midrise)
 
 from conftest import make_isi
 from oracles import (b_bessel_series, bessel_j_simpson, eps_bessel_series,
                      error_harmonics_per_interval, phase_averages_per_interval,
-                     phase_breakpoints_loop, quantized_sine_time_averages)
+                     phase_breakpoints_loop, power_identity_check,
+                     quantized_sine_time_averages, window_distribution_to_pairs)
 
 W0 = 2 * np.pi * (np.sqrt(2) - 1) / 4
 
@@ -270,20 +270,20 @@ def test_bessel_quadrature_matches_scipy():
 # --------------------------------------------------------------- power, loss
 
 def test_power_identity_standard_case():
-    rep = zr.power_identity_check(3.5, 1.0, W0, 10 ** 6, phase=0.0)
+    rep = power_identity_check(3.5, 1.0, W0, 10 ** 6, phase=0.0)
     assert rep["rel_error"] <= 1e-3
 
 
 def test_power_identity_phase_invariant():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        rep = zr.power_identity_check(3.5, 1.0, W0, 200_000,
-                                      phase=float(rng.uniform(0, 2 * np.pi)))
+        rep = power_identity_check(3.5, 1.0, W0, 200_000,
+                                   phase=float(rng.uniform(0, 2 * np.pi)))
         assert rep["rel_error"] <= 2e-3
 
 
 def test_power_identity_unquantized_limit():
-    rep = zr.power_identity_check(1.0, 1e-4, W0, 100_000)
+    rep = power_identity_check(1.0, 1e-4, W0, 100_000)
     assert rep["decomposition"] == pytest.approx(0.5, rel=1e-4)
 
 

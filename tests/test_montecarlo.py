@@ -624,7 +624,8 @@ def test_trial_log_csv(tmp_path):
     m, pairs, kern, d, book = small_book(M=2, n=16)
     log = tmp_path / "trials.csv"
     rep = zr.simulate(kern, book, trials=50, seed=3, trial_log=str(log))
-    rows = list(csv_mod.reader(log.open()))
+    with log.open(newline="") as fh:
+        rows = list(csv_mod.reader(fh))
     assert rows[0] == ["trial", "codeword", "decoded", "correct"]
     assert len(rows) == 1 + 2 * 50
     wrong = sum(1 for r in rows[1:] if r[3] == "0")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -68,3 +70,103 @@ def test_project_matches_face_enumeration(n, case, seed):
 def test_project_on_empty_polytope_raises(a, b, cost, gamma):
     with pytest.raises(InfeasibleError):
         Polytope(a, b, cost, gamma).project(np.array([0.2, -0.3, 0.4]))
+
+
+def _case_polytope(case, n, rng):
+    """(a, b, cost or None, gamma) of one warm-path case on n coordinates."""
+    if case == "digraph":
+        # balance rows of a random digraph on 3 states with a self-loop at
+        # state 0; the cheap budget pushes the point onto few arcs, so most
+        # states keep no free arc and their balance rows vanish on the face
+        tails = np.concatenate([[0], rng.integers(0, 3, n - 1)])
+        heads = np.concatenate([[0], rng.integers(0, 3, n - 1)])
+        bal = (tails == np.arange(3)[:, None]).astype(float) - (heads == np.arange(3)[:, None])
+        a = np.vstack([np.ones(n), bal])
+        b = np.zeros(4)
+        b[0] = 1.0
+        cost = rng.random(n)
+        cost[0] = 0.0
+        return a, b, cost, float(rng.uniform(0.0, 0.3) * cost.mean())
+    inner = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
+    inner[-1] = max(inner[-1], 0.1)
+    if case == "boundary":
+        # as many generic rows as support coordinates, and a cost that is
+        # zero exactly on the support at budget 0: the polytope is {inner}
+        inner[0] = 0.0
+        a = rng.normal(size=(int((inner > 0).sum()), n))
+        cost = rng.random(n)
+        cost[inner > 0] = 0.0
+        return a, a @ inner, cost, 0.0
+    inner[0] = max(inner[0], 0.1)
+    a = rng.normal(size=(int(rng.integers(1, n)), n))
+    if case == "redundant":
+        a = np.vstack([a, a[0] - 2.0 * a[-1]])
+    if case == "zero_cost":
+        return a, a @ inner, np.zeros(n), 0.0
+    cost = rng.random(n)
+    return a, a @ inner, cost, float(cost @ inner) * (1.0 + rng.random())
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 6),
+       case=st.sampled_from(["budget", "redundant", "boundary", "zero_cost", "digraph"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_warm_projections_match_a_cold_solve(n, case, seed):
+    """A sequence of projections on one polytope, as projected gradient
+    makes them (small steps along a fixed quadratic's gradient, with random
+    jumps and, where there is a budget, moves to sibling budgets), returns
+    what a fresh polytope returns, and the exact projection."""
+    rng = np.random.default_rng(seed)
+    a, b, cost, gamma = _case_polytope(case, n, rng)
+    poly = Polytope(a, b, cost, gamma)
+    oracle_cost = cost if cost.any() else None
+    dmat = rng.normal(size=(n, n))
+    dmat = dmat + dmat.T
+    x = rng.dirichlet(np.ones(n))
+    for _ in range(12):
+        if oracle_cost is not None and case != "boundary" and rng.random() < 0.15:
+            gamma *= rng.uniform(0.9, 1.1)
+            poly = poly.at_budget(gamma)
+        if rng.random() < 0.2:
+            v = rng.normal(size=n) * rng.choice([0.1, 1.0, 5.0])
+        else:
+            v = x + 0.05 * (dmat @ x)
+        try:
+            fresh = Polytope(a, b, cost, gamma).project(v)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                poly.project(v)
+            continue
+        x = poly.project(v)
+        assert np.abs(x - fresh).max() <= 1e-12
+        _, dist = project_by_face_enumeration(a, b, v, oracle_cost, gamma)
+        assert _violation(a, b, oracle_cost, gamma, x) <= 1e-9
+        assert abs(np.linalg.norm(x - v) - dist) <= 1e-10
+        # zero coordinates carry no roundoff dust
+        assert ((x == 0.0) | (x > 1e-13)).all()
+
+
+def test_optimize_reuses_pieces_instead_of_nnls(monkeypatch, tmp_path):
+    """Projected gradient on specs/isi_two_tap.json stays on a few faces, so
+    almost every projection is a cached piece's certified affine map."""
+    import scipy.optimize
+
+    from zerorate import cli
+
+    calls = {"nnls": 0, "project": 0}
+    nnls, project = scipy.optimize.nnls, Polytope.project
+
+    def counting_nnls(*args, **kwargs):
+        calls["nnls"] += 1
+        return nnls(*args, **kwargs)
+
+    def counting_project(self, x):
+        calls["project"] += 1
+        return project(self, x)
+
+    monkeypatch.setattr(scipy.optimize, "nnls", counting_nnls)
+    monkeypatch.setattr(Polytope, "project", counting_project)
+    spec = Path(__file__).resolve().parent.parent / "specs" / "isi_two_tap.json"
+    assert cli.run(["optimize", "--spec", str(spec), "--out", str(tmp_path / "o.json")]) == 0
+    assert calls["project"] > 100
+    assert calls["nnls"] <= 0.1 * calls["project"]
