@@ -136,7 +136,7 @@ def _argmax_dict(plan: TimeSharingPlan, pairs, single: bool) -> dict:
 def _solve(ch: LoadedChannel, args):
     """The distance matrix and the exponent solve under the solver flags."""
     d = bhattacharyya(ch.kernel, ch.pairs)
-    opts = SolverOptions(tol=args.tol, starts=args.starts, seed=args.seed)
+    opts = SolverOptions(starts=args.starts, seed=args.seed)
     return d, maximize_e0(d, ch.pairs, ch.cost, opts)
 
 
@@ -228,12 +228,8 @@ def cmd_zrho(ch: LoadedChannel, args):
     d, res = _solve(ch, args)
     q, _, _ = blend_for_construction(res.argmax.mixture(), None, max(args.n, 64))
     ref = e0(q, d)
-    if args.rhos:
-        rhos = [float(tok) for tok in args.rhos.split(",")]
-    else:
-        rhos = [1.0]
-        while rhos[-1] * 4 <= args.rho_max:
-            rhos.append(rhos[-1] * 4)
+    rhos = ([float(tok) for tok in args.rhos.split(",")] if args.rhos
+            else [4.0 ** k for k in range(6)])
     results = z_rho_sweep(q, d, rhos)
     rows = [["rho", "z_value", "delta", "cross_term", "minus_e0_qstar"]]
     for rho, r in zip(sorted(rhos), results):
@@ -313,16 +309,14 @@ FLAGS = {
     "--n": dict(type=int, default=512, help="block length"),
     "--codewords": dict(type=int, default=4, help="codebook size M"),
     "--trials": dict(type=int, default=10_000),
-    "--tol": dict(type=float, default=1e-9),
     "--starts": dict(type=int, default=32),
-    "--rhos": dict(type=str, default=None, help="comma list for the zrho sweep"),
-    "--rho-max": dict(type=float, default=1024.0,
-                      help="zrho sweeps powers of 4 up to this value"),
+    "--rhos": dict(type=str, default=None,
+                   help="comma list for the zrho sweep (default 1,4,16,...,1024)"),
     "--trial-log": dict(type=str, default=None, help="per-trial CSV log for simulate"),
     "--code": dict(type=str, default=None, help="codebook JSON produced by build-code"),
     "--k-list": dict(type=str, default="8,16,32"),
 }
-_SOLVER = ("--tol", "--starts")
+_SOLVER = ("--starts",)
 _BUILD = _SOLVER + ("--n", "--codewords")
 # subcommand -> (handler, the optional flags it reads)
 COMMANDS = {
@@ -332,7 +326,7 @@ COMMANDS = {
     "uce": (cmd_uce, _SOLVER),
     "build-code": (cmd_build_code, _BUILD),
     "simulate": (cmd_simulate, _BUILD + ("--trials", "--trial-log", "--code")),
-    "zrho": (cmd_zrho, _SOLVER + ("--n", "--rhos", "--rho-max")),
+    "zrho": (cmd_zrho, _SOLVER + ("--n", "--rhos")),
     "isi-bound": (cmd_isi_bound, ()),
     "isi-loss": (cmd_isi_loss, ("--k-list",)),
 }

@@ -344,10 +344,6 @@ class CandidateSet:
     certificate: tuple           # MarkovTypeSpec per segment, in block order
     seed: int
 
-    @property
-    def n(self) -> int:
-        return self.paths.shape[1]
-
 
 def _segment_lengths(weights: np.ndarray, n: int) -> np.ndarray:
     raw = n * weights

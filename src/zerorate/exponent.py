@@ -32,6 +32,10 @@ from .polytope import Polytope, _highs_lp, maximize_quadratic
 MARGINAL_TOL = 1e-10
 SWEEP_POINTS = 17  # budgets in maximize_uce's value-versus-cost sweep, run only
                    # on non-concave components whose budget binds
+# projected gradient stops once a step gains at most this much: single solves
+# and the solve at the budget itself, then the coarser sweep samples
+SOLVE_TOL = 1e-9
+SWEEP_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,15 +126,6 @@ class TimeSharingPlan:
         q = sum(w * comp.q for w, comp in zip(self.weights, self.components))
         return PairDistribution(self.components[0].pairs, q)
 
-    def value(self, d: DistanceMatrix) -> float:
-        return float(sum(w * e0(comp, d)
-                         for w, comp in zip(self.weights, self.components)))
-
-    def cost(self, cost: CostModel) -> float:
-        c = cost.pair_costs(self.components[0].pairs)
-        return float(sum(w * (c @ comp.q)
-                         for w, comp in zip(self.weights, self.components)))
-
 
 @dataclass(frozen=True, eq=False)
 class ExponentResult:
@@ -156,7 +151,6 @@ class FeasibilityComponent:
 
 @dataclass
 class SolverOptions:
-    tol: float = 1e-9
     starts: int = 32
     seed: int = 0
 
@@ -258,11 +252,12 @@ def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray) -> PairD
 
 
 def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
-                    opts: SolverOptions, feasible: np.ndarray, warm=(),
-                    tol=None) -> tuple[np.ndarray, float]:
+                    feasible: np.ndarray, tol: float,
+                    warm=()) -> tuple[np.ndarray, float]:
     """Best stationary point of q^T D q over the polytope from several
     starts, `warm` (earlier solutions) and `feasible` (a feasible point of
-    the polytope) among them; deterministic given the generator state."""
+    the polytope) among them; each projected-gradient run stops once a step
+    gains at most tol. Deterministic given the generator state."""
     n = poly.dim
     starts = [np.full(n, 1.0 / n)]
     starts.extend(np.asarray(s, dtype=float) for s in warm)
@@ -271,7 +266,7 @@ def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
         starts.append(rng.dirichlet(np.ones(n)))
     best_q, best_v = None, -np.inf
     for s in starts:
-        q, v = maximize_quadratic(sub_d, poly, s, opts.tol if tol is None else tol)
+        q, v = maximize_quadratic(sub_d, poly, s, tol)
         if v > best_v + 1e-15:
             best_q, best_v = q, v
     return best_q, best_v
@@ -312,7 +307,7 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
         else:
             rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
             q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
-                                         opts, feasible)
+                                         feasible, SOLVE_TOL)
             val_single = val
             q = _embed(pairs, comp.arcs, q_sub)
             arg = TimeSharingPlan(np.array([1.0]), (q,), q.most_visited(comp.states))
@@ -345,11 +340,11 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
 
     Segments each satisfy the class constraints (feasibility, equal
     marginals, support closure within the component); the mixture must meet
-    the cost budget -- the only coupling. Solved by a budget sweep (the
-    value-versus-cost curve's upper hull locates the split) followed by
-    alternating maximization: a weight LP over the candidate pool, then
-    per-segment multi-start projected gradient at its allotted budget. For
-    indefinite D the result is a certified lower bound (best found).
+    the cost budget -- the only coupling. So the value is the upper concave
+    envelope of the value-versus-cost curve at gamma: a budget sweep samples
+    the curve with multi-start projected gradient, and one weight LP over
+    the samples takes the best mixture. For indefinite D the result is a
+    certified lower bound (best found).
 
     Returns the value, the best single distribution at budget gamma, and the
     plan anchored at the component's smallest state."""
@@ -362,54 +357,20 @@ def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     # the budgets share one null space and one cache of projection pieces
     poly = component_polytope(pairs, arcs, cost, c_hi)
     cheapest = poly.feasible_point()
-
-    def solve_at(budget, extra=(), n_starts=4, tol=1e-8):
-        return _multistart_max(sub_d, poly.at_budget(budget), rng, n_starts, opts, cheapest,
-                               warm=extra, tol=tol)
-
-    pool: list[tuple[np.ndarray, float, float]] = []  # (q, value, cost)
-
-    def add(q, v):
-        pool.append((q, v, float(costs @ q)))
-
     budgets = np.unique(np.concatenate([
         np.linspace(c_lo, c_hi, SWEEP_POINTS), [cost.gamma]]))
-    prev = None
+    qs, vals = [], []
     for b in budgets:
-        extra = (prev,) if prev is not None else ()
-        q, v = solve_at(b, extra=extra, n_starts=max(2, opts.starts // 8))
-        add(q, v)
-        prev = q
-    qg, vg = solve_at(cost.gamma, extra=(prev,), n_starts=opts.starts, tol=opts.tol)
-    add(qg, vg)
-
-    best_val = -np.inf
-    best_w = best_idx = None
-    for _ in range(60):
-        vals = np.array([p[1] for p in pool])
-        cs = np.array([p[2] for p in pool])
-        w, val = _weight_lp(vals, cs, cost.gamma)
-        active = np.nonzero(w > 1e-12)[0]
-        stalled = val <= best_val + opts.tol
-        if val > best_val:
-            best_val, best_w, best_idx = val, w, active
-        if stalled:
-            break
-        grew = False
-        for u in active:
-            others = [i for i in active if i != u]
-            spent = sum(w[i] * pool[i][2] for i in others)
-            slack = (cost.gamma - spent) / w[u] if w[u] > 1e-12 else c_hi
-            slack = float(np.clip(slack, c_lo, c_hi))
-            q, v = solve_at(slack, extra=(pool[u][0],), n_starts=max(2, opts.starts // 8))
-            if v > pool[u][1] + 1e-12:
-                add(q, v)
-                grew = True
-        if not grew:
-            break
-    segments = tuple(_embed(pairs, arcs, pool[i][0]) for i in best_idx)
-    weights = np.array([best_w[i] for i in best_idx])
-    plan = TimeSharingPlan(weights / weights.sum(), segments, min(comp.states))
-    return best_val, vg, plan
-
-
+        q, v = _multistart_max(sub_d, poly.at_budget(b), rng, max(2, opts.starts // 8),
+                               cheapest, SWEEP_TOL, warm=qs[-1:])
+        qs.append(q)
+        vals.append(v)
+    qg, vg = _multistart_max(sub_d, poly.at_budget(cost.gamma), rng, opts.starts,
+                             cheapest, SOLVE_TOL, warm=qs[-1:])
+    qs.append(qg)
+    vals.append(vg)
+    w, val = _weight_lp(np.array(vals), np.array([costs @ q for q in qs]), cost.gamma)
+    active = np.nonzero(w > 1e-12)[0]
+    segments = tuple(_embed(pairs, arcs, qs[i]) for i in active)
+    plan = TimeSharingPlan(w[active] / w[active].sum(), segments, min(comp.states))
+    return val, vg, plan

@@ -135,12 +135,6 @@ class FeasiblePairSet:
         st = self.machine.states
         return [f"{st[t]}->{st[h]}" for t, h in zip(self.tails, self.heads)]
 
-    def index_of(self, tail: int, head: int) -> int:
-        hits = np.nonzero((self.tails == tail) & (self.heads == head))[0]
-        if not hits.size:
-            raise KeyError(f"({tail}, {head}) is not a feasible pair")
-        return int(hits[0])
-
     def index_lookup(self) -> np.ndarray:
         """Dense (S, S) table pair -> arc index, -1 where infeasible."""
         S = self.n_states
@@ -243,20 +237,19 @@ def strong_components(n_states: int, tails, heads) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def check_structure(machine: StateMachine, max_r: int | None = None) -> StructuralReport:
+def check_structure(machine: StateMachine) -> StructuralReport:
     """Decide irreducibility, double irreducibility (product machine over
     independent input pairs), and search for a uniformly approachable state:
     a sigma reachable from every state by paths of one common length r.
 
     States with a self-transition are tried first (shortest-path eccentricity
     then gives the minimal r); otherwise exact-length reachable sets are
-    iterated up to max_r, which defaults to S*(S+1).
+    iterated up to r = S*(S+1).
     """
     if machine.recover is None:
         raise ValidationError("structure checks require a recover map")
     S = machine.n_states
-    if max_r is None:
-        max_r = S * (S + 1)
+    max_r = S * (S + 1)
     ns = machine.next_state
     tails = np.repeat(np.arange(S), machine.n_symbols)
     heads = ns.reshape(-1)

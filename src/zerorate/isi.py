@@ -232,14 +232,6 @@ class QuantizedSinusoidStats:
     rxe0: float
     power: float             # A^2/2 + 2 R_xe(0) + R_ee(0), computed exactly
 
-    def r_ee(self, lag: int) -> float:
-        if lag == 0:
-            return self.ree0
-        return float(2.0 * (self.eps * np.cos(2.0 * np.pi * lag * self.lambdas)).sum())
-
-    def r_xe(self, lag: int) -> float:
-        return float(self.A * self.B * np.cos(self.omega0 * lag))
-
 
 def gray_stats(A: float, delta: float, omega0: float) -> QuantizedSinusoidStats:
     """Spectral decomposition of the quantization error of a sinusoid.

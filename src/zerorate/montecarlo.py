@@ -329,10 +329,10 @@ class PairwiseReport:
 
 
 def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray,
-                   trials: int, seed: int, d: DistanceMatrix | None = None) -> PairwiseReport:
+                   trials: int, seed: int, d: DistanceMatrix) -> PairwiseReport:
     """Two-codeword ML error estimate against the Bhattacharyya bound
-    exp(-sum_t d_B); raises if the estimate exceeds the bound by more than
-    three standard errors."""
+    exp(-sum_t d_B), with d_B read from the pair distances d; raises if the
+    estimate exceeds the bound by more than three standard errors."""
     arcs_a = np.asarray(arcs_a, dtype=np.int64)
     arcs_b = np.asarray(arcs_b, dtype=np.int64)
     if arcs_a.shape != arcs_b.shape:
@@ -341,13 +341,7 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
     errs = _count_errors(_statistic(kernel, np.stack([arcs_a, arcs_b])), 0, rng, trials)
     p = errs / trials
     se = float(np.sqrt(p * (1 - p) / trials))
-    if d is None:
-        if kernel.kind == DISCRETE:
-            raise ValidationError("a distance matrix is required for discrete kernels")
-        diff = kernel.means[arcs_a] - kernel.means[arcs_b]
-        dist = float((diff * diff).sum() / (8.0 * kernel.variance))
-    else:
-        dist = float(d.d[arcs_a, arcs_b].sum())
+    dist = float(d.d[arcs_a, arcs_b].sum())
     bound = float(np.exp(-dist))
     if p > bound + 3.0 * se:
         raise ValidationError(

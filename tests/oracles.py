@@ -4,7 +4,8 @@ Everything here is deliberately dumb: dense grids, exhaustive recursion,
 long time averages. None of it shares code with the solvers, except that
 power_identity_check holds a time average against the library's phase
 averages. Helpers that only tests call (likelihood,
-window_distribution_to_pairs) live here too."""
+window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
+harmonic_r_xe) live here too."""
 from __future__ import annotations
 
 import itertools
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.special import jv
 
 from zerorate.errors import ValidationError
+from zerorate.exponent import e0
 
 
 def dmc_e0_grid(dhat: np.ndarray, phi=None, gamma=None, res=64, refine=4):
@@ -257,6 +259,19 @@ def quantized_sine_time_averages(A, delta, omega0, phase, n):
             float(np.mean(x * x)),
             float(np.mean(e[:-1] * e[1:])),
             float(np.mean(e[:-2] * e[2:])))
+
+
+def harmonic_r_ee(stats, lag: int) -> float:
+    """R_ee(lag) of a QuantizedSinusoidStats from its kept harmonics; the
+    exact phase average at lag 0."""
+    if lag == 0:
+        return stats.ree0
+    return float(2.0 * (stats.eps * np.cos(2.0 * np.pi * lag * stats.lambdas)).sum())
+
+
+def harmonic_r_xe(stats, lag: int) -> float:
+    """R_xe(lag) = A B cos(w0 lag) of a QuantizedSinusoidStats."""
+    return float(stats.A * stats.B * np.cos(stats.omega0 * lag))
 
 
 def register_polytope_grid(d4: np.ndarray, res=512, phi4=None, gamma=None):
@@ -530,3 +545,14 @@ def power_identity_check(A: float, delta: float, omega0: float,
     series = A * A / 2.0 + 2.0 * rxe0 + ree0
     return {"empirical": emp, "decomposition": series,
             "rel_error": abs(emp - series) / max(abs(series), 1e-300)}
+
+
+def plan_value(plan, d) -> float:
+    """Weighted E0 of a TimeSharingPlan's segments."""
+    return float(sum(w * e0(comp, d) for w, comp in zip(plan.weights, plan.components)))
+
+
+def plan_cost(plan, cost) -> float:
+    """Weighted cost per use of a TimeSharingPlan's segments."""
+    c = cost.pair_costs(plan.components[0].pairs)
+    return float(sum(w * (c @ comp.q) for w, comp in zip(plan.weights, plan.components)))

@@ -395,14 +395,13 @@ def test_report_file_written(tmp_path, capsys):
     assert "wall_clock_s" in on_disk
 
 
-def test_zrho_rho_max_default_sweep(tmp_path, capsys):
+def test_zrho_default_sweep_is_powers_of_four(tmp_path, capsys):
     spec = write_spec(tmp_path, BSC_DOC)
     out_path = tmp_path / "z.csv"
-    code, _, _ = run_cli(capsys, "zrho", "--spec", spec, "--rho-max", "16",
-                         "--out", str(out_path))
+    code, _, _ = run_cli(capsys, "zrho", "--spec", spec, "--out", str(out_path))
     assert code == 0
     rows = list(csv.reader(io.StringIO(out_path.read_text())))
-    assert [float(r[0]) for r in rows[1:]] == [1.0, 4.0, 16.0]
+    assert [float(r[0]) for r in rows[1:]] == [1.0, 4.0, 16.0, 64.0, 256.0, 1024.0]
 
 
 def test_simulate_trial_log_flag(tmp_path, capsys):
@@ -433,7 +432,7 @@ def test_missing_spec_is_a_validation_failure(capsys):
 
 
 COMMON = {"-h", "--help", "--spec", "--out", "--report", "--seed"}
-SOLVER = {"--tol", "--starts"}
+SOLVER = {"--starts"}
 BUILD = SOLVER | {"--n", "--codewords"}
 SURFACE = {
     "check": set(),
@@ -442,7 +441,7 @@ SURFACE = {
     "uce": SOLVER,
     "build-code": BUILD,
     "simulate": BUILD | {"--trials", "--trial-log", "--code"},
-    "zrho": SOLVER | {"--n", "--rhos", "--rho-max"},
+    "zrho": SOLVER | {"--n", "--rhos"},
     "isi-bound": set(),
     "isi-loss": {"--k-list"},
 }

@@ -13,7 +13,8 @@ from zerorate.exponent import component_polytope
 
 from conftest import (NONCONCAVE_DHAT, NONCONCAVE_GAMMA, NONCONCAVE_PHI,
                       make_bsc, make_dmc, make_isi)
-from oracles import dmc_e0_grid, dmc_uce_two_component_grid, register_polytope_grid
+from oracles import (dmc_e0_grid, dmc_uce_two_component_grid, plan_cost, plan_value,
+                     register_polytope_grid)
 
 
 # ---------------------------------------------------------------- e0 basics
@@ -224,7 +225,7 @@ def test_uce_beats_single_on_crafted_instance():
                                         NONCONCAVE_GAMMA, res=64)
     assert res.value == pytest.approx(oracle, abs=1e-4)
     # mixture meets the budget
-    assert res.argmax.cost(cost) <= cost.gamma + 1e-9
+    assert plan_cost(res.argmax, cost) <= cost.gamma + 1e-9
 
 
 @pytest.mark.xfail(strict=True, reason="maximize_uce stops at 0.2388531 on the time-sharing "
@@ -248,9 +249,21 @@ def test_time_sharing_value_reaches_explicit_plan(seed):
     costs = ch.cost.pair_costs(ch.pairs)
     w = (ch.cost.gamma - costs @ cheap.q) / (costs @ rich.q - costs @ cheap.q)
     plan = zr.TimeSharingPlan(np.array([w, 1.0 - w]), (rich, cheap), anchor=0)
-    assert plan.cost(ch.cost) <= ch.cost.gamma + 1e-12
+    assert plan_cost(plan, ch.cost) <= ch.cost.gamma + 1e-12
     res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(seed=seed))
-    assert res.value >= plan.value(d) - 1e-12
+    assert res.value >= plan_value(plan, d) - 1e-12
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3")
+def test_uce_reaches_two_component_oracle_on_skewed_dmc():
+    """A non-concave 3-symbol channel with a binding budget where the
+    sampled value-versus-cost curve misses the best two-segment mixture:
+    maximize_e0 gives 0.4758645, the grid oracle 0.4788713."""
+    dhat = np.array([[0.0, 0.0286, 1.6697], [0.0286, 0.0, 0.0338], [1.6697, 0.0338, 0.0]])
+    phi, gamma = np.array([1.0, 0.0, 2.0]), 0.836
+    _, pairs, d, cost = make_dmc(dhat, phi=phi, gamma=gamma)
+    res = zr.maximize_e0(d, pairs, cost)
+    assert res.value >= dmc_uce_two_component_grid(dhat, phi, gamma, res=64) - 1e-4
 
 
 def test_uce_upper_bounds_single_always():
@@ -276,8 +289,8 @@ def test_uce_plan_meets_budget_and_dominates_single(gamma):
     _, pairs, d, cost = make_dmc(NONCONCAVE_DHAT, phi=NONCONCAVE_PHI, gamma=gamma)
     res = zr.maximize_e0(d, pairs, cost)
     assert res.value >= res.single_value - 1e-9
-    assert res.argmax.cost(cost) <= gamma + 1e-9
-    assert abs(res.argmax.value(d) - res.value) <= 1e-9
+    assert plan_cost(res.argmax, cost) <= gamma + 1e-9
+    assert abs(plan_value(res.argmax, d) - res.value) <= 1e-9
 
 
 # --------------------------------------------------------------- invariants

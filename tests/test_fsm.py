@@ -103,7 +103,7 @@ def test_structure_disconnected_absorbing():
     ns = np.array([[0, 1], [0, 1], [2, 3], [2, 3]], dtype=np.int64)
     g = np.array([0, 1, 0, 1], dtype=np.int64)
     m = zr.StateMachine(("a0", "a1", "b0", "b1"), ("0", "1"), (0.0, 1.0), ns, g)
-    rep = zr.check_structure(m, max_r=20)
+    rep = zr.check_structure(m)
     assert not rep.irreducible
     assert not rep.doubly_irreducible
     assert rep.approach_state is None
@@ -167,7 +167,7 @@ def test_recover_identity_and_pair_bijection(m):
 @given(recoverable_machines())
 @settings(max_examples=40, deadline=None)
 def test_doubly_irreducible_implies_irreducible(m):
-    rep = zr.check_structure(m, max_r=m.n_states * (m.n_states + 1))
+    rep = zr.check_structure(m)
     if rep.doubly_irreducible:
         assert rep.irreducible
 

@@ -13,9 +13,10 @@ from zerorate.isi import (IsiSpec, _error_harmonics, _phase_averages, _phase_bre
 
 from conftest import make_isi
 from oracles import (b_bessel_series, bessel_j_simpson, eps_bessel_series,
-                     error_harmonics_per_interval, phase_averages_per_interval,
-                     phase_breakpoints_loop, power_identity_check,
-                     quantized_sine_time_averages, window_distribution_to_pairs)
+                     error_harmonics_per_interval, harmonic_r_ee, harmonic_r_xe,
+                     phase_averages_per_interval, phase_breakpoints_loop,
+                     power_identity_check, quantized_sine_time_averages,
+                     window_distribution_to_pairs)
 
 W0 = 2 * np.pi * (np.sqrt(2) - 1) / 4
 
@@ -176,9 +177,9 @@ def test_gray_stats_match_time_averages():
     assert abs(stats.ree0 - ree0) / ree0 <= 1e-3
     assert abs(stats.rxe0 - rxe0) / abs(rxe0) <= 1e-3
     assert abs(stats.power - power) / power <= 1e-3
-    assert abs(stats.r_ee(1) - ree1) <= 2e-3 * stats.ree0 + 2e-4
-    assert abs(stats.r_ee(2) - ree2) <= 2e-3 * stats.ree0 + 2e-4
-    assert stats.r_xe(0) == pytest.approx(stats.rxe0, rel=1e-12)
+    assert abs(harmonic_r_ee(stats, 1) - ree1) <= 2e-3 * stats.ree0 + 2e-4
+    assert abs(harmonic_r_ee(stats, 2) - ree2) <= 2e-3 * stats.ree0 + 2e-4
+    assert harmonic_r_xe(stats, 0) == pytest.approx(stats.rxe0, rel=1e-12)
 
 
 def test_gray_stats_eps_nonnegative_and_summable():

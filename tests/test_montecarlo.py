@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -153,13 +154,14 @@ def test_pairwise_bsc_bound_per_symbol_product():
     m, pairs, kern, d = make_bsc(p)
     n = 12
     hamming = 5
+    lookup = pairs.index_lookup()
     path_a = np.zeros(n, dtype=np.int64)
-    arcs_a = pairs.index_lookup()[path_a, np.roll(path_a, -1)]
+    arcs_a = lookup[path_a, np.roll(path_a, -1)]
     arcs_b = arcs_a.copy()
     for t in range(hamming):  # flip the emitted symbol at `hamming` slots
         a = arcs_b[2 * t]
         tail, head = int(pairs.tails[a]), int(pairs.heads[a])
-        arcs_b[2 * t] = pairs.index_of(tail, 1 - head)
+        arcs_b[2 * t] = lookup[tail, 1 - head]
     dist = float(d.d[arcs_a, arcs_b].sum())
     expect = (2 * np.sqrt(p * (1 - p))) ** hamming
     assert np.exp(-dist) == pytest.approx(expect, rel=1e-10)
@@ -296,8 +298,9 @@ def test_zero_means_always_tie():
     assert len(_GaussianStatistic(zero, book.arc_paths).basis) == 0
     rep = zr.simulate(zero, book, trials=300, seed=2)
     assert rep.errors.tolist() == [300, 300, 300]
-    pair = zr.pairwise_check(zero, book.arc_paths[0], book.arc_paths[1], trials=300, seed=2)
-    assert pair.p_hat == 1.0
+    pair = zr.pairwise_check(zero, book.arc_paths[0], book.arc_paths[1], trials=300, seed=2,
+                             d=zr.bhattacharyya(zero, pairs))
+    assert pair.p_hat == 1.0 and pair.bhattacharyya_bound == 1.0
 
 
 def wide_book(n=16, M=4, Y=16, seed=0):
@@ -391,18 +394,30 @@ def test_worker_count_changes_nothing(kind, monkeypatch):
 def test_worker_error_cancels_the_codewords_not_started(monkeypatch):
     kern, book = several_batches("discrete", monkeypatch)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
-    started, never = [], threading.Event()
+    started, holds, held, release = [], [], threading.Semaphore(0), threading.Event()
 
     def count_errors(stat, m, rng, trials, log=None):
         started.append(m)
         if m == 0:
             raise FloatingPointError("codeword 0")
-        never.wait(0.3)  # holds both workers until codeword 0's error has been read
+        held.release()
+        release.wait(30)  # holds the worker until the pool has cancelled what is queued
         return 0
 
+    shutdown = ThreadPoolExecutor.shutdown
+
+    def cancel_then_release(pool, wait=True, *, cancel_futures=False):
+        # wait until both workers are held: the one that raised on codeword 0 takes the next
+        holds.extend(held.acquire(timeout=30) for _ in range(2))
+        shutdown(pool, wait=False, cancel_futures=cancel_futures)
+        release.set()
+        shutdown(pool, wait=wait)
+
     monkeypatch.setattr(montecarlo, "_count_errors", count_errors)
+    monkeypatch.setattr(ThreadPoolExecutor, "shutdown", cancel_then_release)
     with pytest.raises(FloatingPointError, match="codeword 0"):
         zr.simulate(kern, book, trials=500, seed=9)
+    assert holds == [True, True]
     assert book.M == 4 and sorted(started) == [0, 1, 2]
 
 
