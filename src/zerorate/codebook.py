@@ -176,9 +176,10 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
 
     counts = np.zeros(len(pairs), dtype=np.int64)
     counts[sup] = counts_sup
-    _repair_total(pairs, counts, sup, n, n * q.q,
-                  np.zeros(len(pairs)) if arc_cost is None else arc_cost)
-    _repair_connectivity(pairs, counts, sup, n, n * q.q)
+    if arc_cost is None:
+        arc_cost = np.zeros(len(pairs))
+    _repair_total(pairs, counts, sup, n, n * q.q, arc_cost)
+    _repair_connectivity(pairs, counts, sup, n, n * q.q, arc_cost)
 
     dev = np.abs(counts - n * q.q)
     if dev.max() > len(pairs) + 1e-6:
@@ -198,7 +199,9 @@ def _residual_keys(resid: np.ndarray, arcs) -> dict:
     return keys
 
 
-def _repair_total(pairs, counts, sup, n, target, arc_cost):
+def _repair_total(pairs, counts, sup, n, target, arc_cost, keep=0):
+    """Add or remove unit flow along shortest support cycles until the total
+    is n; removal uses only cycles of arcs whose count is above `keep`."""
     guard = 4 * (abs(int(counts.sum()) - n) + len(sup) + 1)
     for _ in range(guard):
         total = int(counts.sum())
@@ -223,13 +226,12 @@ def _repair_total(pairs, counts, sup, n, target, arc_cost):
                 counts[a] += 1
         else:
             excess = total - n
-            removable = np.array([a for a in sup if counts[a] >= 1], dtype=np.int64)
+            removable = np.array([a for a in sup if counts[a] > keep], dtype=np.int64)
             key = _residual_keys(counts - target, removable)
             order = sorted(removable.tolist(), key=lambda a: (key[a], -arc_cost[a], a))
             chosen = None
             for a in order:
-                pos = np.array([b for b in sup if counts[b] >= 1], dtype=np.int64)
-                cyc = _shortest_cycle_through(pairs, pos, a)
+                cyc = _shortest_cycle_through(pairs, removable, a)
                 if cyc is not None and len(cyc) <= excess:
                     chosen = cyc
                     break
@@ -241,7 +243,9 @@ def _repair_total(pairs, counts, sup, n, target, arc_cost):
     raise ValidationError("total repair did not converge")
 
 
-def _repair_connectivity(pairs, counts, sup, n, target):
+def _repair_connectivity(pairs, counts, sup, n, target, arc_cost):
+    """Add the shortest support cycle through a zero arc that bridges two
+    positive components, then remove the added length from arcs above 1."""
     for _ in range(len(sup) + 1):
         if support_is_connected(counts, pairs):
             return
@@ -254,35 +258,14 @@ def _repair_connectivity(pairs, counts, sup, n, target):
         touched[pairs.tails[pos]] = touched[pairs.heads[pos]] = True
         labels[~touched] = -1
         bridge = next((a for a in zero_sup
-                       if labels[pairs.tails[a]] != labels[pairs.heads[a]]), None)
-        if bridge is None:
-            bridge = zero_sup[0] if zero_sup else None
-        if bridge is None:
-            raise ValidationError("support connectivity cannot be repaired")
-        cyc = _shortest_cycle_through(pairs, sup, bridge)
+                       if labels[pairs.tails[a]] != labels[pairs.heads[a]]),
+                      zero_sup[0] if zero_sup else None)
+        cyc = None if bridge is None else _shortest_cycle_through(pairs, sup, bridge)
         if cyc is None:
             raise ValidationError("support connectivity cannot be repaired")
         for a in cyc:
             counts[a] += 1
-        # give the added length back from cycles that stay strictly positive
-        excess = int(counts.sum()) - n
-        for _ in range(excess):
-            cand = np.array([a for a in sup if counts[a] >= 2], dtype=np.int64)
-            resid = counts - target
-            removed = False
-            for a in sorted(cand.tolist(), key=lambda a: (-resid[a], a)):
-                rich = np.array([b for b in sup if counts[b] >= 2], dtype=np.int64)
-                cyc = _shortest_cycle_through(pairs, rich, a)
-                if cyc is not None and len(cyc) <= int(counts.sum()) - n:
-                    for b in cyc:
-                        counts[b] -= 1
-                    removed = True
-                    break
-            if not removed:
-                raise ValidationError(
-                    "connectivity repair cannot restore the total; increase n")
-            if int(counts.sum()) == n:
-                break
+        _repair_total(pairs, counts, sup, n, target, arc_cost, keep=1)
     if not support_is_connected(counts, pairs):
         raise ValidationError("support connectivity cannot be repaired")
 
@@ -618,9 +601,10 @@ def expurgate(candidates: CandidateSet, d: DistanceMatrix, M: int,
 def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
                            theta: float | None = None) -> tuple[PairDistribution, int, float]:
     """Make a distribution constructible at block length n: if its support
-    is not strongly connected, does not cover the anchor, or is too sparse
-    to round, mix in mass theta of the uniform distribution on its
-    component's arcs (the arbitrarily-small-degradation repair).
+    is not strongly connected or gives the anchor no stationary mass, mix
+    in mass theta = min(1/2, 2 L_c / n) of the uniform distribution on the
+    L_c arcs of its component (the arbitrarily-small-degradation repair).
+    An explicit positive theta is mixed in whether or not it is needed.
 
     Returns (usable q, anchor, theta actually applied)."""
     pairs = q.pairs
@@ -636,8 +620,6 @@ def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
         raise ValidationError(f"anchor {anchor} is outside the support's component")
     L_c = len(comp.arcs)
     needs = (not support_is_connected(q, pairs)) or (q.pi[anchor] <= 1e-12)
-    if not needs and theta in (None, 0.0):
-        return q, anchor, 0.0
     if theta is None:
         theta = min(0.5, 2.0 * L_c / n) if needs else 0.0
     if theta <= 0.0:

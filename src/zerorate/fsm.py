@@ -238,59 +238,41 @@ def strong_components(n_states: int, tails, heads) -> np.ndarray:
 
 
 def check_structure(machine: StateMachine) -> StructuralReport:
-    """Decide irreducibility, double irreducibility (product machine over
-    independent input pairs), and search for a uniformly approachable state:
-    a sigma reachable from every state by paths of one common length r.
+    """Decide irreducibility and double irreducibility (the product machine
+    driven by two independent inputs is irreducible), and find a uniformly
+    approachable state: a sigma that every state reaches by paths of one
+    common length r. The search tries every sigma at once, keeping the
+    exact-length reachable sets of all states in one S x S table, and
+    returns the minimal r up to S*(S+1) with the lowest sigma at that r.
 
-    States with a self-transition are tried first (shortest-path eccentricity
-    then gives the minimal r); otherwise exact-length reachable sets are
-    iterated up to r = S*(S+1).
+    Double irreducibility is irreducibility plus such a sigma. If every
+    state reaches sigma in exactly r steps, every periodic class of the
+    irreducible machine is sigma's class, so it is aperiodic, hence
+    primitive, and the direct product of a primitive digraph with itself is
+    strongly connected (McAndrew, Proc. AMS 14, 1963). Conversely a
+    strongly connected product forces an irreducible, aperiodic machine,
+    whose adjacency has a full power by (S-1)^2 + 1 steps (Wielandt), below
+    the search's cap, so the search finds a sigma.
     """
     if machine.recover is None:
         raise ValidationError("structure checks require a recover map")
-    S = machine.n_states
-    max_r = S * (S + 1)
+    S, K = machine.n_states, machine.n_symbols
     ns = machine.next_state
-    tails = np.repeat(np.arange(S), machine.n_symbols)
-    heads = ns.reshape(-1)
-    irreducible = bool((strong_components(S, tails, heads) == 0).all())
-    # product machine over independent input pairs: state (s, s') is s*S + s'
-    doubly = irreducible and bool((strong_components(
-        S * S, (tails[:, None] * S + tails[None, :]).reshape(-1),
-        (heads[:, None] * S + heads[None, :]).reshape(-1)) == 0).all())
-
-    has_loop = np.any(ns == np.arange(S)[:, None], axis=1)
-
-    def eccentricity(sigma: int) -> int | None:
-        # max over states of the shortest path length into sigma
-        dist = np.full(S, -1, dtype=np.int64)
-        dist[sigma] = 0
-        frontier = np.zeros(S, dtype=bool)
-        frontier[sigma] = True
-        d = 0
-        while frontier.any():
-            d += 1
-            reach = frontier[ns].any(axis=1) & (dist < 0)
-            dist[reach] = d
-            frontier = reach
-        return int(dist.max()) if (dist >= 0).all() else None
-
-    best: tuple[int, int] | None = None
-    for sigma in np.nonzero(has_loop)[0]:
-        r = eccentricity(int(sigma))
-        if r is not None and r <= max_r and (best is None or r < best[1]):
-            best = (int(sigma), max(r, 1))
-    if best is None:
-        for sigma in range(S):
-            mask = np.zeros(S, dtype=bool)
-            mask[sigma] = True
-            for r in range(1, max_r + 1):
-                mask = mask[ns].any(axis=1)
-                if mask.all():
-                    if best is None or r < best[1]:
-                        best = (sigma, r)
-                    break
-    return StructuralReport(irreducible, doubly, best)
+    irreducible = bool((strong_components(S, np.repeat(np.arange(S), K),
+                                          ns.reshape(-1)) == 0).all())
+    # reach[s, t]: state s reaches t by a path of exactly r steps
+    reach, step = np.eye(S, dtype=bool), np.empty((S, S), dtype=bool)
+    approach = None
+    for r in range(1, S * (S + 1) + 1):
+        np.take(reach, ns[:, 0], axis=0, out=step)
+        for x in range(1, K):
+            step |= reach[ns[:, x]]
+        reach, step = step, reach
+        full = reach.all(axis=0)
+        if full.any():
+            approach = (int(np.argmax(full)), r)
+            break
+    return StructuralReport(irreducible, irreducible and approach is not None, approach)
 
 
 def shift_register(levels, k: int) -> StateMachine:

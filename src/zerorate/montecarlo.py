@@ -359,18 +359,6 @@ class QuadrupleDistribution:
     pairs: object
     w: np.ndarray
 
-    def _joint(self, nodes: np.ndarray) -> np.ndarray:
-        S = self.pairs.n_states
-        cell = nodes[:, None] * S + nodes[None, :]
-        return np.bincount(cell.ravel(), weights=self.w.ravel(),
-                           minlength=S * S).reshape(S, S)
-
-    def tails_joint(self) -> np.ndarray:
-        return self._joint(self.pairs.tails)
-
-    def heads_joint(self) -> np.ndarray:
-        return self._joint(self.pairs.heads)
-
 
 @dataclass(frozen=True)
 class ZRhoResult:

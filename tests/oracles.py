@@ -3,9 +3,10 @@
 Everything here is deliberately dumb: dense grids, exhaustive recursion,
 long time averages. None of it shares code with the solvers, except that
 power_identity_check holds a time average against the library's phase
-averages. Helpers that only tests call (likelihood,
+averages, and structure_by_product_graph runs the library's Tarjan on
+the product machine. Helpers that only tests call (likelihood,
 window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
-harmonic_r_xe) live here too."""
+harmonic_r_xe, quadruple_joint) live here too."""
 from __future__ import annotations
 
 import itertools
@@ -15,6 +16,7 @@ from scipy.special import jv
 
 from zerorate.errors import ValidationError
 from zerorate.exponent import e0
+from zerorate.fsm import strong_components
 
 
 def dmc_e0_grid(dhat: np.ndarray, phi=None, gamma=None, res=64, refine=4):
@@ -354,6 +356,33 @@ def mutual_reachability(n_states: int, tails, heads) -> np.ndarray:
     return reach & reach.T
 
 
+def structure_by_product_graph(machine) -> tuple[bool, bool, tuple[int, int] | None]:
+    """check_structure the long way: irreducibility from the machine's
+    strong components, double irreducibility from those of the S^2-state
+    product graph driven by independent input pairs, and for each sigma
+    separately the shortest r <= S(S+1) by which every state reaches it in
+    exactly r steps. Returns (irreducible, doubly irreducible, (sigma, r))
+    with the minimal r and the lowest sigma at it, or None for no sigma."""
+    S, K = machine.n_states, machine.n_symbols
+    ns = machine.next_state
+    tails, heads = np.repeat(np.arange(S), K), ns.reshape(-1)
+    irreducible = bool((strong_components(S, tails, heads) == 0).all())
+    doubly = irreducible and bool((strong_components(
+        S * S, (tails[:, None] * S + tails[None, :]).reshape(-1),
+        (heads[:, None] * S + heads[None, :]).reshape(-1)) == 0).all())
+    best = None
+    for sigma in range(S):
+        mask = np.zeros(S, dtype=bool)
+        mask[sigma] = True
+        for r in range(1, S * (S + 1) + 1):
+            mask = mask[ns].any(axis=1)  # states that reach sigma in exactly r steps
+            if mask.all():
+                if best is None or r < best[1]:
+                    best = (sigma, r)
+                break
+    return irreducible, doubly, best
+
+
 def greedy_rotations(pool: np.ndarray, arcs: np.ndarray, D: np.ndarray, anchor: int,
                      M: int) -> list:
     """Direct reference for the walk selection of build_ensemble: every
@@ -556,3 +585,11 @@ def plan_cost(plan, cost) -> float:
     """Weighted cost per use of a TimeSharingPlan's segments."""
     c = cost.pair_costs(plan.components[0].pairs)
     return float(sum(w * (c @ comp.q) for w, comp in zip(plan.weights, plan.components)))
+
+
+def quadruple_joint(quad, nodes) -> np.ndarray:
+    """(S, S) joint law of the node pair (nodes[arc], nodes[arc']) under a
+    z_rho QuadrupleDistribution; nodes is pairs.tails or pairs.heads."""
+    S = quad.pairs.n_states
+    cell = nodes[:, None] * S + nodes[None, :]
+    return np.bincount(cell.ravel(), weights=quad.w.ravel(), minlength=S * S).reshape(S, S)

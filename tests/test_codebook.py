@@ -132,6 +132,17 @@ def test_round_random_circulations(order2):
         check_type(spec, n, q.q)
 
 
+@pytest.mark.parametrize("n, counts", [(10, [4, 1, 1, 4]), (11, [4, 1, 1, 5])])
+def test_round_repairs_a_disconnected_rounding(order1, n, counts):
+    # rounding leaves only the two self-loops positive; the connectivity
+    # repair adds the cycle 0 -> 1 -> 0 and takes its length back from them
+    _, pairs = order1
+    qv = np.array([0.495, 0.005, 0.005, 0.495])
+    spec = zr.round_type(zr.PairDistribution(pairs, qv), n)
+    assert spec.counts.tolist() == counts
+    check_type(spec, n, qv)
+
+
 # -------------------------------------------------------------- euler_circuit
 
 def test_euler_counts_exact_unit(order1):

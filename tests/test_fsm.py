@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import zerorate as zr
 from zerorate.errors import ValidationError
 from zerorate.fsm import strong_components
 
-from oracles import mutual_reachability
+from oracles import mutual_reachability, structure_by_product_graph
 
 
 def one_state(K=2):
@@ -179,14 +179,49 @@ def test_exact_length_sets_stay_full_beyond_r(m, extra):
     if rep.approach_state is None:
         return
     sigma, r = rep.approach_state
-    has_loop = any(int(m.next_state[sigma, x]) == sigma for x in range(m.n_symbols))
-    if not has_loop:
-        return
+    # every state reaches sigma in r steps, so in r + 1 through any successor
     mask = np.zeros(m.n_states, dtype=bool)
     mask[sigma] = True
     for _ in range(r + extra):
         mask = mask[m.next_state].any(axis=1)
     assert mask.all()
+
+
+@st.composite
+def augmented_machines(draw):
+    """A random next-state table on 1-6 states and 2-3 symbols, augmented
+    so that it becomes recoverable (periodic and reducible ones included)."""
+    S, K = draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    ns = draw(st.lists(st.integers(0, S - 1), min_size=S * K, max_size=S * K))
+    return zr.augment(zr.StateMachine(tuple(f"s{i}" for i in range(S)),
+                                      tuple(str(i) for i in range(K)),
+                                      tuple(float(i) for i in range(K)),
+                                      np.array(ns, dtype=np.int64).reshape(S, K)))
+
+
+# a self-loop state s0 needs r = 3, but s1 is reached from every state in 2
+NON_LOOP_MINIMUM = zr.StateMachine(
+    tuple(f"s{i}" for i in range(6)), ("0", "1"), (0.0, 1.0),
+    np.array([[0, 4], [2, 3], [0, 4], [1, 4], [1, 3], [1, 5]]), np.array([0, 0, 0, 1, 1, 1]))
+
+
+@given(st.one_of(recoverable_machines(), augmented_machines()))
+@example(NON_LOOP_MINIMUM)
+@settings(max_examples=150, deadline=None)
+def test_structure_matches_product_graph_oracle(m):
+    rep = zr.check_structure(m)
+    irreducible, doubly, approach = structure_by_product_graph(m)
+    assert (rep.irreducible, rep.doubly_irreducible) == (irreducible, doubly)
+    assert rep.approach_state == approach
+    if approach is not None:
+        sigma, r = approach
+        # r-th boolean power of the adjacency: column sigma is full
+        adj = np.zeros((m.n_states, m.n_states), dtype=np.int64)
+        adj[np.repeat(np.arange(m.n_states), m.n_symbols), m.next_state.reshape(-1)] = 1
+        power = np.eye(m.n_states, dtype=np.int64)
+        for _ in range(r):
+            power = np.minimum(power @ adj, 1)
+        assert power[:, sigma].all()
 
 
 @st.composite

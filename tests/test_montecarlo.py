@@ -22,7 +22,7 @@ from zerorate.montecarlo import _DiscreteStatistic, _GaussianStatistic, _sample_
 from conftest import make_bsc, make_isi
 from oracles import (discrete_terms_broadcast, empirical_exponent_consistency,
                      gaussian_two_codeword_error, loglik_broadcast,
-                     quad_constraints_loop, sample_outputs_broadcast,
+                     quad_constraints_loop, quadruple_joint, sample_outputs_broadcast,
                      zrho_dense_newton)
 
 
@@ -493,7 +493,8 @@ def test_zrho_quadruple_constraints_hold():
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(w.sum(axis=1), q.q, atol=1e-7)
     assert np.allclose(w.sum(axis=0), q.q, atol=1e-7)
-    assert np.allclose(res.argmin.heads_joint(), res.argmin.tails_joint(), atol=1e-7)
+    assert np.allclose(quadruple_joint(res.argmin, pairs.heads),
+                       quadruple_joint(res.argmin, pairs.tails), atol=1e-7)
 
 
 @pytest.mark.parametrize("spec", ["specs/bsc.json", "specs/isi_binary.json",
@@ -537,7 +538,9 @@ def assert_feasible(res, q, tol):
     assert (w >= 0).all()
     assert np.abs(w.sum(axis=1) - q.q).max() <= tol
     assert np.abs(w.sum(axis=0) - q.q).max() <= tol
-    assert np.abs(res.argmin.heads_joint() - res.argmin.tails_joint()).max() <= tol
+    heads, tails = (quadruple_joint(res.argmin, q.pairs.heads),
+                    quadruple_joint(res.argmin, q.pairs.tails))
+    assert np.abs(heads - tails).max() <= tol
 
 
 def test_zrho_matches_dense_newton_on_cli_q():
