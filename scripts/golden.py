@@ -3,10 +3,13 @@
 
     python scripts/golden.py --seed 0 > golden-s0.txt
 
-Each line reads `spec command exit sha256-of-out first-stderr-line`, with
-`-` standing for a missing artifact or an empty stderr. Two checkouts that
-print the same lines produce the same `--out` bytes, exit codes and error
-reasons, so diffing the output of two revisions is a refactoring check.
+Each line reads `spec command exit sha256-of-out sha256-of-report
+first-stderr-line`, with `-` standing for a missing artifact, an empty
+stdout or an empty stderr. The report digest covers the stdout run report
+with its `wall_clock_s` value replaced by 0. Two checkouts that print the
+same lines produce the same `--out` bytes, run reports, exit codes and
+error reasons, so diffing the output of two revisions is a refactoring
+check.
 Runs go through `zerorate.cli.run` in this process with small fixed sizes;
 `simulate` sends 5000 trials per codeword, so on discrete kernels each
 codeword spans several batches and the codewords run on the worker pool.
@@ -21,6 +24,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
@@ -42,18 +46,28 @@ COMMANDS = ("check", "distances", "optimize", "uce", "build-code", "simulate",
 USAGE_PROBES = (("optimize", "--bogus"), ("check", "--k-list", "8"))
 
 
-def run_one(argv: list[str], out: Path) -> tuple[int, str, str]:
+# the report's top-level timing line, the one value that differs between runs
+WALL_CLOCK = re.compile(r'^  "wall_clock_s": [^,\n]*', re.MULTILINE)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_one(argv: list[str], out: Path) -> tuple[int, str, str, str]:
     if out.exists():
         out.unlink()
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    stdout, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
         try:
             code = cli.run(argv + ["--out", str(out)])
         except SystemExit as exc:
             code = exc.code
-    digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    digest = sha256(out.read_bytes()) if out.exists() else "-"
+    report = WALL_CLOCK.sub('  "wall_clock_s": 0', stdout.getvalue())
+    report_digest = sha256(report.encode()) if report else "-"
     lines = err.getvalue().strip().splitlines()
-    return code, digest, lines[0] if lines else "-"
+    return code, digest, report_digest, lines[0] if lines else "-"
 
 
 def main(argv=None) -> int:
@@ -68,13 +82,11 @@ def main(argv=None) -> int:
             for command in COMMANDS:
                 argv = [command, "--spec", str(ROOT / spec), "--seed", str(args.seed),
                         *SIZES.get(command, ())]
-                code, digest, err = run_one(argv, out)
-                print(spec, command, code, digest, err, flush=True)
+                print(spec, command, *run_one(argv, out), flush=True)
         spec = specs[0]
         for command, *extra in USAGE_PROBES:
             argv = [command, "--spec", str(ROOT / spec), *extra]
-            code, digest, err = run_one(argv, out)
-            print(spec, " ".join([command, *extra]), code, digest, err, flush=True)
+            print(spec, " ".join([command, *extra]), *run_one(argv, out), flush=True)
     return 0
 
 

@@ -4,8 +4,11 @@ Subcommands: check, distances, optimize, uce, build-code, simulate, zrho,
 isi-bound, isi-loss. Channel specifications are JSON documents with either
 a general "fsc" block or an "isi" shortcut block. --out receives the bare
 result artifact (JSON object or RFC-4180 CSV) so identical seeds give
-byte-identical files; the full run report (spec echo, seeds, version,
-timings) goes to stdout or --report.
+byte-identical files; the full run report goes to stdout and --report, the
+same bytes to both. The report is a header (command, version, seed, spec
+echo, wall clock) whose last key, "result", holds the --out text one level
+deeper (a CSV artifact is the string {"csv": ...}). All JSON is written as
+json.dumps(obj, indent=2) writes it.
 
 Exit codes: 0 success, 1 validation failure, 2 infeasibility; the reason
 appears as one machine-parsable line on stderr.
@@ -19,6 +22,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -332,9 +336,43 @@ COMMANDS = {
 }
 
 
+def _json_key(key) -> str:
+    """A dict key as json.dumps writes it."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if isinstance(key, (int, float)) or key is None:  # bools are ints
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, with one join per container;
+    `indent` is the newline and indentation of obj's own line. (With indent
+    set the stdlib uses its pure-Python encoder, several times slower on a
+    codebook's rows of ints and state labels, joined here straight from
+    int.__repr__ and the string encoder.) Scalars, and the TypeError for
+    anything else, come from json.dumps."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        items = (_json_key(k) + ": " + _json(v, inner) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    kinds = set(map(type, obj))
+    if kinds == {int}:
+        items = map(int.__repr__, obj)
+    elif kinds == {str}:
+        items = map(encode_basestring_ascii, obj)
+    else:
+        items = (_json(v, inner) for v in obj)
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _render(result, kind: str) -> str:
     if kind == "json":
-        return json.dumps(result, indent=2) + "\n"
+        return _json(result) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerows(result)
@@ -348,13 +386,17 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only `command` when it names one
+    (the parse of a command line that starts with it is the same)."""
     parser = _Parser(
         prog="zerorate",
         description="Zero-rate reliability of finite-state channels with "
                     "input-dependent states.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, flags) in COMMANDS.items():
+    names = [command] if command in COMMANDS else COMMANDS
+    for name in names:
+        flags = COMMANDS[name][1]
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="channel spec JSON path")
         p.add_argument("--out", default=None, help="result artifact path (default stdout report only)")
@@ -366,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         t0 = time.perf_counter()
         doc = _read_json(args.spec, "spec")
         ch = load_channel(doc)
@@ -385,19 +428,20 @@ def run(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(artifact)
-    report = {
+    header = _json({
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "spec_echo": doc,
         "wall_clock_s": time.perf_counter() - t0,
-        "result": result if kind == "json" else {"csv": artifact},
-    }
+    })
+    body = artifact[:-1] if kind == "json" else _json({"csv": artifact})
+    # the header ends "\n}"; "result" is its last key, one level deeper
+    report = header[:-2] + ',\n  "result": ' + body.replace("\n", "\n  ") + "\n}\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
-    print(json.dumps(report, indent=2))
+            fh.write(report)
+    sys.stdout.write(report)
     return 0
 
 

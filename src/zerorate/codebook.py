@@ -221,7 +221,7 @@ def _repair_total(pairs, counts, sup, n, target, arc_cost, keep=0):
                 raise ValidationError(
                     f"cannot reach total {n}: every support cycle through the "
                     f"deficient arcs is longer than the remaining deficit {deficit}; "
-                    f"adjust n (e.g. to {total})")
+                    "adjust n")
             for a in chosen:
                 counts[a] += 1
         else:
@@ -237,7 +237,7 @@ def _repair_total(pairs, counts, sup, n, target, arc_cost, keep=0):
                     break
             if chosen is None:
                 raise ValidationError(
-                    f"cannot reduce total to {n}; adjust n (e.g. to {total})")
+                    f"cannot reduce total to {n}; adjust n")
             for a in chosen:
                 counts[a] -= 1
     raise ValidationError("total repair did not converge")
@@ -403,7 +403,7 @@ def _first_max(obj: np.ndarray) -> int:
     flat = obj.ravel()
     top = flat.max()
     slack = 1e-9 * max(1.0, abs(top)) if np.isfinite(top) else 0.0
-    return int(np.flatnonzero(flat >= top - slack)[0])
+    return int(np.argmax(flat >= top - slack))
 
 
 def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
@@ -418,6 +418,8 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
     one unrotated circuit and adds, one by one, the rotation farthest from
     its nearest chosen candidate. Every circuit is tried as the start of a
     run of M picks, and the run whose picks lie farthest apart is returned.
+    The runs share one buffer of nearest distances and one for the rotated
+    distances of each pick, so a step allocates no (P, ell) array.
     """
     phi, lam = features
     ell = pool.shape[1]
@@ -426,16 +428,19 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
     base = np.fft.irfft(np.einsum("jfr,ifr->ijf", spec * lam, spec.conj()),
                         n=ell, axis=2)
     off_anchor = np.where(pool == anchor, 0.0, -np.inf)
+    nearest, rolled = np.empty_like(off_anchor), np.empty_like(off_anchor)
 
     def run(start):
         picks = [(start, 0)]
-        nearest = base[start] + off_anchor
+        np.add(base[start], off_anchor, out=nearest)
         spread = np.inf
         while len(picks) < M:
             i, k = divmod(_first_max(nearest), ell)
             spread = min(spread, nearest[i, k])
             picks.append((i, k))
-            nearest = np.minimum(nearest, np.roll(base[i], k, axis=1))
+            # rolled = np.roll(base[i], k, axis=1), without allocating
+            rolled[:, k:], rolled[:, :k] = base[i, :, :ell - k], base[i, :, ell - k:]
+            np.minimum(nearest, rolled, out=nearest)
         return picks, spread
 
     runs = [run(i) for i in range(len(pool))]

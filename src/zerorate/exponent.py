@@ -264,9 +264,10 @@ def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
     starts.append(feasible)
     for _ in range(max(n_starts - len(starts), 0)):
         starts.append(rng.dirichlet(np.ones(n)))
+    step = 1.0 / (2.0 * np.linalg.norm(sub_d, 2) + 1e-30)  # 1 / Lipschitz constant
     best_q, best_v = None, -np.inf
     for s in starts:
-        q, v = maximize_quadratic(sub_d, poly, s, tol)
+        q, v = maximize_quadratic(sub_d, poly, s, step, tol)
         if v > best_v + 1e-15:
             best_q, best_v = q, v
     return best_q, best_v

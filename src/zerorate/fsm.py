@@ -237,6 +237,20 @@ def strong_components(n_states: int, tails, heads) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
+def _period(ns: np.ndarray) -> int:
+    """Period of an irreducible machine with next-state table ns: the gcd
+    over arcs u -> v of level(u) + 1 - level(v), where level is the BFS
+    distance from state 0."""
+    level = np.full(ns.shape[0], -1, dtype=np.int64)
+    level[0], frontier, depth = 0, np.zeros(1, dtype=np.int64), 0
+    while frontier.size:
+        depth += 1
+        frontier = np.unique(ns[frontier])
+        frontier = frontier[level[frontier] < 0]
+        level[frontier] = depth
+    return int(np.gcd.reduce((level[:, None] + 1 - level[ns]).ravel()))
+
+
 def check_structure(machine: StateMachine) -> StructuralReport:
     """Decide irreducibility and double irreducibility (the product machine
     driven by two independent inputs is irreducible), and find a uniformly
@@ -252,7 +266,10 @@ def check_structure(machine: StateMachine) -> StructuralReport:
     strongly connected (McAndrew, Proc. AMS 14, 1963). Conversely a
     strongly connected product forces an irreducible, aperiodic machine,
     whose adjacency has a full power by (S-1)^2 + 1 steps (Wielandt), below
-    the search's cap, so the search finds a sigma.
+    the search's cap, so the search finds a sigma. An irreducible machine
+    of period above 1 has no sigma (states of different periodic classes
+    reach sigma only by lengths of different residues), so the search is
+    skipped there.
     """
     if machine.recover is None:
         raise ValidationError("structure checks require a recover map")
@@ -263,7 +280,8 @@ def check_structure(machine: StateMachine) -> StructuralReport:
     # reach[s, t]: state s reaches t by a path of exactly r steps
     reach, step = np.eye(S, dtype=bool), np.empty((S, S), dtype=bool)
     approach = None
-    for r in range(1, S * (S + 1) + 1):
+    cap = S * (S + 1) if not irreducible or _period(ns) == 1 else 0
+    for r in range(1, cap + 1):
         np.take(reach, ns[:, 0], axis=0, out=step)
         for x in range(1, K):
             step |= reach[ns[:, x]]

@@ -283,16 +283,15 @@ class Polytope:
 
 
 def maximize_quadratic(dmat: np.ndarray, poly: Polytope, start: np.ndarray,
-                       tol: float) -> tuple[np.ndarray, float]:
+                       step: float, tol: float) -> tuple[np.ndarray, float]:
     """Projected gradient ascent on x^T D x from a given start, stopped when
     a step gains at most tol or after PG_MAX_ITER steps.
 
-    Step 1/(2||D||) makes the iteration monotone; for D concave on the
-    feasible affine hull the limit is the global constrained maximum,
-    otherwise a stationary point (callers multi-start).
+    A step of 1/(2||D||_2) (the caller computes it once per D) makes the
+    iteration monotone; for D concave on the feasible affine hull the limit
+    is the global constrained maximum, otherwise a stationary point
+    (callers multi-start).
     """
-    lip = 2.0 * np.linalg.norm(dmat, 2) + 1e-30
-    step = 1.0 / lip
     x = poly.project(np.asarray(start, dtype=float))
     fx = float(x @ dmat @ x)
     for _ in range(PG_MAX_ITER):

@@ -415,6 +415,39 @@ def greedy_rotations(pool: np.ndarray, arcs: np.ndarray, D: np.ndarray, anchor: 
     return runs[first_max([spread for _, spread in runs])][0]
 
 
+def spread_rotations_by_roll(pool: np.ndarray, arcs: np.ndarray, anchor: int,
+                            features, M: int) -> list:
+    """codebook._spread_rotations as it was before its buffers: the same FFT
+    distance profiles, a fresh nearest array per run, and np.roll of the
+    picked circuit's profiles at every step."""
+    phi, lam = features
+    ell = pool.shape[1]
+    spec = np.fft.rfft(phi[arcs], axis=1)
+    base = np.fft.irfft(np.einsum("jfr,ifr->ijf", spec * lam, spec.conj()),
+                        n=ell, axis=2)
+    off_anchor = np.where(pool == anchor, 0.0, -np.inf)
+
+    def first_max(obj):
+        flat = obj.ravel()
+        top = flat.max()
+        slack = 1e-9 * max(1.0, abs(top)) if np.isfinite(top) else 0.0
+        return int(np.flatnonzero(flat >= top - slack)[0])
+
+    def run(start):
+        picks = [(start, 0)]
+        nearest = base[start] + off_anchor
+        spread = np.inf
+        while len(picks) < M:
+            i, k = divmod(first_max(nearest), ell)
+            spread = min(spread, nearest[i, k])
+            picks.append((i, k))
+            nearest = np.minimum(nearest, np.roll(base[i], k, axis=1))
+        return picks, spread
+
+    runs = [run(i) for i in range(len(pool))]
+    return runs[first_max(np.array([spread for _, spread in runs]))][0]
+
+
 def zrho_dense_newton(q: np.ndarray, tails, heads, n_states: int, D: np.ndarray,
                       rho: float, tol: float = 1e-15, max_iter: int = 500) -> tuple[float, np.ndarray]:
     """Reference for z_rho: min rho * Delta(w) - <w, D> over (L, L) tables

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import zerorate
-from zerorate.cli import COMMANDS, build_parser, load_channel, run
+from zerorate.cli import COMMANDS, _json, build_parser, load_channel, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -425,6 +427,23 @@ def test_usage_error_is_a_validation_failure(tmp_path, capsys, argv):
     assert err.startswith("error: validation:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'check', 'distances', "
+                "'optimize', 'uce', 'build-code', 'simulate', 'zrho', 'isi-bound', 'isi-loss')"),
+    ([], "the following arguments are required: command"),
+    (["--seed", "1", "check"], "argument command: invalid choice: '1' (choose from 'check', "
+                               "'distances', 'optimize', 'uce', 'build-code', 'simulate', "
+                               "'zrho', 'isi-bound', 'isi-loss')"),
+    (["zrho", "--spec", "x.json", "--starts", "8.5"],
+     "argument --starts: invalid int value: '8.5'"),
+    (["simulate", "--trials", "9"], "the following arguments are required: --spec"),
+], ids=repr)
+def test_usage_error_lines(capsys, argv, message):
+    # the parser for one subcommand words its errors as the full parser does
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err) == (1, "", f"error: validation: {message}\n")
+
+
 def test_missing_spec_is_a_validation_failure(capsys):
     code, _, err = run_cli(capsys, "optimize")
     assert code == 1
@@ -456,6 +475,20 @@ def test_subcommand_takes_only_the_flags_it_reads(command):
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {opt for act in sub.choices[command]._actions for opt in act.option_strings}
     assert options == COMMON | SURFACE[command]
+
+
+def _subparser_options(parser, command):
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {act.dest: (tuple(act.option_strings), act.default, act.type, act.required)
+            for act in sub.choices[command]._actions}
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_single_command_parser_matches_the_full_one(command):
+    one = build_parser(command)
+    sub = next(a for a in one._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == [command]
+    assert _subparser_options(one, command) == _subparser_options(build_parser(), command)
 
 
 def test_readme_flag_table_matches_the_parser():
@@ -529,3 +562,58 @@ def test_cold_check_loads_no_scipy(spec):
                           check=True)
     steps = json.loads(proc.stdout.strip().splitlines()[-1])
     assert steps["check"] == [0, []]
+
+
+# ------------------------------------------------------------- JSON writer
+
+JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.floats(),
+    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
+    st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600 /'),
+    # the writer joins rows of plain ints and of plain strings directly
+    st.lists(st.integers()), st.lists(st.text(), min_size=1))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
+                            st.dictionaries(JSON_KEYS, inner)),
+    max_leaves=40)
+
+
+@given(JSON_VALUES)
+@example({"a\"b\\c\n\x01\u00e9\U0001f600": [float("nan"), float("inf"), -float("inf"), -0.0,
+                                           10 ** 40, -(10 ** 40), True, False, None, [], {}, ()],
+          7: 2, 2.5: "x", True: [1, 2], None: ["a", "\u00e9"], float("nan"): (1,),
+          -0.0: {"": []}})
+@example([[1, True], [1, 2.0], ["a", None], [1, "a"], [np.float64(0.1), 3]])
+@settings(max_examples=300, deadline=None)
+def test_json_writer_matches_the_stdlib(doc):
+    assert _json(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [{"a": object()}, [np.int64(3)], {(1, 2): 3}, {"a": {b"k": 1}}],
+                         ids=["object", "numpy-int", "tuple-key", "bytes-key"])
+def test_json_writer_refuses_what_the_stdlib_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as got:
+        _json(doc)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("argv", [["build-code", "--n", "64", "--codewords", "4"],
+                                  ["distances"]], ids=lambda argv: argv[0])
+def test_report_bytes_are_the_stdlib_rendering(tmp_path, capsys, argv):
+    spec = write_spec(tmp_path, ISI_DOC)
+    report_path, out_path = tmp_path / "report.json", tmp_path / "out"
+    code, stdout, _ = run_cli(capsys, argv[0], "--spec", spec, "--report", str(report_path),
+                              "--out", str(out_path), *argv[1:])
+    assert code == 0
+    report = json.loads(stdout)
+    assert stdout == json.dumps(report, indent=2) + "\n"
+    assert report_path.read_text() == stdout
+    artifact = out_path.read_bytes().decode()
+    if argv[0] == "distances":
+        assert report["result"] == {"csv": artifact}
+    else:
+        assert artifact == json.dumps(report["result"], indent=2) + "\n"

@@ -1,15 +1,22 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerorate as zr
+from zerorate import codebook
+from zerorate.cli import run
 from zerorate.codebook import CandidateSet, pairwise_path_distances
 from zerorate.errors import ValidationError
 
 from conftest import make_isi
 from oracles import (count_euler_circuits, greedy_rotations,
-                     pairwise_path_distances_loop)
+                     pairwise_path_distances_loop, spread_rotations_by_roll)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def reg_q(a, b):
@@ -26,6 +33,23 @@ def check_type(spec, n, q):
 
 
 # ---------------------------------------------------------------- round_type
+
+def test_round_failures_name_no_total_that_fails(order2):
+    # a 2-cycle and a 3-cycle through one state: the greedy total repair
+    # fails at some n (19 and 20 among them), and a failure that suggests
+    # another total must name one that rounds
+    _, pairs = order2
+    q = zr.PairDistribution(pairs, np.array([0.0, 0.18, 0.41, 0.0, 0.18, 0.23, 0.0, 0.0]))
+    failed = []
+    for n in range(4, 120):
+        try:
+            zr.round_type(q, n)
+        except ValidationError as exc:
+            failed.append(n)
+            for total in re.findall(r"\d+", str(exc).partition("adjust n")[2]):
+                zr.round_type(q, int(total))
+    assert {19, 20} <= set(failed)
+
 
 def test_round_exact_rationals_uniform(order1):
     _, pairs = order1
@@ -276,6 +300,60 @@ def test_ensemble_matches_direct_greedy(order1, gaussian):
     picks = greedy_rotations(pool, arcs, D, 0, M)
     expect = np.stack([np.roll(pool[i], -k) for i, k in picks])
     assert (cands.paths == expect).all()
+
+
+@given(st.integers(1, 2), st.integers(0, 2), st.integers(1, 6), st.integers(0, 10 ** 6),
+       st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_spread_matches_roll_oracle(order, q_kind, M, seed, gaussian, data):
+    # the buffered greedy picks what np.roll of fresh profiles picks
+    m = zr.shift_register([1.0, -1.0], order)
+    pairs = zr.feasible_pairs(m)
+    if q_kind == 0:
+        q = np.full(len(pairs), 1.0 / len(pairs))
+    else:  # the stationary pair distribution of random input probabilities
+        probs = np.asarray(data.draw(st.lists(st.floats(0.05, 0.95), min_size=m.n_states,
+                                              max_size=m.n_states)))
+        P = np.zeros((m.n_states, m.n_states))
+        P[np.arange(m.n_states), m.next_state[:, 0]] += probs
+        P[np.arange(m.n_states), m.next_state[:, 1]] += 1.0 - probs
+        lam, vecs = np.linalg.eig(P.T)
+        pi = np.abs(np.real(vecs[:, np.argmin(np.abs(lam - 1.0))]))
+        pi /= pi.sum()
+        q = pi[pairs.tails] * np.where(pairs.symbols == 0, probs[pairs.tails],
+                                       1.0 - probs[pairs.tails])
+    n = data.draw(st.integers(2 * len(pairs), 48))
+    spec = zr.round_type(zr.PairDistribution(pairs, q / q.sum()), n)
+    d = make_isi([1.0, 0.5] if order == 1 else [1.0, 0.5, -0.3])[4] if gaussian else None
+    sup = np.nonzero(spec.counts)[0]
+    features = codebook._arc_features(sup, len(pairs), d)
+    anchor = int(spec.support_states()[0])
+    pool = np.stack([zr.euler_circuit(spec, anchor, (seed, c, 0)) for c in range(2 * M - 1)])
+    arcs = pairs.index_lookup()[pool, np.roll(pool, -1, axis=1)]
+    assert (codebook._spread_rotations(pool, arcs, anchor, features, M)
+            == spread_rotations_by_roll(pool, arcs, anchor, features, M))
+
+
+# the time-sharing spec's builds stop at the budget check, before any pick
+SHIPPED_SPECS = [p for d in ("specs", "bench/specs") for p in sorted((ROOT / d).glob("*.json"))
+                 if p.name != "time_sharing.json"]
+
+
+@pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda p: p.name)
+def test_spread_matches_roll_oracle_on_shipped_specs(spec, monkeypatch, capsys):
+    spread, calls = codebook._spread_rotations, []
+
+    def checked(pool, arcs, anchor, features, M):
+        picks = spread(pool, arcs, anchor, features, M)
+        calls.append(picks == spread_rotations_by_roll(pool, arcs, anchor, features, M))
+        return picks
+
+    monkeypatch.setattr(codebook, "_spread_rotations", checked)
+    for n, M in ((64, 4), (512, 16)):
+        assert run(["build-code", "--spec", str(spec), "--n", str(n), "--codewords", str(M),
+                    "--seed", "3", "--starts", "4"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 and all(calls)
 
 
 def test_ensemble_time_sharing_segment_types(order1):

@@ -205,8 +205,15 @@ NON_LOOP_MINIMUM = zr.StateMachine(
     np.array([[0, 4], [2, 3], [0, 4], [1, 4], [1, 3], [1, 5]]), np.array([0, 0, 0, 1, 1, 1]))
 
 
+# irreducible of period 48, so no sigma: the search is skipped
+CYCLE_48 = zr.augment(zr.StateMachine(
+    tuple(f"s{i}" for i in range(48)), ("0", "1"), (0.0, 1.0),
+    np.array([[(i + 1) % 48] * 2 for i in range(48)])))
+
+
 @given(st.one_of(recoverable_machines(), augmented_machines()))
 @example(NON_LOOP_MINIMUM)
+@example(CYCLE_48)
 @settings(max_examples=150, deadline=None)
 def test_structure_matches_product_graph_oracle(m):
     rep = zr.check_structure(m)
