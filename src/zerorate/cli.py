@@ -29,14 +29,12 @@ import numpy as np
 from . import __version__
 from .bhatt import (ChannelKernel, bhattacharyya, discrete_kernel,
                     gaussian_kernel)
-from .codebook import Codebook, blend_for_construction, build_codebook
 from .errors import InfeasibleError, ValidationError
-from .exponent import CostModel, SolverOptions, TimeSharingPlan, e0, maximize_e0
-from .fsm import (StateMachine, augment, augment_origin, check_structure,
-                  feasible_pairs)
-from .isi import (IsiSpec, build_isi_machine, choose_amplitude, gray_stats,
-                  irrationalize, quantization_loss, spectral_bound)
-from .montecarlo import simulate, z_rho_sweep
+from .fsm import (CostModel, StateMachine, augment, augment_origin,
+                  check_structure, feasible_pairs)
+
+# Loading a channel needs only the modules above (and isi for an "isi" block);
+# each handler imports the layers it runs, so a process loads only those.
 
 
 @dataclass
@@ -60,6 +58,7 @@ def load_channel(doc: dict) -> LoadedChannel:
     has_fsc, has_isi = "fsc" in doc, "isi" in doc
     _require(has_fsc != has_isi, "exactly one of 'fsc' or 'isi' blocks must be present")
     if has_isi:
+        from .isi import IsiSpec, build_isi_machine
         blk = doc["isi"]
         for key in ("h", "sigma2", "levels", "gamma"):
             _require(key in blk, f"isi block missing '{key}'")
@@ -139,6 +138,7 @@ def _argmax_dict(plan: TimeSharingPlan, pairs, single: bool) -> dict:
 
 def _solve(ch: LoadedChannel, args):
     """The distance matrix and the exponent solve under the solver flags."""
+    from .exponent import SolverOptions, maximize_e0
     d = bhattacharyya(ch.kernel, ch.pairs)
     opts = SolverOptions(starts=args.starts, seed=args.seed)
     return d, maximize_e0(d, ch.pairs, ch.cost, opts)
@@ -196,6 +196,7 @@ def cmd_uce(ch: LoadedChannel, args):
 
 
 def _build_codebook(ch: LoadedChannel, args) -> Codebook:
+    from .codebook import build_codebook
     d, res = _solve(ch, args)
     return build_codebook(res.argmax, d, ch.cost, args.n, args.codewords, args.seed,
                           ch.machine)
@@ -215,6 +216,8 @@ def _read_json(path: str, what: str):
 
 
 def cmd_simulate(ch: LoadedChannel, args):
+    from .codebook import Codebook
+    from .montecarlo import simulate
     if args.code:
         book = Codebook.from_json_dict(_read_json(args.code, "codebook"), ch.machine, ch.pairs,
                                        bhattacharyya(ch.kernel, ch.pairs))
@@ -229,6 +232,9 @@ def cmd_simulate(ch: LoadedChannel, args):
 
 
 def cmd_zrho(ch: LoadedChannel, args):
+    from .codebook import blend_for_construction
+    from .exponent import e0
+    from .montecarlo import z_rho_sweep
     d, res = _solve(ch, args)
     q, _, _ = blend_for_construction(res.argmax.mixture(), None, max(args.n, 64))
     ref = e0(q, d)
@@ -259,11 +265,13 @@ def _quantizer(spec: IsiSpec, omega_star: float, omega0: float, delta: float,
                max_level: float):
     """Statistics and loss of the quantized sinusoid on a uniform grid of step
     delta, at the largest amplitude within the power budget."""
+    from .isi import choose_amplitude, gray_stats, quantization_loss
     stats = gray_stats(choose_amplitude(spec.gamma, delta, max_level), delta, omega0)
-    return stats, quantization_loss(spec, stats.A, omega_star, stats)
+    return stats, quantization_loss(spec, omega_star, stats)
 
 
 def cmd_isi_bound(ch: LoadedChannel, args):
+    from .isi import irrationalize, spectral_bound
     spec = _isi_only(ch)
     value, omega_star = spectral_bound(spec)
     delta = _uniform_delta(spec.levels)
@@ -291,6 +299,7 @@ def cmd_isi_bound(ch: LoadedChannel, args):
 
 
 def cmd_isi_loss(ch: LoadedChannel, args):
+    from .isi import irrationalize, spectral_bound
     spec = _isi_only(ch)
     base_delta = _uniform_delta(spec.levels)
     base_k = len(spec.levels)

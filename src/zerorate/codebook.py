@@ -19,9 +19,9 @@ import numpy as np
 
 from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, ValidationError
-from .exponent import (CostModel, PairDistribution, TimeSharingPlan,
-                       feasibility_sccs, support_is_connected)
-from .fsm import FeasiblePairSet, StateMachine, strong_components
+from .exponent import (PairDistribution, TimeSharingPlan, feasibility_sccs,
+                       support_is_connected)
+from .fsm import CostModel, FeasiblePairSet, StateMachine, strong_components
 
 
 @dataclass(frozen=True, eq=False)

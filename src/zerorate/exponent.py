@@ -26,7 +26,7 @@ import numpy as np
 
 from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
-from .fsm import FeasiblePairSet, strong_components
+from .fsm import CostModel, FeasiblePairSet, strong_components
 from .polytope import Polytope, _highs_lp, maximize_quadratic
 
 MARGINAL_TOL = 1e-10
@@ -79,26 +79,6 @@ class PairDistribution:
         cand = range(len(pi)) if states is None else sorted(states)
         top = max(pi[s] for s in cand)
         return next(int(s) for s in cand if pi[s] >= top - 1e-12)
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Per-symbol cost phi and budget; the cost of arc (s, s+) is
-    phi(g(s+)), charged to the emitted input symbol."""
-
-    phi: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
-        self.phi.setflags(write=False)
-
-    def pair_costs(self, pairs: FeasiblePairSet) -> np.ndarray:
-        return self.phi[pairs.symbols]
-
-    @classmethod
-    def free(cls, n_symbols: int) -> "CostModel":
-        return cls(np.zeros(n_symbols), 0.0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,8 @@ A machine is a deterministic next-state function over a finite state set,
 driven by channel inputs. When every state determines the input symbol
 that produced it (a "recover" map), ordered state pairs (s, s+) with
 s+ = f(s, g(s+)) stand in one-to-one correspondence with (state, input)
-pairs and become the working alphabet of the zero-rate theory.
+pairs and become the working alphabet of the zero-rate theory. A CostModel
+prices the input symbol each arc emits.
 """
 from __future__ import annotations
 
@@ -141,6 +142,26 @@ class FeasiblePairSet:
         table = np.full((S, S), -1, dtype=np.int64)
         table[self.tails, self.heads] = np.arange(len(self))
         return table
+
+
+@dataclass(frozen=True)
+class CostModel:
+    """Per-symbol cost phi and budget; the cost of arc (s, s+) is
+    phi(g(s+)), charged to the emitted input symbol."""
+
+    phi: np.ndarray
+    gamma: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
+        self.phi.setflags(write=False)
+
+    def pair_costs(self, pairs: FeasiblePairSet) -> np.ndarray:
+        return self.phi[pairs.symbols]
+
+    @classmethod
+    def free(cls, n_symbols: int) -> "CostModel":
+        return cls(np.zeros(n_symbols), 0.0)
 
 
 @dataclass(frozen=True)

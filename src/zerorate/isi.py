@@ -262,7 +262,7 @@ class LossReport:
     power_used: float
 
 
-def quantization_loss(spec: IsiSpec, A: float, omega_star: float,
+def quantization_loss(spec: IsiSpec, omega_star: float,
                       stats: QuantizedSinusoidStats) -> LossReport:
     """Exponent deficit of the quantized sinusoid: each error harmonic
     rides a non-optimal frequency, losing (H^2_max - |H|^2(lambda_m)) of

@@ -89,18 +89,17 @@ def _rows(elements: int, n: int) -> int:
     return max(1, elements // max(n, 1))
 
 
-def _sample_outputs(kernel: ChannelKernel, arcs: np.ndarray, rng, n_trials: int,
-                    work=None) -> np.ndarray:
+def _sample_outputs(cdf: np.ndarray, rng, n_trials: int, work=None) -> np.ndarray:
     """(n_trials, n) int64 discrete outputs for a fixed transmitted arc
-    sequence, drawn into work when given: (rows, n) float64 and int64
-    buffers, rows >= n_trials, reused batch after batch because fresh
-    batch-sized arrays are mapped and page-faulted anew each time."""
+    sequence whose output CDFs are the columns of cdf, (Y, n), drawn into
+    work when given: (rows, n) float64 and int64 buffers, rows >= n_trials,
+    reused batch after batch because fresh batch-sized arrays are mapped and
+    page-faulted anew each time."""
     # inverse CDF: the output is the number of CDF cells below u; the
     # top cell is never counted, so its cumsum roundoff is harmless
-    n = len(arcs)
+    n = cdf.shape[1]
     if work is None:
         work = np.empty((n_trials, n)), np.empty((n_trials, n), dtype=np.int64)
-    cdf = np.cumsum(kernel.pmf[arcs], axis=1).T.copy()  # (Y, n)
     u = rng.random(out=work[0][:n_trials])
     y = np.zeros((n_trials, n), dtype=np.min_scalar_type(len(cdf) - 1))
     for cell in cdf[:-1]:
@@ -123,7 +122,10 @@ class _DiscreteStatistic:
     moves a metric by at most n 2^-s / 2, the order of float64 summation
     roundoff. A 0/1 table of the zero-pmf cells, built only when the book
     uses one, marks -inf metrics. A batch of `rows` trials keeps both its
-    outputs and its count matrix within _BATCH_ELEMENTS values.
+    outputs and its count matrix within _BATCH_ELEMENTS values. Each
+    codeword's (Y, n) output CDFs are taken once, here, for all its
+    batches: M * Y * n values, the table's size when no two positions share
+    a pattern.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
@@ -144,7 +146,9 @@ class _DiscreteStatistic:
                      + pattern.reshape(-1) * logp.shape[1])
         self.work = np.empty((self.rows, n)), np.empty((self.rows, n), dtype=np.int64)
         self.counts = np.empty((self.rows, self.width))
-        self.kernel, self.arc_paths = kernel, arc_paths
+        # cdf[m]: codeword m's (Y, n) output CDFs, contiguous (a strided view
+        # of a (Y, M, n) gather makes every batch's compares slower)
+        self.cdf = np.cumsum(kernel.pmf, axis=1)[arc_paths].transpose(0, 2, 1).copy()
 
     def metrics(self, y: np.ndarray) -> np.ndarray:
         """(len(y), M) log-likelihoods of at most `rows` trials' int64
@@ -159,8 +163,7 @@ class _DiscreteStatistic:
         return ll
 
     def draw(self, m: int, rng, n_trials: int) -> np.ndarray:
-        return self.metrics(_sample_outputs(self.kernel, self.arc_paths[m], rng, n_trials,
-                                            self.work))
+        return self.metrics(_sample_outputs(self.cdf[m], rng, n_trials, self.work))
 
     def split(self, k: int) -> list:
         """k copies sharing the read-only tables, each owning a disjoint block

@@ -193,7 +193,7 @@ def test_criterion_09_lambda_scaling():
         for K in (8, 16, 32):
             delta = (A / 3.5) * 8.0 / K  # delta halves as K doubles
             stats = zr.gray_stats(A, delta, W0)
-            lams.append(zr.quantization_loss(spec, A, omega_star, stats).Lambda)
+            lams.append(zr.quantization_loss(spec, omega_star, stats).Lambda)
         assert 2.5 <= lams[0] / lams[1] <= 6.0
         assert 2.5 <= lams[1] / lams[2] <= 6.0
 

@@ -505,6 +505,17 @@ def test_readme_flag_table_matches_the_parser():
     assert table == {name: set(flags) for name, (_, flags) in COMMANDS.items()}
 
 
+def fresh_python(code: str, *args: str):
+    """The JSON on the last stdout line of `python -c code *args`, run in a
+    fresh interpreter that imports zerorate from the tree under test."""
+    src = str(Path(zerorate.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 # Runs in a fresh interpreter: loads every spec, then one CLI command per
 # further argument ("command:spec"), and prints after each step which scipy
 # packages sys.modules holds.
@@ -533,15 +544,9 @@ print(json.dumps(steps))
 def test_cold_start_loads_scipy_only_for_solvers():
     specs = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs").glob("*.json"))
     assert len(specs) >= 6
-    src = str(Path(zerorate.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE, ",".join(map(str, specs)),
-         f"isi-bound:{SPECS / 'isi_two_tap.json'}", f"distances:{SPECS / 'bsc.json'}",
-         f"optimize:{SPECS / 'bsc.json'}"],
-        env=env, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    steps = fresh_python(COLD_START_PROBE, ",".join(map(str, specs)),
+                         f"isi-bound:{SPECS / 'isi_two_tap.json'}",
+                         f"distances:{SPECS / 'bsc.json'}", f"optimize:{SPECS / 'bsc.json'}")
     assert steps["load_channel"] == []
     assert steps["isi-bound"] == [0, []]
     assert steps["distances"] == [0, []]
@@ -554,14 +559,93 @@ SHIPPED_SPECS = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs")
 
 @pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda p: p.name)
 def test_cold_check_loads_no_scipy(spec):
-    src = str(Path(zerorate.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, str(spec), f"check:{spec}"],
-                          env=env, cwd=ROOT, capture_output=True, text=True, timeout=120,
-                          check=True)
-    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    steps = fresh_python(COLD_START_PROBE, str(spec), f"check:{spec}")
     assert steps["check"] == [0, []]
+
+
+# Runs in a fresh interpreter: imports zerorate, then takes one step per
+# argument ("load:spec" loads the channel, "command:spec" runs the CLI) and
+# prints after each which zerorate modules sys.modules holds.
+MODULE_PROBE = """\
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "zerorate")
+
+import zerorate
+steps = [["import", 0, loaded()]]
+from zerorate.cli import load_channel, run
+for item in sys.argv[1:]:
+    command, spec = item.split(":")
+    if command == "load":
+        with open(spec, encoding="utf-8") as fh:
+            load_channel(json.load(fh))
+        code = 0
+    else:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run([command, "--spec", spec])
+    steps.append([item, code, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def test_cold_start_loads_only_the_layers_it_runs():
+    kinds = {spec: next(iter(json.loads(spec.read_text()))) for spec in SHIPPED_SPECS}
+    fsc = [spec for spec, kind in kinds.items() if kind == "fsc"]
+    isi = [spec for spec, kind in kinds.items() if kind == "isi"]
+    assert len(fsc) >= 3 and len(isi) >= 3
+    bsc, two_tap = SPECS / "bsc.json", SPECS / "isi_two_tap.json"
+    light = [f"{command}:{spec}" for command in ("check", "distances") for spec in (bsc, two_tap)]
+    light.append(f"isi-bound:{two_tap}")
+    steps = fresh_python(MODULE_PROBE, *(f"load:{spec}" for spec in fsc + isi), *light,
+                         f"optimize:{bsc}")
+    assert steps[0] == ["import", 0, ["zerorate"]]
+    channel = ["zerorate", "zerorate.bhatt", "zerorate.cli", "zerorate.errors", "zerorate.fsm"]
+    loads = steps[1:1 + len(fsc) + len(isi)]
+    for _, _, modules in loads[:len(fsc)]:
+        assert modules == channel
+    for _, _, modules in loads[len(fsc):]:
+        assert modules == sorted(channel + ["zerorate.isi"])
+    heavy = {"zerorate.exponent", "zerorate.polytope", "zerorate.codebook",
+             "zerorate.montecarlo"}
+    for item, code, modules in steps[1 + len(fsc) + len(isi):-1]:
+        assert code == 0, item
+        assert heavy.isdisjoint(modules), item
+    # the probe sees an import when one happens: optimize adds the solver layers alone
+    _, code, modules = steps[-1]
+    assert code == 0
+    assert modules == sorted(channel + ["zerorate.exponent", "zerorate.isi", "zerorate.polytope"])
+
+
+# zerorate.__all__ as the package exported it when it imported every module
+PUBLIC_NAMES = (
+    "CandidateSet", "ChannelKernel", "Codebook", "ConcavityReport", "CostModel",
+    "DistanceMatrix", "ExponentResult", "FeasiblePairSet", "InfeasibleError", "IsiSpec",
+    "MarkovTypeSpec", "PairDistribution", "QuadrupleDistribution", "QuantizedSinusoidStats",
+    "SimulationReport", "SolverOptions", "StateMachine", "StructuralReport", "TimeSharingPlan",
+    "UnsupportedChannelError", "ValidationError", "augment", "bhatt", "bhattacharyya",
+    "blend_for_construction", "build_codebook", "build_ensemble", "build_isi_machine",
+    "check_structure", "choose_amplitude", "codebook", "concavity_test", "discrete_kernel",
+    "e0", "e0_isi", "emit_codeword", "errors", "euler_circuit", "exponent", "expurgate",
+    "feasibility_sccs", "feasible_pairs", "fsm", "gaussian_kernel", "gray_stats",
+    "irrationalize", "isi", "maximize_e0", "maximize_uce", "montecarlo", "pairwise_check",
+    "polytope", "quantization_loss", "round_type", "shift_register", "simulate",
+    "spectral_bound", "support_is_connected", "z_rho", "z_rho_sweep",
+)
+
+
+def test_package_namespace_resolves_every_public_name():
+    assert len(PUBLIC_NAMES) == 60 and zerorate.__all__ == list(PUBLIC_NAMES)
+    listed = dir(zerorate)
+    for name in PUBLIC_NAMES:
+        assert getattr(zerorate, name) is not None and name in listed, name
+    assert zerorate.CostModel is zerorate.fsm.CostModel is zerorate.exponent.CostModel
+    with pytest.raises(AttributeError):
+        zerorate.not_a_name
+    probe = ("from zerorate import *\n"
+             "names = sorted(n for n in dir() if not n.startswith('_'))\n"
+             "import json\nprint(json.dumps(names))")
+    assert fresh_python(probe) == sorted(PUBLIC_NAMES)
 
 
 # ------------------------------------------------------------- JSON writer

@@ -291,7 +291,7 @@ def test_power_identity_unquantized_limit():
 def test_loss_flat_response_is_zero():
     spec = IsiSpec([1.0], 1.0, [1.0, -1.0], 1.0)
     stats = zr.gray_stats(0.9, 0.5, W0)
-    loss = zr.quantization_loss(spec, 0.9, 0.0, stats)
+    loss = zr.quantization_loss(spec, 0.0, stats)
     assert loss.Lambda == pytest.approx(0.0, abs=1e-15)
 
 
@@ -303,14 +303,13 @@ def test_loss_nonnegative_and_vanishes_with_fine_quantization():
     for delta in (0.5, 0.05, 0.005):
         A = zr.choose_amplitude(spec.gamma, delta, 10.0)
         stats = zr.gray_stats(A, delta, omega0)
-        loss = zr.quantization_loss(spec, A, omega_star, stats)
+        loss = zr.quantization_loss(spec, omega_star, stats)
         assert loss.Lambda >= 0.0
         lams.append(loss.Lambda)
     assert lams[2] < lams[1] < lams[0]
     final = zr.quantization_loss(
-        spec, zr.choose_amplitude(spec.gamma, 0.005, 10.0),
-        omega_star, zr.gray_stats(zr.choose_amplitude(spec.gamma, 0.005, 10.0),
-                                  0.005, omega0))
+        spec, omega_star, zr.gray_stats(zr.choose_amplitude(spec.gamma, 0.005, 10.0),
+                                        0.005, omega0))
     assert final.lower_bound == pytest.approx(bound, rel=1e-3)
 
 
@@ -322,7 +321,7 @@ def test_loss_k_scaling_bracket():
     for K in (8, 16, 32):
         delta = (A / 3.5) * 8.0 / K  # K = 8 puts A near the top level
         stats = zr.gray_stats(A, delta, W0)
-        lams.append(zr.quantization_loss(spec, A, omega_star, stats).Lambda)
+        lams.append(zr.quantization_loss(spec, omega_star, stats).Lambda)
     assert 2.5 <= lams[0] / lams[1] <= 6.0
     assert 2.5 <= lams[1] / lams[2] <= 6.0
 

@@ -197,11 +197,12 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     means = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=L) * gen.uniform(0.5, 2.0)
     variance = gen.uniform(0.1, 4.0)
     kern = zr.discrete_kernel(tuple(range(Y)), pmf)
-    y = _sample_outputs(kern, paths[0], np.random.default_rng(seed), trials)
+    stat = _DiscreteStatistic(kern, paths)
+    y = _sample_outputs(stat.cdf[0], np.random.default_rng(seed), trials)
     ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
     assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
     # the statistic draws the same outputs into its own buffers
-    ll = _DiscreteStatistic(kern, paths).draw(0, np.random.default_rng(seed), trials)
+    ll = stat.draw(0, np.random.default_rng(seed), trials)
     terms = discrete_terms_broadcast(kern, paths, ref_y)
     ref = terms.sum(axis=2)
     # float summation roundoff of the reference, n max|ref| 2^-53, plus the
