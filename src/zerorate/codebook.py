@@ -2,8 +2,11 @@
 circuits, time-sharing concatenation and greedy max-min selection.
 
 A block of length n is a closed walk on the feasibility digraph whose
-cyclic transition counts realize an integer-rounded pair distribution;
-the walk determines the codeword through the recover map. 2M-1 seeded
+cyclic transition counts realize an integer-rounded pair distribution:
+the balanced, connected counts of total n nearest n*q in L1, found by
+one integer program (HiGHS through scipy's `milp`, imported on first
+use) on a 1e-9 grid, with ties going to the cheaper type. The walk
+determines the codeword through the recover map. 2M-1 seeded
 randomized circuits form a pool; the M codewords are anchored rotations
 of them, chosen greedily so that each lies as far as possible from the
 nearest one chosen before it. Their minimum pairwise distance d_min
@@ -21,7 +24,7 @@ from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, ValidationError
 from .exponent import (PairDistribution, TimeSharingPlan, feasibility_sccs,
                        support_is_connected)
-from .fsm import CostModel, FeasiblePairSet, StateMachine, strong_components
+from .fsm import CostModel, FeasiblePairSet, StateMachine
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,108 +61,37 @@ class MarkovTypeSpec:
         return float(cost.pair_costs(self.pairs) @ self.counts)
 
 
-def _cycle_cancel(pairs: FeasiblePairSet, arcs: np.ndarray, frac: np.ndarray) -> np.ndarray:
-    """Round a fractional circulation on the given arcs to {0,1} while
-    preserving every node imbalance: push along undirected cycles of
-    fractional arcs until none remain. Existence of the cycles follows
-    from the integrality of node imbalances."""
-    r = frac.copy()
-    tol = 1e-9
-    for _ in range(len(arcs) + 1):
-        frac_idx = np.nonzero((r > tol) & (r < 1 - tol))[0]
-        if not frac_idx.size:
-            break
-        # walk the undirected fractional multigraph until a node repeats
-        incident: dict[int, list[tuple[int, int]]] = {}
-        for i in frac_idx:
-            u, v = int(pairs.tails[arcs[i]]), int(pairs.heads[arcs[i]])
-            incident.setdefault(u, []).append((int(i), +1))
-            incident.setdefault(v, []).append((int(i), -1))
-        start = int(pairs.tails[arcs[frac_idx[0]]])
-        node = start
-        seen_at = {node: 0}
-        walk: list[tuple[int, int]] = []  # (arc local index, orientation)
-        used: set[int] = set()
-        while True:
-            options = [(i, o) for i, o in incident[node] if i not in used]
-            if not options:
-                raise ValidationError("fractional subgraph is not cycle-covered; "
-                                      "q is not balanced to rounding precision")
-            i, o = options[0]
-            used.add(i)
-            # orientation +1 means we leave the tail (traverse forward)
-            u, v = int(pairs.tails[arcs[i]]), int(pairs.heads[arcs[i]])
-            node = v if o == +1 else u
-            walk.append((i, o))
-            if node in seen_at:
-                cyc = walk[seen_at[node]:]
-                break
-            seen_at[node] = len(walk)
-        up = min((1 - r[i]) if o == +1 else r[i] for i, o in cyc)
-        down = min(r[i] if o == +1 else (1 - r[i]) for i, o in cyc)
-        theta = up if up <= down + tol else -down  # near-ties push forward, as exact ones do
-        for i, o in cyc:
-            r[i] += theta if o == +1 else -theta
-        r = np.clip(r, 0.0, 1.0)
-        r[r < tol] = 0.0
-        r[r > 1 - tol] = 1.0
-    return np.round(r).astype(np.int64)
-
-
-def _shortest_cycle_through(pairs: FeasiblePairSet, allowed: np.ndarray, arc: int):
-    """Arc indices of a shortest directed cycle containing `arc`, using
-    only `allowed` arcs; None if head cannot reach tail."""
-    u, v = int(pairs.tails[arc]), int(pairs.heads[arc])
-    if u == v:
-        return [arc]
-    S = pairs.n_states
-    prev_arc = np.full(S, -1, dtype=np.int64)
-    dist = np.full(S, -1, dtype=np.int64)
-    dist[v] = 0
-    frontier = [v]
-    by_tail: dict[int, list[int]] = {}
-    for a in allowed:
-        by_tail.setdefault(int(pairs.tails[a]), []).append(int(a))
-    while frontier and dist[u] < 0:
-        nxt = []
-        for s in frontier:
-            for a in by_tail.get(s, ()):  # canonical arc order keeps this deterministic
-                h = int(pairs.heads[a])
-                if dist[h] < 0:
-                    dist[h] = dist[s] + 1
-                    prev_arc[h] = a
-                    nxt.append(h)
-        frontier = nxt
-    if dist[u] < 0:
-        return None
-    path = []
-    node = u
-    while node != v:
-        a = int(prev_arc[node])
-        path.append(a)
-        node = int(pairs.tails[a])
-    path.reverse()
-    return [arc] + path
-
-
 def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) -> MarkovTypeSpec:
-    """Integer Markov type approximating n*q: floor, then cycle repairs.
+    """Integer Markov type nearest n*q in L1, by one integer program.
 
-    The fractional circulation is rounded by cycle canceling (per-arc error
-    below one), the total is then adjusted to exactly n by adding or
-    removing unit flow along short directed cycles inside the support,
-    preferring the arc with the largest residual; finally connectivity of
-    the positive support is restored the same way. Per-arc deviation stays
-    within the number of feasible pairs. Rejected when n is below the
-    support size or when the support's cycle lengths cannot reach total n.
-    Values within 1e-9 tie, both the cycle cancel's push amounts and the
-    total repair's residuals, so solver roundoff on a symmetric q does not
-    choose the type. Ties in
-    the total repair go to the cheaper arc under `arc_cost` (per-pair
-    costs) when adding flow and to the dearer one when removing it, so
-    ties (the uniform blend) do not raise the type's cost; without costs
-    they fall to the arc order.
+    Counts live on supp(q). Each is floor(n q) + p1 + p2 - m, with p1 in
+    {0, 1} at cost 1 - 2f (f the fractional part of n q) and p2, m >= 0
+    at cost 1, so the objective is the L1 deviation sum |x - n q| exactly;
+    the rows make the counts balanced at every state and of total n. The
+    fractional parts are snapped to a 1e-9 grid, so solver roundoff on a
+    symmetric q does not choose the type. Deviations within 1e-6 tie, and
+    ties go to the cheaper type under `arc_cost` (per-pair costs): the
+    objective adds the type's cost over n times the largest arc cost, a
+    term of at most 1e-6. When the optimum's support is disconnected, the
+    program is solved again, minimizing the deviation alone, with a flow
+    from the most visited state that must reach every state with a
+    positive count along positive arcs; balanced counts whose support is
+    reachable from one state are strongly connected. Rejected when n is
+    below the support size or when no balanced, connected type of total
+    n exists on the support.
     """
+    from scipy.optimize import milp
+
+    def solve(c, A, lb, ub, upper, integrality):
+        res = milp(c, integrality=integrality, bounds=(0, upper), constraints=(A, lb, ub),
+                   options={"mip_rel_gap": 0.0})
+        if res.status == 2:
+            raise ValidationError(
+                f"no balanced, connected type of total {n} on q's support; adjust n")
+        if not res.success:
+            raise ValidationError(f"the rounding program failed: {res.message}")
+        return np.rint(res.x)
+
     pairs = q.pairs
     sup = q.support()
     if not support_is_connected(q, pairs):
@@ -168,106 +100,49 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
         raise ValidationError(
             f"n={n} is below the support size; need n >= {sup.size} "
             "to place one arc per support element while staying balanced")
+    k = sup.size
     target = n * q.q[sup]
-    base = np.floor(target + 1e-9).astype(np.int64)
-    frac = np.clip(target - base, 0.0, 1.0)
-    add = _cycle_cancel(pairs, sup, frac)
-    counts_sup = base + add
-
+    base = np.floor(target + 1e-9)
+    frac = np.clip(np.round((target - base) * 1e9), 0.0, None) * 1e-9
+    tails, heads = pairs.tails[sup], pairs.heads[sup]
+    states = np.unique(np.concatenate([tails, heads]))
+    leave = (tails == states[:, None]).astype(float)
+    net_in = (heads == states[:, None]) - leave  # self-loops cancel
+    shift = np.hstack([np.eye(k), np.eye(k), -np.eye(k)])  # x = base + shift @ (p1, p2, m)
+    A = np.vstack([net_in @ shift, np.ones((1, k)) @ shift])
+    rhs = np.append(-net_in @ base, n - base.sum())
+    upper = np.concatenate([np.ones(k), np.full(k, n), base])
+    # the deviation in units of 1e-6, far above HiGHS's absolute gap
+    obj = 1e6 * np.concatenate([1.0 - 2.0 * frac, np.ones(2 * k)])
+    c = np.zeros(k) if arc_cost is None else np.asarray(arc_cost, dtype=float)[sup]
+    tie = c @ shift / (n * np.abs(c).max()) if c.any() else 0.0
+    z = solve(obj + tie, A, rhs, rhs, upper, 1)
     counts = np.zeros(len(pairs), dtype=np.int64)
-    counts[sup] = counts_sup
-    if arc_cost is None:
-        arc_cost = np.zeros(len(pairs))
-    _repair_total(pairs, counts, sup, n, n * q.q, arc_cost)
-    _repair_connectivity(pairs, counts, sup, n, n * q.q, arc_cost)
+    counts[sup] = base + shift @ z
+    if not support_is_connected(counts, pairs):
+        # a flow g <= j x along the arcs, sent from the most visited state;
+        # each of the j other states v takes in d_v in {0, 1}, which is 1
+        # when v has an outgoing count, so every touched state is reached.
+        # The tie term stays out: proving the cheapest of many connected
+        # ties takes seconds on a symmetric q (isi_long's blend at n = 64),
+        # while the deviation bound alone is met at once.
+        others = states != q.most_visited()
+        j = int(others.sum())
+        A = np.block([[A, np.zeros((len(A), k + j))],
+                      [-j * shift, np.eye(k), np.zeros((k, j))],
+                      [np.zeros((j, 3 * k)), net_in[others], -np.eye(j)],
+                      [leave[others] @ shift, np.zeros((j, k)), -n * np.eye(j)]])
+        lb = np.concatenate([rhs, np.full(k, -np.inf), np.zeros(j), np.full(j, -np.inf)])
+        ub = np.concatenate([rhs, j * base, np.zeros(j), -leave[others] @ base])
+        z = solve(np.concatenate([obj, np.zeros(k + j)]), A, lb, ub,
+                  np.concatenate([upper, np.full(k, np.inf), np.ones(j)]),
+                  np.concatenate([np.ones(3 * k), np.zeros(k), np.ones(j)]))
+        counts[sup] = base + shift @ z[:3 * k]
 
     dev = np.abs(counts - n * q.q)
     if dev.max() > len(pairs) + 1e-6:
         raise ValidationError("rounded counts drifted beyond the deviation bound")
     return MarkovTypeSpec(pairs, counts, n)
-
-
-def _residual_keys(resid: np.ndarray, arcs) -> dict:
-    """Sort key per arc for decreasing residual: residuals within 1e-9 below
-    a larger one share its key, so roundoff does not order tied arcs."""
-    keys: dict = {}
-    top = None
-    for a in sorted(arcs, key=lambda a: -resid[a]):
-        if top is None or resid[a] < top - 1e-9:
-            top = resid[a]
-        keys[a] = -top
-    return keys
-
-
-def _repair_total(pairs, counts, sup, n, target, arc_cost, keep=0):
-    """Add or remove unit flow along shortest support cycles until the total
-    is n; removal uses only cycles of arcs whose count is above `keep`."""
-    guard = 4 * (abs(int(counts.sum()) - n) + len(sup) + 1)
-    for _ in range(guard):
-        total = int(counts.sum())
-        if total == n:
-            return
-        if total < n:
-            deficit = n - total
-            key = _residual_keys(target - counts, sup)
-            order = sorted(sup.tolist(), key=lambda a: (key[a], arc_cost[a], a))
-            chosen = None
-            for a in order:
-                cyc = _shortest_cycle_through(pairs, sup, a)
-                if cyc is not None and len(cyc) <= deficit:
-                    chosen = cyc
-                    break
-            if chosen is None:
-                raise ValidationError(
-                    f"cannot reach total {n}: every support cycle through the "
-                    f"deficient arcs is longer than the remaining deficit {deficit}; "
-                    "adjust n")
-            for a in chosen:
-                counts[a] += 1
-        else:
-            excess = total - n
-            removable = np.array([a for a in sup if counts[a] > keep], dtype=np.int64)
-            key = _residual_keys(counts - target, removable)
-            order = sorted(removable.tolist(), key=lambda a: (key[a], -arc_cost[a], a))
-            chosen = None
-            for a in order:
-                cyc = _shortest_cycle_through(pairs, removable, a)
-                if cyc is not None and len(cyc) <= excess:
-                    chosen = cyc
-                    break
-            if chosen is None:
-                raise ValidationError(
-                    f"cannot reduce total to {n}; adjust n")
-            for a in chosen:
-                counts[a] -= 1
-    raise ValidationError("total repair did not converge")
-
-
-def _repair_connectivity(pairs, counts, sup, n, target, arc_cost):
-    """Add the shortest support cycle through a zero arc that bridges two
-    positive components, then remove the added length from arcs above 1."""
-    for _ in range(len(sup) + 1):
-        if support_is_connected(counts, pairs):
-            return
-        pos = np.nonzero(counts > 0)[0]
-        zero_sup = [a for a in sup if counts[a] == 0]
-        # states the positive arcs do not touch share the label -1, so an
-        # arc between two of them is not a bridge
-        labels = strong_components(pairs.n_states, pairs.tails[pos], pairs.heads[pos])
-        touched = np.zeros(pairs.n_states, dtype=bool)
-        touched[pairs.tails[pos]] = touched[pairs.heads[pos]] = True
-        labels[~touched] = -1
-        bridge = next((a for a in zero_sup
-                       if labels[pairs.tails[a]] != labels[pairs.heads[a]]),
-                      zero_sup[0] if zero_sup else None)
-        cyc = None if bridge is None else _shortest_cycle_through(pairs, sup, bridge)
-        if cyc is None:
-            raise ValidationError("support connectivity cannot be repaired")
-        for a in cyc:
-            counts[a] += 1
-        _repair_total(pairs, counts, sup, n, target, arc_cost, keep=1)
-    if not support_is_connected(counts, pairs):
-        raise ValidationError("support connectivity cannot be repaired")
 
 
 def euler_circuit(spec: MarkovTypeSpec, anchor: int, seed) -> np.ndarray:

@@ -6,7 +6,9 @@ power_identity_check holds a time average against the library's phase
 averages, and structure_by_product_graph runs the library's Tarjan on
 the product machine. Helpers that only tests call (likelihood,
 window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
-harmonic_r_xe, quadruple_joint) live here too."""
+harmonic_r_xe, quadruple_joint) live here too, and so does
+round_type_greedy, the greedy cycle-repair rounding that the integer
+program in `codebook.round_type` replaced."""
 from __future__ import annotations
 
 import itertools
@@ -15,7 +17,8 @@ import numpy as np
 from scipy.special import jv
 
 from zerorate.errors import ValidationError
-from zerorate.exponent import e0
+from zerorate.codebook import MarkovTypeSpec
+from zerorate.exponent import e0, support_is_connected
 from zerorate.fsm import strong_components
 
 
@@ -626,3 +629,215 @@ def quadruple_joint(quad, nodes) -> np.ndarray:
     S = quad.pairs.n_states
     cell = nodes[:, None] * S + nodes[None, :]
     return np.bincount(cell.ravel(), weights=quad.w.ravel(), minlength=S * S).reshape(S, S)
+
+
+def _cycle_cancel(pairs: FeasiblePairSet, arcs: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """Round a fractional circulation on the given arcs to {0,1} while
+    preserving every node imbalance: push along undirected cycles of
+    fractional arcs until none remain. Existence of the cycles follows
+    from the integrality of node imbalances."""
+    r = frac.copy()
+    tol = 1e-9
+    for _ in range(len(arcs) + 1):
+        frac_idx = np.nonzero((r > tol) & (r < 1 - tol))[0]
+        if not frac_idx.size:
+            break
+        # walk the undirected fractional multigraph until a node repeats
+        incident: dict[int, list[tuple[int, int]]] = {}
+        for i in frac_idx:
+            u, v = int(pairs.tails[arcs[i]]), int(pairs.heads[arcs[i]])
+            incident.setdefault(u, []).append((int(i), +1))
+            incident.setdefault(v, []).append((int(i), -1))
+        start = int(pairs.tails[arcs[frac_idx[0]]])
+        node = start
+        seen_at = {node: 0}
+        walk: list[tuple[int, int]] = []  # (arc local index, orientation)
+        used: set[int] = set()
+        while True:
+            options = [(i, o) for i, o in incident[node] if i not in used]
+            if not options:
+                raise ValidationError("fractional subgraph is not cycle-covered; "
+                                      "q is not balanced to rounding precision")
+            i, o = options[0]
+            used.add(i)
+            # orientation +1 means we leave the tail (traverse forward)
+            u, v = int(pairs.tails[arcs[i]]), int(pairs.heads[arcs[i]])
+            node = v if o == +1 else u
+            walk.append((i, o))
+            if node in seen_at:
+                cyc = walk[seen_at[node]:]
+                break
+            seen_at[node] = len(walk)
+        up = min((1 - r[i]) if o == +1 else r[i] for i, o in cyc)
+        down = min(r[i] if o == +1 else (1 - r[i]) for i, o in cyc)
+        theta = up if up <= down + tol else -down  # near-ties push forward, as exact ones do
+        for i, o in cyc:
+            r[i] += theta if o == +1 else -theta
+        r = np.clip(r, 0.0, 1.0)
+        r[r < tol] = 0.0
+        r[r > 1 - tol] = 1.0
+    return np.round(r).astype(np.int64)
+
+
+def _shortest_cycle_through(pairs: FeasiblePairSet, allowed: np.ndarray, arc: int):
+    """Arc indices of a shortest directed cycle containing `arc`, using
+    only `allowed` arcs; None if head cannot reach tail."""
+    u, v = int(pairs.tails[arc]), int(pairs.heads[arc])
+    if u == v:
+        return [arc]
+    S = pairs.n_states
+    prev_arc = np.full(S, -1, dtype=np.int64)
+    dist = np.full(S, -1, dtype=np.int64)
+    dist[v] = 0
+    frontier = [v]
+    by_tail: dict[int, list[int]] = {}
+    for a in allowed:
+        by_tail.setdefault(int(pairs.tails[a]), []).append(int(a))
+    while frontier and dist[u] < 0:
+        nxt = []
+        for s in frontier:
+            for a in by_tail.get(s, ()):  # canonical arc order keeps this deterministic
+                h = int(pairs.heads[a])
+                if dist[h] < 0:
+                    dist[h] = dist[s] + 1
+                    prev_arc[h] = a
+                    nxt.append(h)
+        frontier = nxt
+    if dist[u] < 0:
+        return None
+    path = []
+    node = u
+    while node != v:
+        a = int(prev_arc[node])
+        path.append(a)
+        node = int(pairs.tails[a])
+    path.reverse()
+    return [arc] + path
+
+
+def round_type_greedy(q, n: int, arc_cost: np.ndarray | None = None):
+    """Integer Markov type approximating n*q: floor, then cycle repairs.
+
+    The fractional circulation is rounded by cycle canceling (per-arc error
+    below one), the total is then adjusted to exactly n by adding or
+    removing unit flow along short directed cycles inside the support,
+    preferring the arc with the largest residual; finally connectivity of
+    the positive support is restored the same way. Per-arc deviation stays
+    within the number of feasible pairs. Rejected when n is below the
+    support size or when the support's cycle lengths cannot reach total n.
+    Values within 1e-9 tie, both the cycle cancel's push amounts and the
+    total repair's residuals, so solver roundoff on a symmetric q does not
+    choose the type. Ties in
+    the total repair go to the cheaper arc under `arc_cost` (per-pair
+    costs) when adding flow and to the dearer one when removing it, so
+    ties (the uniform blend) do not raise the type's cost; without costs
+    they fall to the arc order.
+    """
+    pairs = q.pairs
+    sup = q.support()
+    if not support_is_connected(q, pairs):
+        raise ValidationError("q's support must be strongly connected")
+    if n < sup.size:
+        raise ValidationError(
+            f"n={n} is below the support size; need n >= {sup.size} "
+            "to place one arc per support element while staying balanced")
+    target = n * q.q[sup]
+    base = np.floor(target + 1e-9).astype(np.int64)
+    frac = np.clip(target - base, 0.0, 1.0)
+    add = _cycle_cancel(pairs, sup, frac)
+    counts_sup = base + add
+
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    counts[sup] = counts_sup
+    if arc_cost is None:
+        arc_cost = np.zeros(len(pairs))
+    _repair_total(pairs, counts, sup, n, n * q.q, arc_cost)
+    _repair_connectivity(pairs, counts, sup, n, n * q.q, arc_cost)
+
+    dev = np.abs(counts - n * q.q)
+    if dev.max() > len(pairs) + 1e-6:
+        raise ValidationError("rounded counts drifted beyond the deviation bound")
+    return MarkovTypeSpec(pairs, counts, n)
+
+
+def _residual_keys(resid: np.ndarray, arcs) -> dict:
+    """Sort key per arc for decreasing residual: residuals within 1e-9 below
+    a larger one share its key, so roundoff does not order tied arcs."""
+    keys: dict = {}
+    top = None
+    for a in sorted(arcs, key=lambda a: -resid[a]):
+        if top is None or resid[a] < top - 1e-9:
+            top = resid[a]
+        keys[a] = -top
+    return keys
+
+
+def _repair_total(pairs, counts, sup, n, target, arc_cost, keep=0):
+    """Add or remove unit flow along shortest support cycles until the total
+    is n; removal uses only cycles of arcs whose count is above `keep`."""
+    guard = 4 * (abs(int(counts.sum()) - n) + len(sup) + 1)
+    for _ in range(guard):
+        total = int(counts.sum())
+        if total == n:
+            return
+        if total < n:
+            deficit = n - total
+            key = _residual_keys(target - counts, sup)
+            order = sorted(sup.tolist(), key=lambda a: (key[a], arc_cost[a], a))
+            chosen = None
+            for a in order:
+                cyc = _shortest_cycle_through(pairs, sup, a)
+                if cyc is not None and len(cyc) <= deficit:
+                    chosen = cyc
+                    break
+            if chosen is None:
+                raise ValidationError(
+                    f"cannot reach total {n}: every support cycle through the "
+                    f"deficient arcs is longer than the remaining deficit {deficit}; "
+                    "adjust n")
+            for a in chosen:
+                counts[a] += 1
+        else:
+            excess = total - n
+            removable = np.array([a for a in sup if counts[a] > keep], dtype=np.int64)
+            key = _residual_keys(counts - target, removable)
+            order = sorted(removable.tolist(), key=lambda a: (key[a], -arc_cost[a], a))
+            chosen = None
+            for a in order:
+                cyc = _shortest_cycle_through(pairs, removable, a)
+                if cyc is not None and len(cyc) <= excess:
+                    chosen = cyc
+                    break
+            if chosen is None:
+                raise ValidationError(
+                    f"cannot reduce total to {n}; adjust n")
+            for a in chosen:
+                counts[a] -= 1
+    raise ValidationError("total repair did not converge")
+
+
+def _repair_connectivity(pairs, counts, sup, n, target, arc_cost):
+    """Add the shortest support cycle through a zero arc that bridges two
+    positive components, then remove the added length from arcs above 1."""
+    for _ in range(len(sup) + 1):
+        if support_is_connected(counts, pairs):
+            return
+        pos = np.nonzero(counts > 0)[0]
+        zero_sup = [a for a in sup if counts[a] == 0]
+        # states the positive arcs do not touch share the label -1, so an
+        # arc between two of them is not a bridge
+        labels = strong_components(pairs.n_states, pairs.tails[pos], pairs.heads[pos])
+        touched = np.zeros(pairs.n_states, dtype=bool)
+        touched[pairs.tails[pos]] = touched[pairs.heads[pos]] = True
+        labels[~touched] = -1
+        bridge = next((a for a in zero_sup
+                       if labels[pairs.tails[a]] != labels[pairs.heads[a]]),
+                      zero_sup[0] if zero_sup else None)
+        cyc = None if bridge is None else _shortest_cycle_through(pairs, sup, bridge)
+        if cyc is None:
+            raise ValidationError("support connectivity cannot be repaired")
+        for a in cyc:
+            counts[a] += 1
+        _repair_total(pairs, counts, sup, n, target, arc_cost, keep=1)
+    if not support_is_connected(counts, pairs):
+        raise ValidationError("support connectivity cannot be repaired")

@@ -229,7 +229,7 @@ def test_uce_beats_single_on_crafted_instance():
 
 
 @pytest.mark.xfail(strict=True, reason="maximize_uce stops at 0.2388531 on the time-sharing "
-                   "spec; a feasible two-segment plan reaches 0.2389220 (ROADMAP item 4)")
+                   "spec; a feasible two-segment plan reaches 0.2389220 (ROADMAP item 3)")
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_time_sharing_value_reaches_explicit_plan(seed):
     doc = json.loads((Path(__file__).resolve().parent.parent
