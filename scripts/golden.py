@@ -13,7 +13,9 @@ check.
 Runs go through `zerorate.cli.run` in this process with small fixed sizes;
 `simulate` sends 5000 trials per codeword, so on discrete kernels each
 codeword spans several batches and the codewords run on the worker pool.
-The last lines probe two CLI usage errors.
+An exception escaping `cli.run` is recorded as its line, with exit field
+`exception` and the exception's type and message as its stderr field, and
+the sweep goes on. The last lines probe four CLI usage errors.
 """
 import os
 
@@ -43,7 +45,8 @@ SIZES = {
 }
 COMMANDS = ("check", "distances", "optimize", "uce", "build-code", "simulate",
             "zrho", "isi-bound", "isi-loss")
-USAGE_PROBES = (("optimize", "--bogus"), ("check", "--k-list", "8"))
+USAGE_PROBES = (("optimize", "--bogus"), ("check", "--k-list", "8"),
+                ("zrho", "--rhos", "1,abc"), ("isi-loss", "--k-list", "8,x"))
 
 
 # the report's top-level timing line, the one value that differs between runs
@@ -54,19 +57,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_one(argv: list[str], out: Path) -> tuple[int, str, str, str]:
+def run_one(argv: list[str], out: Path) -> tuple[int | str, str, str, str]:
     if out.exists():
         out.unlink()
     stdout, err = io.StringIO(), io.StringIO()
+    failure = ""
     with redirect_stdout(stdout), redirect_stderr(err):
         try:
             code = cli.run(argv + ["--out", str(out)])
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # recorded on the line; the sweep goes on
+            code, failure = "exception", f"{type(exc).__name__}: {exc}"
     digest = sha256(out.read_bytes()) if out.exists() else "-"
     report = WALL_CLOCK.sub('  "wall_clock_s": 0', stdout.getvalue())
     report_digest = sha256(report.encode()) if report else "-"
-    lines = err.getvalue().strip().splitlines()
+    lines = (failure or err.getvalue()).strip().splitlines()
     return code, digest, report_digest, lines[0] if lines else "-"
 
 

@@ -39,7 +39,6 @@ from .fsm import (CostModel, StateMachine, augment, augment_origin,
 
 @dataclass
 class LoadedChannel:
-    doc: dict
     machine: StateMachine
     pairs: object
     kernel: ChannelKernel
@@ -54,25 +53,31 @@ def _require(cond, msg):
 
 
 def load_channel(doc: dict) -> LoadedChannel:
+    """The channel of a spec document; a value it cannot read raises ValidationError."""
+    try:
+        return _read_channel(doc)
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed spec: {type(exc).__name__}: {exc}") from None
+
+
+def _read_channel(doc: dict) -> LoadedChannel:
     _require(isinstance(doc, dict), "spec document must be a JSON object")
     has_fsc, has_isi = "fsc" in doc, "isi" in doc
     _require(has_fsc != has_isi, "exactly one of 'fsc' or 'isi' blocks must be present")
     if has_isi:
         from .isi import IsiSpec, build_isi_machine
         blk = doc["isi"]
-        for key in ("h", "sigma2", "levels", "gamma"):
-            _require(key in blk, f"isi block missing '{key}'")
         spec = IsiSpec(np.asarray(blk["h"], dtype=float), float(blk["sigma2"]),
                        np.asarray(blk["levels"], dtype=float), float(blk["gamma"]))
         machine, kernel = build_isi_machine(spec)
         pairs = feasible_pairs(machine)
         phi = np.asarray(machine.values) ** 2
-        return LoadedChannel(doc, machine, pairs, kernel,
+        return LoadedChannel(machine, pairs, kernel,
                              CostModel(phi, spec.gamma), spec.k == 0, spec)
 
     blk = doc["fsc"]
-    for key in ("states", "alphabet", "next_state", "kernel"):
-        _require(key in blk, f"fsc block missing '{key}'")
     values = blk.get("values") or {x: i for i, x in enumerate(blk["alphabet"])}
     base = StateMachine.from_tables(blk["states"], blk["alphabet"], values,
                                     blk["next_state"], blk.get("recover"))
@@ -97,10 +102,8 @@ def load_channel(doc: dict) -> LoadedChannel:
         return rows
 
     if kblk["kind"] == "discrete":
-        _require("outputs" in kblk and "pmf" in kblk, "discrete kernel needs outputs and pmf")
         kernel = discrete_kernel(list(kblk["outputs"]), table("pmf", "pmf missing row"))
     else:
-        _require("mean" in kblk and "variance" in kblk, "gaussian kernel needs mean and variance")
         kernel = gaussian_kernel(table("mean", "mean missing", float), float(kblk["variance"]))
 
     cblk = blk.get("cost")
@@ -109,7 +112,7 @@ def load_channel(doc: dict) -> LoadedChannel:
     else:
         phi = np.array([float(cblk["phi"][x]) for x in machine.alphabet])
         cost = CostModel(phi, float(cblk["gamma"]))
-    return LoadedChannel(doc, machine, pairs, kernel, cost, augmented, None)
+    return LoadedChannel(machine, pairs, kernel, cost, augmented, None)
 
 
 def _float_str(v) -> str:
@@ -238,8 +241,7 @@ def cmd_zrho(ch: LoadedChannel, args):
     d, res = _solve(ch, args)
     q, _, _ = blend_for_construction(res.argmax.mixture(), None, max(args.n, 64))
     ref = e0(q, d)
-    rhos = ([float(tok) for tok in args.rhos.split(",")] if args.rhos
-            else [4.0 ** k for k in range(6)])
+    rhos = args.rhos or [4.0 ** k for k in range(6)]
     results = z_rho_sweep(q, d, rhos)
     rows = [["rho", "z_value", "delta", "cross_term", "minus_e0_qstar"]]
     for rho, r in zip(sorted(rhos), results):
@@ -302,19 +304,27 @@ def cmd_isi_loss(ch: LoadedChannel, args):
     from .isi import irrationalize, spectral_bound
     spec = _isi_only(ch)
     base_delta = _uniform_delta(spec.levels)
-    base_k = len(spec.levels)
-    ks = [int(tok) for tok in args.k_list.split(",")]
     value, omega_star = spectral_bound(spec)
     omega0, _ = irrationalize(omega_star)
     rows = [["K", "delta", "A", "Lambda", "lower_bound", "spectral_bound"]]
-    for k in ks:
-        _require(k >= 2 and k % 2 == 0, "quantizer sizes must be even and >= 2")
-        delta = base_delta * base_k / k
+    for k in args.k_list:
+        delta = base_delta * len(spec.levels) / k
         stats, loss = _quantizer(spec, omega_star, omega0, delta, (k - 1) * delta / 2.0)
         rows.append([str(k), _float_str(delta), _float_str(stats.A),
                      _float_str(loss.Lambda), _float_str(loss.lower_bound),
                      _float_str(value)])
     return rows, "csv"
+
+
+def _comma_list(convert, valid, name: str):
+    """A flag type: a comma list of values `valid` accepts, named `name` in usage errors."""
+    def parse(text: str) -> list:
+        vals = [convert(tok) for tok in text.split(",")]
+        if not all(map(valid, vals)):
+            raise ValueError(text)
+        return vals
+    parse.__name__ = name
+    return parse
 
 
 # Every optional flag once; a subcommand registers only the flags it reads.
@@ -323,11 +333,13 @@ FLAGS = {
     "--codewords": dict(type=int, default=4, help="codebook size M"),
     "--trials": dict(type=int, default=10_000),
     "--starts": dict(type=int, default=32),
-    "--rhos": dict(type=str, default=None,
+    "--rhos": dict(type=_comma_list(float, lambda r: 0 < r < float("inf"), "positive number list"),
+                   default=None,
                    help="comma list for the zrho sweep (default 1,4,16,...,1024)"),
     "--trial-log": dict(type=str, default=None, help="per-trial CSV log for simulate"),
     "--code": dict(type=str, default=None, help="codebook JSON produced by build-code"),
-    "--k-list": dict(type=str, default="8,16,32"),
+    "--k-list": dict(type=_comma_list(int, lambda k: k >= 2 and k % 2 == 0, "even int list"),
+                     default="8,16,32"),
 }
 _SOLVER = ("--starts",)
 _BUILD = _SOLVER + ("--n", "--codewords")

@@ -5,9 +5,10 @@ A block of length n is a closed walk on the feasibility digraph whose
 cyclic transition counts realize an integer-rounded pair distribution:
 the balanced, connected counts of total n nearest n*q in L1, found by
 one integer program (HiGHS through scipy's `milp`, imported on first
-use) on a 1e-9 grid, with ties going to the cheaper type. The walk
-determines the codeword through the recover map. 2M-1 seeded
-randomized circuits form a pool; the M codewords are anchored rotations
+use) on a 1e-9 grid, extended by flow rows when its optimum is
+disconnected, with ties going to the cheaper type either way. The walk
+determines the codeword through the recover map. 2M-1 seeded randomized
+circuits form a pool; the M codewords are anchored rotations
 of them, chosen greedily so that each lies as far as possible from the
 nearest one chosen before it. Their minimum pairwise distance d_min
 bounds every codeword's error probability by (M-1) exp(-d_min) (union
@@ -72,13 +73,13 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     symmetric q does not choose the type. Deviations within 1e-6 tie, and
     ties go to the cheaper type under `arc_cost` (per-pair costs): the
     objective adds the type's cost over n times the largest arc cost, a
-    term of at most 1e-6. When the optimum's support is disconnected, the
-    program is solved again, minimizing the deviation alone, with a flow
-    from the most visited state that must reach every state with a
-    positive count along positive arcs; balanced counts whose support is
-    reachable from one state are strongly connected. Rejected when n is
-    below the support size or when no balanced, connected type of total
-    n exists on the support.
+    term of at most 1e-6. A disconnected optimum is re-solved as the same
+    program, tie term kept, plus a continuous flow g <= n x from the most
+    visited state of which every other state takes in exactly its own
+    out-count: every state with a count is then reached along positive
+    arcs, and balanced counts so reachable are strongly connected. Rejected
+    when n is below the support size or when no balanced, connected type
+    of total n exists on the support.
     """
     from scipy.optimize import milp
 
@@ -120,23 +121,17 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     counts = np.zeros(len(pairs), dtype=np.int64)
     counts[sup] = base + shift @ z
     if not support_is_connected(counts, pairs):
-        # a flow g <= j x along the arcs, sent from the most visited state;
-        # each of the j other states v takes in d_v in {0, 1}, which is 1
-        # when v has an outgoing count, so every touched state is reached.
-        # The tie term stays out: proving the cheapest of many connected
-        # ties takes seconds on a symmetric q (isi_long's blend at n = 64),
-        # while the deviation bound alone is met at once.
+        # rows g <= n x and, at every other state, inflow - outflow of g
+        # equal to its out-count
         others = states != q.most_visited()
-        j = int(others.sum())
-        A = np.block([[A, np.zeros((len(A), k + j))],
-                      [-j * shift, np.eye(k), np.zeros((k, j))],
-                      [np.zeros((j, 3 * k)), net_in[others], -np.eye(j)],
-                      [leave[others] @ shift, np.zeros((j, k)), -n * np.eye(j)]])
-        lb = np.concatenate([rhs, np.full(k, -np.inf), np.zeros(j), np.full(j, -np.inf)])
-        ub = np.concatenate([rhs, j * base, np.zeros(j), -leave[others] @ base])
-        z = solve(np.concatenate([obj, np.zeros(k + j)]), A, lb, ub,
-                  np.concatenate([upper, np.full(k, np.inf), np.ones(j)]),
-                  np.concatenate([np.ones(3 * k), np.zeros(k), np.ones(j)]))
+        out = leave[others]
+        A = np.block([[A, np.zeros((len(A), k))],
+                      [-n * shift, np.eye(k)],
+                      [-out @ shift, net_in[others]]])
+        lb = np.concatenate([rhs, np.full(k, -np.inf), out @ base])
+        ub = np.concatenate([rhs, n * base, out @ base])
+        z = solve(np.append(obj + tie, np.zeros(k)), A, lb, ub,
+                  np.append(upper, np.full(k, np.inf)), np.repeat([1, 0], [3 * k, k]))
         counts[sup] = base + shift @ z[:3 * k]
 
     dev = np.abs(counts - n * q.q)

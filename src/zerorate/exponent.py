@@ -209,9 +209,8 @@ def _balance_rows(pairs: FeasiblePairSet, arcs: np.ndarray) -> np.ndarray:
 
 
 def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
-                       cost: CostModel | None = None,
-                       budget: float | None = None) -> Polytope:
-    """{q >= 0 on the given arcs, sum q = 1, equal marginals, cost <= budget}."""
+                       cost: CostModel | None = None) -> Polytope:
+    """{q >= 0 on the given arcs, sum q = 1, equal marginals, cost <= gamma}."""
     n = len(arcs)
     bal = _balance_rows(pairs, arcs)
     a_eq = np.vstack([np.ones((1, n)), bal])
@@ -219,8 +218,7 @@ def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
     b_eq[0] = 1.0
     if cost is None:
         return Polytope(a_eq, b_eq)
-    g = cost.gamma if budget is None else budget
-    return Polytope(a_eq, b_eq, cost.pair_costs(pairs)[arcs].copy(), g)
+    return Polytope(a_eq, b_eq, cost.pair_costs(pairs)[arcs].copy(), cost.gamma)
 
 
 def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray) -> PairDistribution:
@@ -284,7 +282,7 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
         c_range = None if concave else component_polytope(pairs, comp.arcs).linear_range(
             cost.pair_costs(pairs)[comp.arcs])
         if c_range is not None and cost.gamma < c_range[1] - 1e-12:
-            val, val_single, arg = maximize_uce(d, pairs, cost, comp, c_range, opts)
+            val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range, opts)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
             q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
@@ -313,45 +311,39 @@ def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
     return res.x, float(-res.fun)
 
 
-def maximize_uce(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
-                 comp: FeasibilityComponent, c_range: tuple[float, float],
+def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,
+                 pairs: FeasiblePairSet, comp: FeasibilityComponent, c_range: tuple[float, float],
                  opts: SolverOptions) -> tuple[float, float, TimeSharingPlan]:
-    """Time-sharing value over one component whose cost budget binds:
-    gamma lies in c_range, the min and max cost per use over the component.
+    """Time-sharing value over one component whose cost budget binds, from
+    what `maximize_e0` built for it: the distance block sub_d, the costed
+    polytope at the budget gamma, which lies in c_range (the min and max
+    cost per use over the component), and its cheapest point.
 
     Segments each satisfy the class constraints (feasibility, equal
     marginals, support closure within the component); the mixture must meet
     the cost budget -- the only coupling. So the value is the upper concave
     envelope of the value-versus-cost curve at gamma: a budget sweep samples
-    the curve with multi-start projected gradient, and one weight LP over
+    the curve with multi-start projected gradient on `poly.at_budget(b)`
+    (b >= c_lo, so the cheapest point is feasible), and one weight LP over
     the samples takes the best mixture. For indefinite D the result is a
     certified lower bound (best found).
 
     Returns the value, the best single distribution at budget gamma, and the
     plan anchored at the component's smallest state."""
-    arcs = comp.arcs
-    sub_d = d.d[np.ix_(arcs, arcs)]
-    costs = cost.pair_costs(pairs)[arcs]
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7CE)))
     c_lo, c_hi = c_range
-    # every budget here is at least c_lo, so the cheapest point is the same;
-    # the budgets share one null space and one cache of projection pieces
-    poly = component_polytope(pairs, arcs, cost, c_hi)
-    cheapest = poly.feasible_point()
-    budgets = np.unique(np.concatenate([
-        np.linspace(c_lo, c_hi, SWEEP_POINTS), [cost.gamma]]))
+    budgets = np.unique(np.concatenate([np.linspace(c_lo, c_hi, SWEEP_POINTS), [poly.gamma]]))
     qs, vals = [], []
     for b in budgets:
         q, v = _multistart_max(sub_d, poly.at_budget(b), rng, max(2, opts.starts // 8),
                                cheapest, SWEEP_TOL, warm=qs[-1:])
         qs.append(q)
         vals.append(v)
-    qg, vg = _multistart_max(sub_d, poly.at_budget(cost.gamma), rng, opts.starts,
-                             cheapest, SOLVE_TOL, warm=qs[-1:])
+    qg, vg = _multistart_max(sub_d, poly, rng, opts.starts, cheapest, SOLVE_TOL, warm=qs[-1:])
     qs.append(qg)
     vals.append(vg)
-    w, val = _weight_lp(np.array(vals), np.array([costs @ q for q in qs]), cost.gamma)
+    w, val = _weight_lp(np.array(vals), np.array([poly.cost @ q for q in qs]), poly.gamma)
     active = np.nonzero(w > 1e-12)[0]
-    segments = tuple(_embed(pairs, arcs, qs[i]) for i in active)
+    segments = tuple(_embed(pairs, comp.arcs, qs[i]) for i in active)
     plan = TimeSharingPlan(w[active] / w[active].sum(), segments, min(comp.states))
     return val, vg, plan

@@ -8,7 +8,8 @@ the product machine. Helpers that only tests call (likelihood,
 window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
 harmonic_r_xe, quadruple_joint) live here too, and so does
 round_type_greedy, the greedy cycle-repair rounding that the integer
-program in `codebook.round_type` replaced."""
+program in `codebook.round_type` replaced; round_type_enumerated is that
+program's answer by exhaustive search."""
 from __future__ import annotations
 
 import itertools
@@ -841,3 +842,37 @@ def _repair_connectivity(pairs, counts, sup, n, target, arc_cost):
         _repair_total(pairs, counts, sup, n, target, arc_cost, keep=1)
     if not support_is_connected(counts, pairs):
         raise ValidationError("support connectivity cannot be repaired")
+
+
+def round_type_enumerated(q, n: int, arc_cost: np.ndarray | None = None):
+    """(L1 deviation, cost) of the integer type that `codebook.round_type`
+    seeks, by enumerating every count vector of total n on supp(q): the
+    least sum |x - n q| over the balanced, strongly connected ones, then the
+    least cost under `arc_cost` (per-pair costs) among those within 1e-6 of
+    it. None when no count vector qualifies."""
+    pairs = q.pairs
+    sup = np.nonzero(q.q > 1e-12)[0]
+    k = len(sup)
+    tails, heads = pairs.tails[sup], pairs.heads[sup]
+    cost = np.zeros(k) if arc_cost is None else np.asarray(arc_cost, dtype=float)[sup]
+    # stars and bars: k - 1 bars among n + k - 1 slots split n into k counts
+    bars = list(itertools.combinations(range(n + k - 1), k - 1))
+    edges = np.hstack([np.full((len(bars), 1), -1),
+                       np.array(bars, dtype=np.int64).reshape(len(bars), k - 1),
+                       np.full((len(bars), 1), n + k - 1)])
+    x = np.diff(edges, axis=1) - 1
+    out_minus_in = np.zeros((pairs.n_states, k))
+    np.add.at(out_minus_in, (tails, np.arange(k)), 1.0)
+    np.add.at(out_minus_in, (heads, np.arange(k)), -1.0)
+    x = x[(x @ out_minus_in.T == 0).all(axis=1)]
+    dev = np.abs(x - n * q.q[sup]).sum(axis=1)
+    found = []  # (deviation, cost) of the connected counts, nearest first
+    for i in np.argsort(dev, kind="stable"):
+        if found and dev[i] > found[0][0] + 1e-6:
+            break
+        pos = x[i] > 0
+        touched = np.unique(np.concatenate([tails[pos], heads[pos]]))
+        reach = mutual_reachability(pairs.n_states, tails[pos], heads[pos])
+        if reach[np.ix_(touched, touched)].all():
+            found.append((float(dev[i]), float(cost @ x[i])))
+    return (found[0][0], min(c for _, c in found)) if found else None

@@ -345,6 +345,52 @@ def test_exit_code_infeasible(tmp_path, capsys):
     assert code == 2 and err.startswith("error: infeasible:")
 
 
+# block, path to one entry, the value written there (None deletes the entry)
+MALFORMED_VALUES = {
+    "unknown next state": ("fsc", ("next_state", "s", "0"), "t"),
+    "pmf row length": ("fsc", ("kernel", "pmf", "s", "0"), [0.8, 0.1, 0.1]),
+    "pmf entry": ("fsc", ("kernel", "pmf", "s", "0"), ["x", 0.1]),
+    "values entry": ("fsc", ("values", "0"), "zero"),
+    "isi h": ("isi", ("h",), [1.0, "x"]),
+    "isi sigma2": ("isi", ("sigma2",), "one"),
+    "cost without gamma": ("fsc", ("cost", "gamma"), None),
+    "phi missing a symbol": ("fsc", ("cost", "phi", "1"), None),
+    "outputs not a list": ("fsc", ("kernel", "outputs"), 5),
+}
+
+
+@pytest.mark.parametrize("block, path, value", MALFORMED_VALUES.values(),
+                         ids=list(MALFORMED_VALUES))
+def test_malformed_spec_value_is_one_validation_line(block, path, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(BSC_DOC if block == "fsc" else ISI_DOC))
+    entry = doc[block]
+    for key in path[:-1]:
+        entry = entry[key]
+    if value is None:
+        del entry[path[-1]]
+    else:
+        entry[path[-1]] = value
+    code, stdout, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, doc))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["isi-loss", "--k-list", "8,x"], ["isi-loss", "--k-list", ","],
+                                  ["isi-loss", "--k-list", "6,3"], ["zrho", "--rhos", "1,abc"],
+                                  ["zrho", "--rhos", "nan"], ["zrho", "--rhos", "inf"],
+                                  ["zrho", "--rhos", "0"]], ids=" ".join)
+def test_list_flags_are_usage_errors_before_any_solve(argv, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the flags were parsed")
+
+    monkeypatch.setattr(zerorate.exponent, "maximize_e0", no_solve)
+    monkeypatch.setattr(zerorate.isi, "spectral_bound", no_solve)
+    code, stdout, err = run_cli(capsys, argv[0], "--spec", str(SPECS / "isi_binary.json"),
+                                *argv[1:])
+    assert (code, stdout) == (1, "")
+    assert err.startswith(f"error: validation: argument {argv[1]}: ") and err.count("\n") == 1
+
+
 def test_build_code_refuses_clone_codebook(tmp_path, capsys):
     # the argmax is a single 4-cycle with connected support, so no blend is
     # applied and its type admits one circuit up to rotation

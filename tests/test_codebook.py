@@ -1,3 +1,5 @@
+import json
+import math
 import re
 from pathlib import Path
 
@@ -11,14 +13,14 @@ from hypothesis import strategies as st
 
 import zerorate as zr
 from zerorate import codebook
-from zerorate.cli import run
+from zerorate.cli import load_channel, run
 from zerorate.codebook import CandidateSet, pairwise_path_distances
 from zerorate.errors import ValidationError
 
 from conftest import make_isi
 from oracles import (count_euler_circuits, greedy_rotations,
-                     pairwise_path_distances_loop, round_type_greedy,
-                     spread_rotations_by_roll)
+                     pairwise_path_distances_loop, round_type_enumerated,
+                     round_type_greedy, spread_rotations_by_roll)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -233,6 +235,97 @@ def test_round_type_no_worse_than_greedy_repairs(case, n):
     if greedy is not None:
         assert (np.abs(spec.counts - n * q.q).sum()
                 <= np.abs(greedy.counts - n * q.q).sum() + 1e-9)
+
+
+def test_round_connectivity_resolve_keeps_the_tie_rule(order1):
+    # n q = (2.7, 0.1, 0.1, 7.1): the nearest balanced counts (3, 0, 0, 7)
+    # leave the 2-cycle out, and the connected types (2, 1, 1, 6) and
+    # (1, 1, 1, 7) tie at L1 deviation 3.6; the cheaper one costs 10, not 12
+    _, pairs = order1
+    q = zr.PairDistribution(pairs, np.array([0.27, 0.01, 0.01, 0.71]))
+    arc_cost = np.array([3.0, 0.0, 0.0, 1.0])
+    spec = zr.round_type(q, 10, arc_cost)
+    assert spec.counts.tolist() == [1, 1, 1, 7]
+    assert arc_cost @ spec.counts == 10.0
+
+
+@pytest.mark.parametrize("spec, cost, l1", [
+    (ROOT / "bench/specs/isi_long.json", 272.0, 32.0),
+    (ROOT / "specs/isi_two_tap.json", 312.0, 29.904762),
+], ids=["isi_long", "isi_two_tap"])
+def test_golden_roundings_take_the_cheaper_tie(spec, cost, l1):
+    """The n = 64 books of the golden sweep: each blend's nearest balanced
+    counts are disconnected, and the connectivity re-solve still sends ties
+    to the cheaper type (a cost-blind re-solve gave 312 and 348)."""
+    ch = load_channel(json.loads(spec.read_text()))
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    plan = zr.maximize_e0(d, ch.pairs, ch.cost).argmax
+    book = zr.build_codebook(plan, d, ch.cost, 64, 4, 0, ch.machine)
+    (rounded,) = book.certificate
+    q, _, _ = zr.blend_for_construction(plan.components[0], plan.anchor, 64)
+    assert rounded.cost(ch.cost) == cost
+    assert np.abs(rounded.counts - 64 * q.q).sum() == pytest.approx(l1, abs=1e-6)
+
+
+@st.composite
+def costed_roundings(draw):
+    """An order-1 or order-2 binary register, integer weights of a balanced q
+    with a strongly connected support, integer arc costs in 0..3 and a
+    length n from the support size up to where enumerating the count
+    vectors stays cheap. Half the draws are two self-loops joined by one
+    thin cycle, whose nearest balanced counts tend to leave the cycle out
+    (a disconnected first optimum); the rest sum up to three closed walks
+    through the all-zeros state."""
+    order = draw(st.integers(1, 2))
+    m = zr.shift_register([1.0, -1.0], order)
+    lookup = zr.feasible_pairs(m).index_lookup()
+
+    def feed(s, symbols):
+        """The state after the symbols, and the arcs they use."""
+        arcs = np.zeros(2 ** (order + 1), dtype=np.int64)
+        for x in symbols:
+            t = int(m.next_state[s, x])
+            arcs[lookup[s, t]] += 1
+            s = t
+        return s, arcs
+
+    zeros, _ = feed(0, [0] * order)
+    if draw(st.booleans()):
+        ones, _ = feed(0, [1] * order)
+        weights = (draw(st.integers(1, 40)) * feed(zeros, [0])[1]
+                   + draw(st.integers(1, 40)) * feed(ones, [1])[1]
+                   + draw(st.integers(1, 3)) * feed(zeros, [1] * order + [0] * order)[1])
+    else:
+        weights = sum(draw(st.integers(1, 20))
+                      * feed(zeros, draw(st.lists(st.integers(0, 1), max_size=8)) + [0] * order)[1]
+                      for _ in range(draw(st.integers(1, 3))))
+    k = int((weights > 0).sum())
+    cap = k
+    while cap < 60 and math.comb(cap + k, k - 1) <= 20_000:
+        cap += 1
+    costs = draw(st.lists(st.integers(0, 3), min_size=len(weights), max_size=len(weights)))
+    return order, tuple(weights.tolist()), tuple(costs), draw(st.integers(k, cap))
+
+
+@given(case=costed_roundings())
+@example(case=(1, (27, 1, 1, 71), (3, 0, 0, 1), 10))
+@settings(max_examples=150, deadline=None)
+def test_round_type_matches_enumeration(case):
+    # the least L1 deviation, then the least cost among its ties; tied types
+    # may differ in their counts, so only those two numbers are compared
+    order, weights, costs, n = case
+    pairs = zr.feasible_pairs(zr.shift_register([1.0, -1.0], order))
+    w = np.array(weights, dtype=float)
+    q = zr.PairDistribution(pairs, w / w.sum())
+    arc_cost = np.array(costs, dtype=float)
+    best = round_type_enumerated(q, n, arc_cost)
+    if best is None:
+        with pytest.raises(ValidationError):
+            zr.round_type(q, n, arc_cost)
+        return
+    spec = zr.round_type(q, n, arc_cost)
+    assert np.abs(spec.counts - n * q.q).sum() == pytest.approx(best[0], abs=1e-6)
+    assert arc_cost @ spec.counts == best[1]
 
 
 # -------------------------------------------------------------- euler_circuit
