@@ -6,10 +6,10 @@ marginals, connected support within one strongly connected feasibility
 component, and marginal cost within budget. `maximize_e0` is the one
 solver entry point. Time-sharing mixtures couple their segments only
 through the shared cost budget, so they can beat a single distribution
-only where E0 is not concave (checked through the reduced matrix) and the
-budget binds; there `maximize_uce` approaches the upper concave envelope.
-Everywhere else a multi-start projected-gradient solve is the value,
-exact where E0 is concave.
+only where E0 is not concave on the component's feasible set (checked on
+the affine hull of its polytope) and the budget binds; there `maximize_uce`
+approaches the upper concave envelope. Everywhere else a multi-start
+projected-gradient solve is the value, exact where E0 is concave.
 
 The connectivity requirement is handled by closure: the maximum over the
 polytope of one strongly connected component equals the supremum over
@@ -199,13 +199,10 @@ def support_is_connected(q, pairs: FeasiblePairSet, tol: float = 1e-12) -> bool:
 
 
 def _balance_rows(pairs: FeasiblePairSet, arcs: np.ndarray) -> np.ndarray:
-    """Out-minus-in rows, one per state touched by the arcs."""
-    touched = sorted(set(pairs.tails[arcs].tolist()) | set(pairs.heads[arcs].tolist()))
-    rows = np.zeros((len(touched), len(arcs)))
-    for i, s in enumerate(touched):
-        rows[i, pairs.tails[arcs] == s] += 1.0
-        rows[i, pairs.heads[arcs] == s] -= 1.0
-    return rows
+    """Out-minus-in rows, one per touched state in state order (0 on self-loops)."""
+    ends = np.stack([pairs.tails[arcs], pairs.heads[arcs]])
+    hit = np.unique(ends)[:, None, None] == ends
+    return hit[:, 0].astype(float) - hit[:, 1]
 
 
 def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
@@ -257,11 +254,11 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     that have arcs, finite distances and a point within budget.
 
     A component gets one multi-start single solve (two starts when E0 is
-    concave there), unless E0 is not concave and the budget binds
-    (gamma below the component's largest cost), where time sharing can beat
-    one distribution and `maximize_uce` solves it instead. The argmax is a
-    TimeSharingPlan either way; a single solve gives one segment anchored at
-    its most visited state."""
+    concave on the affine hull of its polytope), unless E0 is not concave
+    there and the budget binds (gamma below the component's largest cost),
+    where time sharing can beat one distribution and `maximize_uce` solves
+    it instead. The argmax is a TimeSharingPlan either way; a single solve
+    gives one segment anchored at its most visited state."""
     opts = opts or SolverOptions()
     best = None
     single = -np.inf
@@ -278,9 +275,10 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
             feasible = poly.feasible_point()
         except InfeasibleError:
             continue
-        concave = concavity_test(DistanceMatrix(sub_d)).concave
-        c_range = None if concave else component_polytope(pairs, comp.arcs).linear_range(
-            cost.pair_costs(pairs)[comp.arcs])
+        # concave on the affine hull x0 + range(N) of the polytope iff N^T D N <= 0
+        null = poly._null
+        concave = bool((np.linalg.eigvalsh(null.T @ sub_d @ null) <= 1e-9).all())
+        c_range = None if concave else poly.linear_range(cost.pair_costs(pairs)[comp.arcs])
         if c_range is not None and cost.gamma < c_range[1] - 1e-12:
             val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range, opts)
         else:

@@ -52,7 +52,7 @@ import numpy as np
 from .bhatt import DISCRETE, ChannelKernel, DistanceMatrix, log_pmf
 from .codebook import Codebook
 from .errors import ValidationError
-from .exponent import PairDistribution
+from .exponent import PairDistribution, e0
 
 _BATCH_ELEMENTS = 2 ** 17  # values per batch of the widest per-trial array (1 MiB of float64)
 _NEWTON_TOL = 1e-12  # on half the squared Newton decrement, per unit of max(1, rho)
@@ -429,14 +429,14 @@ def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float) -> ZRhoResult
         [A W A^T / rho, -A W B^T; -B W A^T, 0] [nu; beta] = [-A W g / rho; B W g],
         y = -(g + A^T nu) / rho + beta[cell].
 
-    The step stops short of the boundary and backtracks until the objective,
-    as computed here, drops enough, so the value never exceeds its value at
-    q* x q*, which is -E0(q*). Entries below 1e-30 leave the support: they
-    move neither the value nor the constraints, and keeping them would make
-    Newton crawl toward an optimum whose tail cells vanish (small rho). The
-    result carries the Newton decrement and the KKT residual of the returned
-    point as its certificate; a decrement still above tolerance after the
-    iteration cap raises instead of returning.
+    The step stops short of the boundary and backtracks until the objective
+    drops enough below its start value, -E0(q*) (exact: Delta vanishes at
+    q* x q*), so the value never exceeds -E0(q*). Entries below 1e-30 leave
+    the support: they move neither the value nor the constraints, and
+    keeping them would make Newton crawl toward an optimum whose tail cells
+    vanish (small rho). The result carries the Newton decrement and the KKT
+    residual of the returned point as its certificate; a decrement still
+    above tolerance after the iteration cap raises instead of returning.
     """
     if rho <= 0:
         raise ValidationError("rho must be positive")
@@ -460,7 +460,7 @@ def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float) -> ZRhoResult
         return rho * delta_of(w.reshape(L, L), pairs) - float(w @ dmat.ravel())
 
     w = np.outer(q_star.q, q_star.q).ravel()
-    f = objective(w)
+    f = -e0(q_star, d)
     for it in range(_NEWTON_MAX_ITER + 1):
         on = np.nonzero(w)[0]
         x = w[on]

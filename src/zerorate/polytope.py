@@ -262,21 +262,19 @@ class Polytope:
             lower.append(np.full(2 * len(block), -KKT_TOL))
         return _Piece(idx, np.vstack(blocks), np.concatenate(lower))
 
-    def _linprog(self, objective: np.ndarray):
-        return _highs_lp(objective, self.a_eq, self.b_eq, self.cost, self.gamma)
-
     def feasible_point(self) -> np.ndarray:
         """The cheapest feasible point (any one without a cost), or raise."""
         obj = self.cost if self.cost is not None else np.zeros(self.dim)
-        res = self._linprog(obj)
+        res = _highs_lp(obj, self.a_eq, self.b_eq, self.cost, self.gamma)
         if res.status != 0:
             raise InfeasibleError("polytope is empty")
         return res.x
 
     def linear_range(self, c: np.ndarray) -> tuple[float, float]:
-        """min and max of c.x over the polytope."""
-        lo = self._linprog(c)
-        hi = self._linprog(-c)
+        """min and max of c.x over {x >= 0, A x = b}: the budget is left out,
+        so on a cost vector this is the range every budget can choose from."""
+        lo = _highs_lp(c, self.a_eq, self.b_eq)
+        hi = _highs_lp(-c, self.a_eq, self.b_eq)
         if lo.status != 0 or hi.status != 0:
             raise InfeasibleError("polytope is empty")
         return float(lo.fun), float(-hi.fun)

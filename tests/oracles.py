@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import null_space
 from scipy.special import jv
 
 from zerorate.errors import ValidationError
@@ -611,6 +612,22 @@ def power_identity_check(A: float, delta: float, omega0: float,
     series = A * A / 2.0 + 2.0 * rxe0 + ree0
     return {"empirical": emp, "decomposition": series,
             "rel_error": abs(emp - series) / max(abs(series), 1e-300)}
+
+
+def balance_rows_loop(pairs, arcs: np.ndarray) -> np.ndarray:
+    """Out-minus-in rows, one per touched state in state order, built arc by arc."""
+    states = sorted(set(pairs.tails[arcs].tolist()) | set(pairs.heads[arcs].tolist()))
+    return np.array([[float(pairs.tails[a] == s) - float(pairs.heads[a] == s) for a in arcs]
+                     for s in states])
+
+
+def hull_concave(pairs, arcs: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether q^T D q is concave on the affine hull {sum q = 1, balanced}
+    of a component's arcs: N^T D N <= tol for N a null basis of the sum row
+    and the out-minus-in rows."""
+    n = null_space(np.vstack([np.ones(len(arcs)), balance_rows_loop(pairs, arcs)]))
+    block = d[np.ix_(arcs, arcs)]
+    return bool(np.linalg.eigvalsh(n.T @ block @ n).max(initial=-np.inf) <= tol)
 
 
 def plan_value(plan, d) -> float:

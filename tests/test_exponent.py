@@ -7,14 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerorate as zr
+from zerorate import exponent
 from zerorate.cli import load_channel
 from zerorate.errors import InfeasibleError, UnsupportedChannelError
 from zerorate.exponent import component_polytope
+from zerorate.polytope import maximize_quadratic
 
 from conftest import (NONCONCAVE_DHAT, NONCONCAVE_GAMMA, NONCONCAVE_PHI,
                       make_bsc, make_dmc, make_isi)
-from oracles import (dmc_e0_grid, dmc_uce_two_component_grid, plan_cost, plan_value,
-                     register_polytope_grid)
+from oracles import (balance_rows_loop, dmc_e0_grid, dmc_uce_two_component_grid,
+                     hull_concave, plan_cost, plan_value, register_polytope_grid)
 
 
 # ---------------------------------------------------------------- e0 basics
@@ -204,6 +206,100 @@ def test_register_solver_matches_dense_scan():
     res = zr.maximize_e0(d, pairs, cost)
     oracle, _ = register_polytope_grid(d.d, res=1024)
     assert res.value == pytest.approx(oracle, abs=1e-4)
+
+
+# ------------------------------------------- concavity on the feasible set
+
+@pytest.mark.parametrize("spec", ["specs/bsc.json", "specs/isi_two_tap.json",
+                                  "bench/specs/quantized_two_tap.json",
+                                  "bench/specs/time_sharing.json"])
+def test_balance_rows_match_loop_reference(spec):
+    """Bit for bit, row order and zero self-loop columns included: the
+    polytope's SVD, and so every artifact, depends on these rows."""
+    pairs = load_channel(json.loads((Path(__file__).resolve().parent.parent
+                                     / spec).read_text())).pairs
+    rng = np.random.default_rng(0)
+    subsets = [np.arange(len(pairs))] + [c.arcs for c in zr.feasibility_sccs(pairs)]
+    subsets += [np.sort(rng.choice(len(pairs), 3, replace=False)) for _ in range(10)]
+    for arcs in subsets:
+        rows, ref = exponent._balance_rows(pairs, arcs), balance_rows_loop(pairs, arcs)
+        assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
+
+
+@st.composite
+def random_fsc_docs(draw):
+    """fsc specs with 2-4 states, 2-3 symbols, 2-4 outputs, Dirichlet pmf
+    rows, symbol costs in {0, 1, 2} and a budget inside their range."""
+    S, K, Y = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    states = [f"s{i}" for i in range(S)]
+    alphabet = [f"x{i}" for i in range(K)]
+    nxt = draw(st.lists(st.sampled_from(states), min_size=S * K, max_size=S * K))
+    phi = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=K, max_size=K))
+    gamma = draw(st.floats(min(phi), max(phi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {"fsc": {
+        "states": states, "alphabet": alphabet,
+        "next_state": {s: dict(zip(alphabet, nxt[i * K:(i + 1) * K]))
+                       for i, s in enumerate(states)},
+        "kernel": {"kind": "discrete", "outputs": [f"y{i}" for i in range(Y)],
+                   "pmf": {s: {x: rng.dirichlet(np.ones(Y)).tolist() for x in alphabet}
+                           for s in states}},
+        "cost": {"phi": dict(zip(alphabet, phi)), "gamma": gamma}}}
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=random_fsc_docs())
+def test_concave_flag_is_concavity_on_the_hull(doc):
+    ch = load_channel(doc)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    comps = zr.feasibility_sccs(ch.pairs)
+    for cid, comp in enumerate(comps):
+        # infinite blocks on the other components leave this one the only one solved
+        dm = d.d.copy()
+        for j, other in enumerate(comps):
+            if j != cid:
+                dm[np.ix_(other.arcs, other.arcs)] = np.inf
+        try:
+            res = zr.maximize_e0(zr.DistanceMatrix(dm), ch.pairs, ch.cost,
+                                 zr.SolverOptions(starts=4))
+        except (InfeasibleError, UnsupportedChannelError):
+            continue  # no arcs, an infinite distance or over budget: not solved
+        assert res.scc_id == cid
+        assert res.concave == hull_concave(ch.pairs, comp.arcs, d.d)
+
+
+# A binary register (state = last symbol) with hand-picked output rows. E0 is
+# not concave on the simplex but is on the hull {sum 1, balanced} of its one
+# component, and the budget 0.3 binds: the pair costs run from 0 to 1.
+_HULL_ROWS = {"a": {"a": [0.05, 0.85, 0.1], "b": [0.6, 0.05, 0.35]},
+              "b": {"a": [0.4, 0.55, 0.05], "b": [0.1, 0.1, 0.8]}}
+HULL_CONCAVE_DOC = {"fsc": {
+    "states": ["a", "b"], "alphabet": ["a", "b"],
+    "next_state": {"a": {"a": "a", "b": "b"}, "b": {"a": "a", "b": "b"}},
+    "recover": {"a": "a", "b": "b"},
+    "kernel": {"kind": "discrete", "outputs": ["y0", "y1", "y2"], "pmf": _HULL_ROWS},
+    "cost": {"phi": {"a": 1.0, "b": 0.0}, "gamma": 0.3}}}
+
+
+def test_hull_concave_component_needs_no_time_sharing(monkeypatch):
+    ch = load_channel(HULL_CONCAVE_DOC)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    poly = component_polytope(ch.pairs, np.arange(4), ch.cost)
+    assert not zr.concavity_test(d).concave
+    assert hull_concave(ch.pairs, np.arange(4), d.d)
+    assert ch.cost.pair_costs(ch.pairs).max() > ch.cost.gamma  # the a->a loop is feasible
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximize_uce ran on a component concave on its hull")
+
+    monkeypatch.setattr(exponent, "maximize_uce", refuse)
+    res = zr.maximize_e0(d, ch.pairs, ch.cost)
+    assert res.concave
+    rng = np.random.default_rng(0)
+    step = 1.0 / (2.0 * np.linalg.norm(d.d, 2))
+    best = max(maximize_quadratic(d.d, poly, rng.dirichlet(np.ones(4)), step, 0.0)[1]
+               for _ in range(64))
+    assert res.value >= best - 1e-9
 
 
 # ------------------------------------------------------------- maximize_uce

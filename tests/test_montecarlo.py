@@ -583,6 +583,16 @@ def test_zrho_property_against_dense_newton(channel, weights, rho):
     assert abs(res.value - ref) <= 1e-8
 
 
+@pytest.mark.parametrize("spec, n", [("bench/specs/time_sharing.json", 512),
+                                     ("bench/specs/quantized_two_tap.json", 64),
+                                     ("specs/isi_binary.json", 64)])
+def test_zrho_at_large_rho_stays_at_or_below_minus_e0(spec, n):
+    """At rho = 1e8, roundoff in Delta's entropy differences outweighs the
+    cross term; the value starts at -E0(q*) exactly, so it never exceeds it."""
+    q, d = cli_zrho_q(spec, n)
+    assert zr.z_rho(q, d, 1e8).value <= -zr.e0(q, d)
+
+
 def test_zrho_raises_at_the_iteration_cap(monkeypatch):
     q, d = cli_zrho_q("specs/isi_binary.json")
     zr.z_rho(q, d, 64.0)  # converges with the shipped cap

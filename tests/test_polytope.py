@@ -21,6 +21,12 @@ def test_project_returns_feasible_point():
     assert cost @ y <= gamma + 1e-9
 
 
+def test_linear_range_leaves_the_budget_out():
+    a = np.array([[1.0, 1.0, 1.0]])
+    cost = np.array([0.0, 1.0, 2.0])
+    assert Polytope(a, [1.0], cost, 0.5).linear_range(cost) == (0.0, 2.0)
+
+
 def _violation(a, b, cost, gamma, x):
     viol = max(-x.min(), np.abs(a @ x - b).max())
     return viol if cost is None else max(viol, cost @ x - gamma)
