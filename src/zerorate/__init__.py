@@ -24,8 +24,7 @@ _EXPORTS = {
             "check_structure", "feasible_pairs", "shift_register"),
     "isi": ("IsiSpec", "QuantizedSinusoidStats", "build_isi_machine", "choose_amplitude",
             "e0_isi", "gray_stats", "irrationalize", "quantization_loss", "spectral_bound"),
-    "montecarlo": ("QuadrupleDistribution", "SimulationReport", "pairwise_check", "simulate",
-                   "z_rho", "z_rho_sweep"),
+    "montecarlo": ("SimulationReport", "pairwise_check", "simulate", "z_rho", "z_rho_sweep"),
     "polytope": (),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

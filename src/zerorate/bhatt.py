@@ -40,8 +40,8 @@ def discrete_kernel(outputs, pmf) -> ChannelKernel:
     pmf = np.array(pmf, dtype=float)
     if pmf.ndim != 2 or pmf.shape[1] != len(tuple(outputs)):
         raise ValidationError("pmf must be (n_pairs, n_outputs)")
-    if (pmf < 0).any():
-        raise ValidationError("pmf entries must be nonnegative")
+    if not (np.isfinite(pmf) & (pmf >= 0)).all():
+        raise ValidationError("pmf entries must be finite and nonnegative")
     sums = pmf.sum(axis=1)
     off = np.abs(sums - 1.0)
     if (off > PMF_TOL).any():
@@ -54,11 +54,11 @@ def discrete_kernel(outputs, pmf) -> ChannelKernel:
 
 def gaussian_kernel(means, variance) -> ChannelKernel:
     means = np.array(means, dtype=float)
-    if means.ndim != 1:
-        raise ValidationError("means must be a vector indexed by pair")
+    if means.ndim != 1 or not np.isfinite(means).all():
+        raise ValidationError("means must be a finite vector indexed by pair")
     variance = float(variance)
-    if not variance > 0:
-        raise ValidationError("variance must be strictly positive")
+    if not 0 < variance < np.inf:
+        raise ValidationError("variance must be strictly positive and finite")
     means.setflags(write=False)
     return ChannelKernel(kind=GAUSSIAN, means=means, variance=variance)
 
@@ -87,8 +87,10 @@ class DistanceMatrix:
 def bhattacharyya(kernel: ChannelKernel, pairs: FeasiblePairSet) -> DistanceMatrix:
     """The pairwise distance matrix over feasible pairs.
 
-    Each unordered pair is computed once, so symmetry is exact. A zero
-    Bhattacharyya coefficient (disjoint supports) is recorded as +inf.
+    Symmetry is exact: a discrete pair is computed once and mirrored, and
+    a Gaussian (mu_i - mu_j)^2 equals (mu_j - mu_i)^2 bit for bit (the
+    kernel's means are finite, so the diagonal is 0). A zero Bhattacharyya
+    coefficient (disjoint supports) is recorded as +inf.
     """
     L = len(pairs)
     if kernel.n_rows != L:
@@ -96,10 +98,7 @@ def bhattacharyya(kernel: ChannelKernel, pairs: FeasiblePairSet) -> DistanceMatr
     if kernel.kind == GAUSSIAN:
         mu = kernel.means
         diff = mu[:, None] - mu[None, :]
-        d = diff * diff / (8.0 * kernel.variance)
-        d = np.triu(d, 1)
-        d = d + d.T
-        return DistanceMatrix(d)
+        return DistanceMatrix(diff * diff / (8.0 * kernel.variance))
     root = np.sqrt(kernel.pmf)
     bc = root @ root.T
     d = np.zeros((L, L))

@@ -145,7 +145,7 @@ def euler_circuit(spec: MarkovTypeSpec, anchor: int, seed) -> np.ndarray:
     with the next unused arc drawn uniformly (randomized Hierholzer).
     Returns the n states visited; the wrap arc (s_n, s_1) is implied."""
     pairs, counts, n = spec.pairs, spec.counts, spec.n
-    rng = np.random.default_rng(np.random.SeedSequence(_as_entropy(seed)))
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
     out_heads: dict[int, list[int]] = {}
     for a in np.nonzero(counts > 0)[0]:
         t, h = int(pairs.tails[a]), int(pairs.heads[a])
@@ -168,10 +168,6 @@ def euler_circuit(spec: MarkovTypeSpec, anchor: int, seed) -> np.ndarray:
         raise ValidationError("type is not Eulerian from the anchor "
                               "(unbalanced or disconnected counts)")
     return np.asarray(circuit[:-1], dtype=np.int64)
-
-
-def _as_entropy(seed):
-    return seed if isinstance(seed, (int, tuple)) else int(seed)
 
 
 def emit_codeword(path: np.ndarray, machine: StateMachine) -> np.ndarray:

@@ -68,8 +68,8 @@ class PairDistribution:
         return np.bincount(self.pairs.tails, weights=self.q,
                            minlength=self.pairs.n_states)
 
-    def support(self, tol: float = 1e-12) -> np.ndarray:
-        return np.nonzero(self.q > tol)[0]
+    def support(self) -> np.ndarray:
+        return np.nonzero(self.q > 1e-12)[0]
 
     def most_visited(self, states=None) -> int:
         """The state of largest marginal mass among `states` (default: all).
@@ -135,25 +135,25 @@ class SolverOptions:
     seed: int = 0
 
 
-def e0(q, d: DistanceMatrix) -> float:
+def e0(q: PairDistribution, d: DistanceMatrix) -> float:
     """The quadratic functional q^T D q; zero for point masses. Only the
     support of q enters, so D may be infinite off it."""
-    vec = q.q if hasattr(q, "q") else np.asarray(q, dtype=float)
-    if len(vec) != len(d):
+    if len(q.q) != len(d):
         raise ValidationError("dimension mismatch between q and D")
-    sup = np.flatnonzero(vec)
+    sup = np.flatnonzero(q.q)
     block = d.d[np.ix_(sup, sup)]
     if np.isinf(block).any():
         raise UnsupportedChannelError(
             "infinite Bhattacharyya distance on the support of q "
             "(disjoint output supports); zero-rate theory does not apply")
-    return float(vec[sup] @ block @ vec[sup])
+    return float(q.q[sup] @ block @ q.q[sup])
 
 
-def concavity_test(d: DistanceMatrix, tol: float = 1e-9) -> ConcavityReport:
+def concavity_test(d: DistanceMatrix) -> ConcavityReport:
     """Concavity of q^T D q on the simplex via the reduced matrix with the
     last pair as reference: concave iff -Dt, with entries
-    d(x,L) + d(L,x') - d(x,x'), is positive semi-definite."""
+    d(x,L) + d(L,x') - d(x,x'), is positive semi-definite (smallest
+    eigenvalue at least -1e-9)."""
     mat = d.d
     L = len(mat)
     if L < 2:
@@ -166,7 +166,7 @@ def concavity_test(d: DistanceMatrix, tol: float = 1e-9) -> ConcavityReport:
     neg = -reduced
     neg = 0.5 * (neg + neg.T)
     min_eig = float(np.linalg.eigvalsh(neg)[0])
-    return ConcavityReport(min_eig >= -tol, reduced, min_eig)
+    return ConcavityReport(min_eig >= -1e-9, reduced, min_eig)
 
 
 def feasibility_sccs(pairs: FeasiblePairSet) -> list[FeasibilityComponent]:
@@ -185,12 +185,12 @@ def feasibility_sccs(pairs: FeasiblePairSet) -> list[FeasibilityComponent]:
     return out
 
 
-def support_is_connected(q, pairs: FeasiblePairSet, tol: float = 1e-12) -> bool:
+def support_is_connected(q, pairs: FeasiblePairSet) -> bool:
     """Whether the support arcs form one strongly connected digraph over
     the states they touch (the class-membership requirement on supports).
     q may be a PairDistribution or any per-pair weight vector."""
     vec = q.q if isinstance(q, PairDistribution) else np.asarray(q, dtype=float)
-    sup = np.nonzero(vec > tol)[0]
+    sup = np.nonzero(vec > 1e-12)[0]
     if not sup.size:
         return False
     tails, heads = pairs.tails[sup], pairs.heads[sup]
@@ -326,6 +326,8 @@ def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,
     the samples takes the best mixture. For indefinite D the result is a
     certified lower bound (best found).
 
+    The weight LP solves only to HiGHS's tolerance, so where the solve at
+    gamma is worth at least its mixture, that solve alone is the plan.
     Returns the value, the best single distribution at budget gamma, and the
     plan anchored at the component's smallest state."""
     rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7CE)))
@@ -341,6 +343,8 @@ def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,
     qs.append(qg)
     vals.append(vg)
     w, val = _weight_lp(np.array(vals), np.array([poly.cost @ q for q in qs]), poly.gamma)
+    if vg >= val:
+        w, val = np.eye(len(qs))[-1], vg
     active = np.nonzero(w > 1e-12)[0]
     segments = tuple(_embed(pairs, comp.arcs, qs[i]) for i in active)
     plan = TimeSharingPlan(w[active] / w[active].sum(), segments, min(comp.states))

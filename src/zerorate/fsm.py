@@ -9,6 +9,7 @@ prices the input symbol each arc emits.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,7 @@ class StateMachine:
         xidx = {x: i for i, x in enumerate(alphabet)}
         if len(sidx) != len(states) or len(xidx) != len(alphabet):
             raise ValidationError("duplicate state or symbol labels")
-        if isinstance(values, dict):
-            vals = tuple(float(values[x]) for x in alphabet)
-        else:
-            vals = tuple(float(v) for v in values)
+        vals = tuple(float(values[x]) for x in alphabet)
         ns = np.empty((len(states), len(alphabet)), dtype=np.int64)
         for s in states:
             row = next_state.get(s)
@@ -321,10 +319,7 @@ def shift_register(levels, k: int) -> StateMachine:
         raise ValidationError("shift_register needs k >= 1 (augment a 1-state machine for k=0)")
     levels = tuple(levels)
     K = len(levels)
-    tuples = [()]
-    for _ in range(k):
-        tuples = [t + (x,) for t in tuples for x in range(K)]
-    tuples.sort()
+    tuples = list(itertools.product(range(K), repeat=k))  # lexicographic
     tidx = {t: i for i, t in enumerate(tuples)}
     S = len(tuples)
     ns = np.empty((S, K), dtype=np.int64)

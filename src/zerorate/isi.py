@@ -56,10 +56,6 @@ class IsiSpec:
         return len(self.h) - 1
 
 
-def _register_tuples(K: int, k: int):
-    return sorted(itertools.product(range(K), repeat=k))
-
-
 def build_isi_machine(spec: IsiSpec) -> tuple[StateMachine, ChannelKernel]:
     """Shift-register machine plus the Gaussian kernel whose mean on the
     pair (s, s+) is the filtered window sum h_i x_{t-i}.
@@ -76,24 +72,22 @@ def build_isi_machine(spec: IsiSpec) -> tuple[StateMachine, ChannelKernel]:
                             tuple(float(v) for v in spec.levels),
                             np.zeros((1, K), dtype=np.int64))
         machine = augment(base)
-        pairs = feasible_pairs(machine)
-        means = spec.h[0] * np.asarray(machine.values)[pairs.symbols]
     else:
         machine = shift_register(spec.levels, k)
-        pairs = feasible_pairs(machine)
-        means = pair_means(machine, pairs, spec.h)
+    means = pair_means(machine, feasible_pairs(machine), spec.h)
     return machine, gaussian_kernel(means, spec.sigma2)
 
 
 def pair_means(machine: StateMachine, pairs: FeasiblePairSet, h: np.ndarray) -> np.ndarray:
     """Filtered mean per feasible pair of a shift-register machine whose
-    states are the canonical sorted k-tuples of symbol indices."""
+    states are the canonical sorted k-tuples of symbol indices (any machine
+    when k = 0)."""
     h = np.asarray(h, dtype=float)
     k = len(h) - 1
     vals = np.asarray(machine.values)
     mu = h[0] * vals[pairs.symbols]
     if k >= 1:
-        tuples = _register_tuples(machine.n_symbols, k)
+        tuples = list(itertools.product(range(machine.n_symbols), repeat=k))
         if len(tuples) != machine.n_states:
             raise ValidationError("machine is not the canonical order-k register")
         hist = vals[np.asarray(tuples)]  # (S, k): x_{t-k} .. x_{t-1}

@@ -89,19 +89,16 @@ def _rows(elements: int, n: int) -> int:
     return max(1, elements // max(n, 1))
 
 
-def _sample_outputs(cdf: np.ndarray, rng, n_trials: int, work=None) -> np.ndarray:
+def _sample_outputs(cdf: np.ndarray, rng, n_trials: int, work) -> np.ndarray:
     """(n_trials, n) int64 discrete outputs for a fixed transmitted arc
     sequence whose output CDFs are the columns of cdf, (Y, n), drawn into
-    work when given: (rows, n) float64 and int64 buffers, rows >= n_trials,
-    reused batch after batch because fresh batch-sized arrays are mapped and
+    work: (rows, n) float64 and int64 buffers, rows >= n_trials, reused
+    batch after batch because fresh batch-sized arrays are mapped and
     page-faulted anew each time."""
     # inverse CDF: the output is the number of CDF cells below u; the
     # top cell is never counted, so its cumsum roundoff is harmless
-    n = cdf.shape[1]
-    if work is None:
-        work = np.empty((n_trials, n)), np.empty((n_trials, n), dtype=np.int64)
     u = rng.random(out=work[0][:n_trials])
-    y = np.zeros((n_trials, n), dtype=np.min_scalar_type(len(cdf) - 1))
+    y = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
     for cell in cdf[:-1]:
         y += u > cell
     out = work[1][:n_trials]
@@ -282,35 +279,28 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
              trial_log=None) -> SimulationReport:
     """Per-codeword ML error rates with exact binomial standard errors.
 
-    trial_log, when given, receives one CSV row (trial, codeword, decoded,
-    correct) per transmission; it may be a path or a writable text file.
-    The codewords run on one worker thread per CPU (see the module
-    docstring for when they run inline)."""
+    trial_log, when given, is the path of a CSV file that receives one row
+    (trial, codeword, decoded, correct) per transmission; it is closed
+    however the run ends. The codewords run on one worker thread per CPU
+    (see the module docstring for when they run inline)."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     M, n = book.M, book.n
-    log_fh = log = None
-    close_log = False
-    if trial_log is not None:
-        import csv
-        if hasattr(trial_log, "write"):
-            log_fh = trial_log
-        else:
-            log_fh = open(trial_log, "w", encoding="utf-8", newline="")
-            close_log = True
-        log = csv.writer(log_fh)
-        log.writerow(["trial", "codeword", "decoded", "correct"])
     stat = _statistic(kernel, book.arc_paths)
     rngs = [np.random.default_rng(np.random.SeedSequence((int(seed), m))) for m in range(M)]
     # one thread writes the log in trial order, and one batch per codeword
     # is too little work to pay for a pool
-    workers = 1 if log is not None or trials <= stat.rows else min(M, _cpu_count(), stat.rows)
-    if workers == 1:
-        errors = [_count_errors(stat, m, rng, trials, log) for m, rng in enumerate(rngs)]
-    else:
+    workers = 1 if trial_log is not None or trials <= stat.rows else min(M, _cpu_count(), stat.rows)
+    if workers > 1:
         errors = _count_errors_pooled(stat.split(workers), rngs, trials)
-    if close_log:
-        log_fh.close()
+    elif trial_log is None:
+        errors = [_count_errors(stat, m, rng, trials) for m, rng in enumerate(rngs)]
+    else:
+        import csv
+        with open(trial_log, "w", encoding="utf-8", newline="") as fh:
+            log = csv.writer(fh)
+            log.writerow(["trial", "codeword", "decoded", "correct"])
+            errors = [_count_errors(stat, m, rng, trials, log) for m, rng in enumerate(rngs)]
     errors = np.array(errors, dtype=np.int64)
     pe = errors / trials
     se = np.sqrt(pe * (1.0 - pe) / trials)
@@ -354,19 +344,11 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
-class QuadrupleDistribution:
-    """Joint law of two coupled pair processes, indexed (arc, arc'); both
-    single-pair marginals are pinned and the head-pair joint must equal
-    the tail-pair joint (stationarity of the coupled chain)."""
-
-    pairs: object
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class ZRhoResult:
     value: float
-    argmin: QuadrupleDistribution
+    # (L, L) joint law of two coupled pair processes, indexed (arc, arc'):
+    # both pair marginals are q*, and the head-pair joint equals the tail-pair one
+    argmin: np.ndarray
     delta: float
     cross_term: float
     newton_decrement: float  # at the returned point; half its square estimates the gap
@@ -503,7 +485,7 @@ def z_rho(q_star: PairDistribution, d: DistanceMatrix, rho: float) -> ZRhoResult
     kkt_residual = max(float(np.abs(a_eq @ w - b_eq).max()),
                        float(np.abs(resid).max()) / max(1.0, rho))
     w = w.reshape(L, L)
-    return ZRhoResult(f, QuadrupleDistribution(pairs, w), delta_of(w, pairs),
+    return ZRhoResult(f, w, delta_of(w, pairs),
                       float((w * dmat).sum()), float(np.sqrt(lam2)), kkt_residual)
 
 

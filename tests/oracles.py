@@ -6,7 +6,9 @@ power_identity_check holds a time average against the library's phase
 averages, and structure_by_product_graph runs the library's Tarjan on
 the product machine. Helpers that only tests call (likelihood,
 window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
-harmonic_r_xe, quadruple_joint) live here too, and so does
+harmonic_r_xe, quadruple_joint) live here too, and so do
+gaussian_distances_mirrored, the triangle-and-mirror Gaussian distance
+construction that `bhatt.bhattacharyya` no longer needs, and
 round_type_greedy, the greedy cycle-repair rounding that the integer
 program in `codebook.round_type` replaced; round_type_enumerated is that
 program's answer by exhaustive search."""
@@ -641,12 +643,22 @@ def plan_cost(plan, cost) -> float:
     return float(sum(w * (c @ comp.q) for w, comp in zip(plan.weights, plan.components)))
 
 
-def quadruple_joint(quad, nodes) -> np.ndarray:
+def gaussian_distances_mirrored(means, variance) -> np.ndarray:
+    """Gaussian Bhattacharyya matrix (mu_i - mu_j)^2 / (8 sigma^2) with each
+    unordered pair taken from the upper triangle and mirrored onto the
+    lower one, so the diagonal is 0 and symmetry is exact by construction."""
+    mu = np.asarray(means, dtype=float)
+    diff = mu[:, None] - mu[None, :]
+    d = np.triu(diff * diff / (8.0 * variance), 1)
+    return d + d.T
+
+
+def quadruple_joint(w, S, nodes) -> np.ndarray:
     """(S, S) joint law of the node pair (nodes[arc], nodes[arc']) under a
-    z_rho QuadrupleDistribution; nodes is pairs.tails or pairs.heads."""
-    S = quad.pairs.n_states
+    z_rho argmin table w over a pair set of S states; nodes is pairs.tails
+    or pairs.heads."""
     cell = nodes[:, None] * S + nodes[None, :]
-    return np.bincount(cell.ravel(), weights=quad.w.ravel(), minlength=S * S).reshape(S, S)
+    return np.bincount(cell.ravel(), weights=w.ravel(), minlength=S * S).reshape(S, S)
 
 
 def _cycle_cancel(pairs: FeasiblePairSet, arcs: np.ndarray, frac: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import zerorate as zr
 from zerorate.errors import ValidationError
 
 from conftest import make_bsc
-from oracles import likelihood
+from oracles import gaussian_distances_mirrored, likelihood
 
 
 def test_identical_rows_give_zero():
@@ -110,6 +110,20 @@ def test_symmetry_and_zero_diagonal():
     _, pairs, kern, d = make_bsc(0.23)
     assert (d.d == d.d.T).all()
     assert (np.diag(d.d) == 0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12),
+       st.floats(1e-6, 1e6))
+def test_gaussian_matrix_equals_mirrored_construction(means, variance):
+    # (a - b)^2 == (b - a)^2 in IEEE arithmetic, so the full matrix needs no
+    # mirroring; overflowing differences give +inf on both sides
+    L = len(means)
+    pairs = zr.FeasiblePairSet(L, np.arange(L), np.roll(np.arange(L), 1), np.zeros(L))
+    with np.errstate(over="ignore"):
+        d = zr.bhattacharyya(zr.gaussian_kernel(means, variance), pairs)
+        ref = gaussian_distances_mirrored(means, variance)
+    assert d.d.tobytes() == ref.tobytes()
 
 
 def test_monte_carlo_coefficient_cross_check():

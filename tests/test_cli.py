@@ -1,5 +1,6 @@
 import argparse
 import csv
+import inspect
 import io
 import json
 import os
@@ -356,6 +357,10 @@ MALFORMED_VALUES = {
     "cost without gamma": ("fsc", ("cost", "gamma"), None),
     "phi missing a symbol": ("fsc", ("cost", "phi", "1"), None),
     "outputs not a list": ("fsc", ("kernel", "outputs"), 5),
+    # non-finite numbers, written as JSON's NaN and Infinity
+    "pmf NaN entry": ("fsc", ("kernel", "pmf", "s", "0"), [float("nan"), 1.0]),
+    "isi Infinity tap": ("isi", ("h",), [1.0, float("inf")]),
+    "isi Infinity sigma2": ("isi", ("sigma2",), float("inf")),
 }
 
 
@@ -667,7 +672,7 @@ def test_cold_start_loads_only_the_layers_it_runs():
 PUBLIC_NAMES = (
     "CandidateSet", "ChannelKernel", "Codebook", "ConcavityReport", "CostModel",
     "DistanceMatrix", "ExponentResult", "FeasiblePairSet", "InfeasibleError", "IsiSpec",
-    "MarkovTypeSpec", "PairDistribution", "QuadrupleDistribution", "QuantizedSinusoidStats",
+    "MarkovTypeSpec", "PairDistribution", "QuantizedSinusoidStats",
     "SimulationReport", "SolverOptions", "StateMachine", "StructuralReport", "TimeSharingPlan",
     "UnsupportedChannelError", "ValidationError", "augment", "bhatt", "bhattacharyya",
     "blend_for_construction", "build_codebook", "build_ensemble", "build_isi_machine",
@@ -681,7 +686,7 @@ PUBLIC_NAMES = (
 
 
 def test_package_namespace_resolves_every_public_name():
-    assert len(PUBLIC_NAMES) == 60 and zerorate.__all__ == list(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 59 and zerorate.__all__ == list(PUBLIC_NAMES)
     listed = dir(zerorate)
     for name in PUBLIC_NAMES:
         assert getattr(zerorate, name) is not None and name in listed, name
@@ -692,6 +697,43 @@ def test_package_namespace_resolves_every_public_name():
              "names = sorted(n for n in dir() if not n.startswith('_'))\n"
              "import json\nprint(json.dumps(names))")
     assert fresh_python(probe) == sorted(PUBLIC_NAMES)
+
+
+# Every (callable, parameter) with a default over the public API: a new entry
+# is a new knob, and must have a caller that sets it.
+KNOBS = {
+    ("ChannelKernel", "means"), ("ChannelKernel", "outputs"), ("ChannelKernel", "pmf"),
+    ("ChannelKernel", "variance"), ("FeasiblePairSet", "machine"),
+    ("PairDistribution.most_visited", "states"), ("SolverOptions", "seed"),
+    ("SolverOptions", "starts"), ("StateMachine", "recover"),
+    ("StateMachine.from_tables", "recover"), ("blend_for_construction", "theta"),
+    ("build_ensemble", "d"), ("maximize_e0", "opts"), ("round_type", "arc_cost"),
+    ("simulate", "trial_log"),
+}
+
+
+def public_callables():
+    """(label, function) of every public callable the package defines: its
+    functions, the __init__ of its classes and their public methods."""
+    for name in zerorate.__all__:
+        obj = getattr(zerorate, name)
+        if not callable(obj) or not obj.__module__.startswith("zerorate"):
+            continue  # submodules
+        if not inspect.isclass(obj):
+            yield name, obj
+            continue
+        for attr, member in vars(obj).items():
+            if isinstance(member, (classmethod, staticmethod)):
+                member = member.__func__
+            if inspect.isfunction(member) and (attr == "__init__" or not attr.startswith("_")):
+                yield (name if attr == "__init__" else f"{name}.{attr}"), member
+
+
+def test_knob_inventory():
+    found = {(label, p.name) for label, fn in public_callables()
+             for p in inspect.signature(fn).parameters.values()
+             if p.default is not inspect.Parameter.empty}
+    assert found == KNOBS
 
 
 # ------------------------------------------------------------- JSON writer

@@ -268,6 +268,52 @@ def test_concave_flag_is_concavity_on_the_hull(doc):
         assert res.concave == hull_concave(ch.pairs, comp.arcs, d.d)
 
 
+# A 3-state, 3-symbol channel whose one component is not concave on its hull
+# and whose budget binds, so maximize_uce solves it. HiGHS's weight LP puts
+# its weight on coarser sweep samples, worth about 1e-7 less than the solve
+# at gamma alone.
+_UCE_PMF = {
+    "s0": {"x0": [0.019275, 0.207365, 0.698036, 0.075324],
+           "x1": [0.258217, 0.261771, 0.174537, 0.305475],
+           "x2": [0.09705, 0.238691, 0.602621, 0.061638]},
+    "s1": {"x0": [0.704296, 0.014839, 0.064723, 0.216142],
+           "x1": [0.133379, 0.067694, 0.701177, 0.09775],
+           "x2": [0.034558, 0.437859, 0.427786, 0.099797]},
+    "s2": {"x0": [0.182618, 0.130471, 0.32131, 0.365601],
+           "x1": [0.447568, 0.146208, 0.036619, 0.369605],
+           "x2": [0.098753, 0.256446, 0.476945, 0.167856]},
+}
+UCE_GAP_DOC = {"fsc": {
+    "states": ["s0", "s1", "s2"], "alphabet": ["x0", "x1", "x2"],
+    "next_state": {"s0": {"x0": "s1", "x1": "s2", "x2": "s1"},
+                   "s1": {"x0": "s0", "x1": "s1", "x2": "s1"},
+                   "s2": {"x0": "s1", "x1": "s1", "x2": "s1"}},
+    "kernel": {"kind": "discrete", "outputs": ["y0", "y1", "y2", "y3"], "pmf": _UCE_PMF},
+    "cost": {"phi": {"x0": 2.0, "x1": 1.0, "x2": 1.0}, "gamma": 1.159566}}}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_uce_value_is_never_below_its_single_solve(seed):
+    ch = load_channel(UCE_GAP_DOC)
+    res = zr.maximize_e0(zr.bhattacharyya(ch.kernel, ch.pairs), ch.pairs, ch.cost,
+                         zr.SolverOptions(seed=seed))
+    assert not res.concave
+    assert res.value >= res.single_value
+    assert len(res.argmax.components) == 1 and res.argmax.anchor == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(doc=random_fsc_docs())
+def test_value_is_at_least_single_value(doc):
+    ch = load_channel(doc)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    try:
+        res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(starts=8))
+    except (InfeasibleError, UnsupportedChannelError):
+        return  # no component has arcs, finite distances and a point within budget
+    assert res.value >= res.single_value
+
+
 # A binary register (state = last symbol) with hand-picked output rows. E0 is
 # not concave on the simplex but is on the hull {sum 1, balanced} of its one
 # component, and the budget 0.3 binds: the pair costs run from 0 to 1.

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -47,6 +49,18 @@ def test_augment_of_stripped_register_is_isomorphic():
     for i in range(aug.n_states):
         for x in range(aug.n_symbols):
             assert iso[int(aug.next_state[i, x])] == int(reg.next_state[iso[i], x])
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_shift_register_states_in_sorted_tuple_order(K, k):
+    levels = [0.0, 1.0, 2.0][:K]
+    reg = zr.shift_register(levels, k)
+    tuples = sorted(itertools.product(range(K), repeat=k))
+    assert reg.states == tuple("|".join(f"{levels[j]:g}" for j in t) for t in tuples)
+    index = {t: i for i, t in enumerate(tuples)}
+    assert reg.next_state.tolist() == [[index[t[1:] + (x,)] for x in range(K)] for t in tuples]
+    assert reg.recover.tolist() == [t[-1] for t in tuples]
 
 
 def test_recover_validation_rejects_bad_map():

@@ -32,7 +32,7 @@ def test_machine_k0_single_state_augmented():
     # mean depends on the emitted symbol only
     mu = kern.means
     vals = np.asarray(m.values)[pairs.symbols]
-    assert np.allclose(mu, 2.0 * vals)
+    assert np.array_equal(mu, 2.0 * vals)
 
 
 def test_machine_k1_means():

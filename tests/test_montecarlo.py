@@ -1,5 +1,4 @@
 import inspect
-import io
 import itertools
 import json
 import sys
@@ -198,7 +197,8 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     variance = gen.uniform(0.1, 4.0)
     kern = zr.discrete_kernel(tuple(range(Y)), pmf)
     stat = _DiscreteStatistic(kern, paths)
-    y = _sample_outputs(stat.cdf[0], np.random.default_rng(seed), trials)
+    work = np.empty((trials, n)), np.empty((trials, n), dtype=np.int64)
+    y = _sample_outputs(stat.cdf[0], np.random.default_rng(seed), trials, work)
     ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
     assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
     # the statistic draws the same outputs into its own buffers
@@ -315,7 +315,7 @@ def wide_book(n=16, M=4, Y=16, seed=0):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "discrete", "wide"])
-def test_batch_size_changes_nothing(kind, monkeypatch):
+def test_batch_size_changes_nothing(kind, monkeypatch, tmp_path):
     if kind == "gaussian":
         _, _, kern, d, book = small_book(M=4, n=16)
     elif kind == "discrete":
@@ -336,13 +336,13 @@ def test_batch_size_changes_nothing(kind, monkeypatch):
                         lambda self, y: cells.append(len(y) * self.width) or metrics(self, y))
 
     def run():
-        log = io.StringIO()
+        log = tmp_path / "trials.csv"
         rep = zr.simulate(kern, book, trials=500, seed=9, trial_log=log)
         pair = zr.pairwise_check(kern, book.arc_paths[a], book.arc_paths[b],
                                  trials=500, seed=9, d=d)
         assert max(cells, default=0) <= montecarlo._BATCH_ELEMENTS
         cells.clear()
-        return rep, pair, log.getvalue()
+        return rep, pair, log.read_text()
 
     rep, pair, log = run()
     assert rep.errors.sum() > 0 and pair.p_hat > 0
@@ -368,7 +368,7 @@ def several_batches(kind, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "discrete", "wide"])
-def test_worker_count_changes_nothing(kind, monkeypatch):
+def test_worker_count_changes_nothing(kind, monkeypatch, tmp_path):
     kern, book = several_batches(kind, monkeypatch)
     pools = []
     pooled = montecarlo._count_errors_pooled
@@ -383,7 +383,7 @@ def test_worker_count_changes_nothing(kind, monkeypatch):
             reports[k] = zr.simulate(kern, book, trials=500, seed=9).to_json_dict()
         # a trial log keeps the codewords inline and in order
         reports["log"] = zr.simulate(kern, book, trials=500, seed=9,
-                                     trial_log=io.StringIO()).to_json_dict()
+                                     trial_log=tmp_path / "trials.csv").to_json_dict()
     finally:
         sys.setswitchinterval(interval)
     assert pools == [2, 3]
@@ -490,12 +490,12 @@ def test_zrho_quadruple_constraints_hold():
     _, _, pairs, _, d, _ = make_isi([1.0, 0.5])
     q = zr.PairDistribution(pairs, np.full(4, 0.25))
     res = zr.z_rho(q, d, 10.0)
-    w = res.argmin.w
+    w = res.argmin
     assert w.sum() == pytest.approx(1.0, abs=1e-8)
     assert np.allclose(w.sum(axis=1), q.q, atol=1e-7)
     assert np.allclose(w.sum(axis=0), q.q, atol=1e-7)
-    assert np.allclose(quadruple_joint(res.argmin, pairs.heads),
-                       quadruple_joint(res.argmin, pairs.tails), atol=1e-7)
+    assert np.allclose(quadruple_joint(w, pairs.n_states, pairs.heads),
+                       quadruple_joint(w, pairs.n_states, pairs.tails), atol=1e-7)
 
 
 @pytest.mark.parametrize("spec", ["specs/bsc.json", "specs/isi_binary.json",
@@ -535,12 +535,11 @@ def cli_zrho_q(spec_path: str, n: int = 512):
 
 
 def assert_feasible(res, q, tol):
-    w = res.argmin.w
+    w, S = res.argmin, q.pairs.n_states
     assert (w >= 0).all()
     assert np.abs(w.sum(axis=1) - q.q).max() <= tol
     assert np.abs(w.sum(axis=0) - q.q).max() <= tol
-    heads, tails = (quadruple_joint(res.argmin, q.pairs.heads),
-                    quadruple_joint(res.argmin, q.pairs.tails))
+    heads, tails = quadruple_joint(w, S, q.pairs.heads), quadruple_joint(w, S, q.pairs.tails)
     assert np.abs(heads - tails).max() <= tol
 
 
@@ -630,7 +629,7 @@ def test_zrho_small_rho_with_vanishing_cells():
     res = zr.z_rho(q, d, 0.01)
     assert_feasible(res, q, 1e-10)
     assert res.newton_decrement ** 2 / 2 <= 1e-12
-    assert (res.argmin.w == 0).any()
+    assert (res.argmin == 0).any()
     assert res.value <= zr.z_rho(q, d, 0.05).value
 
 
@@ -646,6 +645,30 @@ def test_delta_zero_exactly_on_product_coupling():
         assert abs(delta_of(w, pairs)) <= 1e-12
         rand = rng.dirichlet(np.ones(16)).reshape(4, 4)
         assert delta_of(rand, pairs) >= -1e-12
+
+
+def test_trial_log_is_closed_when_a_codeword_raises(tmp_path, monkeypatch):
+    m, pairs, kern, d, book = small_book(M=2, n=16)
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    count_errors = montecarlo._count_errors
+
+    def fail_on_second(stat, m, *args):
+        if m == 1:
+            raise RuntimeError("codeword 1 failed")
+        return count_errors(stat, m, *args)
+
+    monkeypatch.setattr(montecarlo, "open", tracking_open, raising=False)
+    monkeypatch.setattr(montecarlo, "_count_errors", fail_on_second)
+    with pytest.raises(RuntimeError, match="codeword 1 failed"):
+        zr.simulate(kern, book, trials=50, seed=3, trial_log=tmp_path / "trials.csv")
+    assert len(opened) == 1 and opened[0].closed
+    # codeword 0's rows were written before the failure
+    assert len((tmp_path / "trials.csv").read_text().splitlines()) == 1 + 50
 
 
 def test_trial_log_csv(tmp_path):
