@@ -6,9 +6,9 @@ a general "fsc" block or an "isi" shortcut block. --out receives the bare
 result artifact (JSON object or RFC-4180 CSV) so identical seeds give
 byte-identical files; the full run report goes to stdout and --report, the
 same bytes to both. The report is a header (command, version, seed, spec
-echo, wall clock) whose last key, "result", holds the --out text one level
-deeper (a CSV artifact is the string {"csv": ...}). All JSON is written as
-json.dumps(obj, indent=2) writes it.
+echo, wall clock) whose last key, "result", holds the --out object (a CSV
+artifact is the string {"csv": ...}). All JSON is one line, json.dumps(obj)
+with the stdlib's defaults.
 
 Exit codes: 0 success, 1 validation failure, 2 infeasibility; the reason
 appears as one machine-parsable line on stderr.
@@ -22,7 +22,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -115,12 +114,6 @@ def _read_channel(doc: dict) -> LoadedChannel:
     return LoadedChannel(machine, pairs, kernel, cost, augmented, None)
 
 
-def _float_str(v) -> str:
-    if v == float("inf"):
-        return "inf"
-    return repr(float(v))
-
-
 def _q_as_dict(pairs, q: np.ndarray) -> dict:
     labels = pairs.pair_labels()
     return {labels[i]: float(q[i]) for i in range(len(q)) if q[i] > 0}
@@ -171,7 +164,7 @@ def cmd_distances(ch: LoadedChannel, args):
     labels = ch.pairs.pair_labels()
     rows = [["pair"] + labels]
     for i, lab in enumerate(labels):
-        rows.append([lab] + [_float_str(v) for v in d.d[i]])
+        rows.append([lab] + [repr(float(v)) for v in d.d[i]])
     return rows, "csv"
 
 
@@ -245,8 +238,7 @@ def cmd_zrho(ch: LoadedChannel, args):
     results = z_rho_sweep(q, d, rhos)
     rows = [["rho", "z_value", "delta", "cross_term", "minus_e0_qstar"]]
     for rho, r in zip(sorted(rhos), results):
-        rows.append([_float_str(rho), _float_str(r.value), _float_str(r.delta),
-                     _float_str(r.cross_term), _float_str(-ref)])
+        rows.append([repr(float(v)) for v in (rho, r.value, r.delta, r.cross_term, -ref)])
     return rows, "csv"
 
 
@@ -310,9 +302,8 @@ def cmd_isi_loss(ch: LoadedChannel, args):
     for k in args.k_list:
         delta = base_delta * len(spec.levels) / k
         stats, loss = _quantizer(spec, omega_star, omega0, delta, (k - 1) * delta / 2.0)
-        rows.append([str(k), _float_str(delta), _float_str(stats.A),
-                     _float_str(loss.Lambda), _float_str(loss.lower_bound),
-                     _float_str(value)])
+        rows.append([str(k)] + [repr(float(v)) for v in
+                                (delta, stats.A, loss.Lambda, loss.lower_bound, value)])
     return rows, "csv"
 
 
@@ -357,43 +348,9 @@ COMMANDS = {
 }
 
 
-def _json_key(key) -> str:
-    """A dict key as json.dumps writes it."""
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if isinstance(key, (int, float)) or key is None:  # bools are ints
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _json(obj, indent: str = "\n") -> str:
-    """json.dumps(obj, indent=2), byte for byte, with one join per container;
-    `indent` is the newline and indentation of obj's own line. (With indent
-    set the stdlib uses its pure-Python encoder, several times slower on a
-    codebook's rows of ints and state labels, joined here straight from
-    int.__repr__ and the string encoder.) Scalars, and the TypeError for
-    anything else, come from json.dumps."""
-    if not isinstance(obj, (dict, list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "{}" if isinstance(obj, dict) else "[]"
-    inner = indent + "  "
-    if isinstance(obj, dict):
-        items = (_json_key(k) + ": " + _json(v, inner) for k, v in obj.items())
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    kinds = set(map(type, obj))
-    if kinds == {int}:
-        items = map(int.__repr__, obj)
-    elif kinds == {str}:
-        items = map(encode_basestring_ascii, obj)
-    else:
-        items = (_json(v, inner) for v in obj)
-    return "[" + inner + ("," + inner).join(items) + indent + "]"
-
-
 def _render(result, kind: str) -> str:
     if kind == "json":
-        return _json(result) + "\n"
+        return json.dumps(result) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerows(result)
@@ -449,16 +406,14 @@ def run(argv=None) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(artifact)
-    header = _json({
+    report = json.dumps({
         "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "spec_echo": doc,
         "wall_clock_s": time.perf_counter() - t0,
-    })
-    body = artifact[:-1] if kind == "json" else _json({"csv": artifact})
-    # the header ends "\n}"; "result" is its last key, one level deeper
-    report = header[:-2] + ',\n  "result": ' + body.replace("\n", "\n  ") + "\n}\n"
+        "result": result if kind == "json" else {"csv": artifact},
+    }) + "\n"
     if args.report:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report)

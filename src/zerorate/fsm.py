@@ -153,6 +153,9 @@ class CostModel:
     def __post_init__(self):
         object.__setattr__(self, "phi", np.asarray(self.phi, dtype=float))
         self.phi.setflags(write=False)
+        for name in ("phi", "gamma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"cost {name} must be finite")
 
     def pair_costs(self, pairs: FeasiblePairSet) -> np.ndarray:
         return self.phi[pairs.symbols]

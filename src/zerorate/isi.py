@@ -38,6 +38,9 @@ class IsiSpec:
     gamma: float
 
     def __post_init__(self):
+        for name in ("h", "sigma2", "levels", "gamma"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValidationError(f"isi {name} must be finite")
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 1 or h.size < 1 or not np.any(h):
             raise ValidationError("h must be a nonzero coefficient vector")

@@ -1,12 +1,18 @@
+import contextlib
+import io
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import zerorate as zr
+from zerorate import cli
 from zerorate.isi import IsiSpec, build_isi_machine
 
 
@@ -65,3 +71,36 @@ NONCONCAVE_DHAT = np.array([[0.0, 1.0, 0.1],
                             [0.1, 0.1, 0.0]])
 NONCONCAVE_PHI = np.array([1.0, 1.0, 0.0])
 NONCONCAVE_GAMMA = 0.5
+
+
+def cli_out(doc: dict, *argv) -> tuple[int, str | None]:
+    """The exit code of `zerorate <argv>` on the spec `doc`, run in this
+    process with stdout and stderr silenced, and its --out text on exit 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        spec, out = Path(tmp) / "spec.json", Path(tmp) / "out"
+        spec.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = cli.run([argv[0], "--spec", str(spec), "--out", str(out), *argv[1:]])
+        return code, out.read_text() if code == 0 else None
+
+
+@st.composite
+def random_fsc_docs(draw):
+    """fsc specs with 2-4 states, 2-3 symbols, 2-4 outputs, Dirichlet pmf
+    rows, symbol costs in {0, 1, 2} and a budget inside their range."""
+    S, K, Y = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
+    states = [f"s{i}" for i in range(S)]
+    alphabet = [f"x{i}" for i in range(K)]
+    nxt = draw(st.lists(st.sampled_from(states), min_size=S * K, max_size=S * K))
+    phi = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=K, max_size=K))
+    gamma = draw(st.floats(min(phi), max(phi)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {"fsc": {
+        "states": states, "alphabet": alphabet,
+        "next_state": {s: dict(zip(alphabet, nxt[i * K:(i + 1) * K]))
+                       for i, s in enumerate(states)},
+        "kernel": {"kind": "discrete", "outputs": [f"y{i}" for i in range(Y)],
+                   "pmf": {s: {x: rng.dirichlet(np.ones(Y)).tolist() for x in alphabet}
+                           for s in states}},
+        "cost": {"phi": dict(zip(alphabet, phi)), "gamma": gamma}}}

@@ -12,11 +12,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import zerorate
-from zerorate.cli import COMMANDS, _json, build_parser, load_channel, run
+from zerorate.cli import COMMANDS, build_parser, load_channel, run
 
 ROOT = Path(__file__).resolve().parent.parent
 SPECS = ROOT / "specs"
@@ -361,6 +359,10 @@ MALFORMED_VALUES = {
     "pmf NaN entry": ("fsc", ("kernel", "pmf", "s", "0"), [float("nan"), 1.0]),
     "isi Infinity tap": ("isi", ("h",), [1.0, float("inf")]),
     "isi Infinity sigma2": ("isi", ("sigma2",), float("inf")),
+    "isi Infinity gamma": ("isi", ("gamma",), float("inf")),
+    "isi NaN gamma": ("isi", ("gamma",), float("nan")),
+    "phi NaN entry": ("fsc", ("cost", "phi", "0"), float("nan")),
+    "cost Infinity gamma": ("fsc", ("cost", "gamma"), float("inf")),
 }
 
 
@@ -378,6 +380,16 @@ def test_malformed_spec_value_is_one_validation_line(block, path, value, tmp_pat
     code, stdout, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, doc))
     assert (code, stdout) == (1, "")
     assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field, value", [("h", [1.0, float("inf")]), ("levels", [float("nan"), 1.0]),
+                                          ("sigma2", float("inf")), ("gamma", float("nan"))],
+                         ids=["h", "levels", "sigma2", "gamma"])
+def test_non_finite_isi_value_names_its_field(field, value, tmp_path, capsys):
+    doc = json.loads(json.dumps(ISI_DOC))
+    doc["isi"][field] = value
+    code, _, err = run_cli(capsys, "check", "--spec", write_spec(tmp_path, doc))
+    assert (code, err) == (1, f"error: validation: isi {field} must be finite\n")
 
 
 @pytest.mark.parametrize("argv", [["isi-loss", "--k-list", "8,x"], ["isi-loss", "--k-list", ","],
@@ -736,45 +748,12 @@ def test_knob_inventory():
     assert found == KNOBS
 
 
-# ------------------------------------------------------------- JSON writer
+# ------------------------------------------------------------- run report
 
-JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
-JSON_SCALARS = st.one_of(
-    st.none(), st.booleans(), st.floats(),
-    st.integers(), st.integers(min_value=-2 ** 200, max_value=2 ** 200),
-    st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600 /'),
-    # the writer joins rows of plain ints and of plain strings directly
-    st.lists(st.integers()), st.lists(st.text(), min_size=1))
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.one_of(st.lists(inner), st.lists(inner).map(tuple),
-                            st.dictionaries(JSON_KEYS, inner)),
-    max_leaves=40)
-
-
-@given(JSON_VALUES)
-@example({"a\"b\\c\n\x01\u00e9\U0001f600": [float("nan"), float("inf"), -float("inf"), -0.0,
-                                           10 ** 40, -(10 ** 40), True, False, None, [], {}, ()],
-          7: 2, 2.5: "x", True: [1, 2], None: ["a", "\u00e9"], float("nan"): (1,),
-          -0.0: {"": []}})
-@example([[1, True], [1, 2.0], ["a", None], [1, "a"], [np.float64(0.1), 3]])
-@settings(max_examples=300, deadline=None)
-def test_json_writer_matches_the_stdlib(doc):
-    assert _json(doc) == json.dumps(doc, indent=2)
-
-
-@pytest.mark.parametrize("doc", [{"a": object()}, [np.int64(3)], {(1, 2): 3}, {"a": {b"k": 1}}],
-                         ids=["object", "numpy-int", "tuple-key", "bytes-key"])
-def test_json_writer_refuses_what_the_stdlib_refuses(doc):
-    with pytest.raises(TypeError) as want:
-        json.dumps(doc, indent=2)
-    with pytest.raises(TypeError) as got:
-        _json(doc)
-    assert str(got.value) == str(want.value)
-
-
-@pytest.mark.parametrize("argv", [["build-code", "--n", "64", "--codewords", "4"],
-                                  ["distances"]], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", [["check"], ["optimize"], ["uce"],
+                                  ["build-code", "--n", "64", "--codewords", "4"],
+                                  ["simulate", "--n", "64", "--codewords", "4", "--trials", "50"],
+                                  ["isi-bound"], ["distances"]], ids=lambda argv: argv[0])
 def test_report_bytes_are_the_stdlib_rendering(tmp_path, capsys, argv):
     spec = write_spec(tmp_path, ISI_DOC)
     report_path, out_path = tmp_path / "report.json", tmp_path / "out"
@@ -782,10 +761,9 @@ def test_report_bytes_are_the_stdlib_rendering(tmp_path, capsys, argv):
                               "--out", str(out_path), *argv[1:])
     assert code == 0
     report = json.loads(stdout)
-    assert stdout == json.dumps(report, indent=2) + "\n"
-    assert report_path.read_text() == stdout
+    assert stdout == report_path.read_text() == json.dumps(report) + "\n"
     artifact = out_path.read_bytes().decode()
     if argv[0] == "distances":
         assert report["result"] == {"csv": artifact}
     else:
-        assert artifact == json.dumps(report["result"], indent=2) + "\n"
+        assert artifact == json.dumps(report["result"]) + "\n"

@@ -14,7 +14,7 @@ from zerorate.exponent import component_polytope
 from zerorate.polytope import maximize_quadratic
 
 from conftest import (NONCONCAVE_DHAT, NONCONCAVE_GAMMA, NONCONCAVE_PHI,
-                      make_bsc, make_dmc, make_isi)
+                      make_bsc, make_dmc, make_isi, random_fsc_docs)
 from oracles import (balance_rows_loop, dmc_e0_grid, dmc_uce_two_component_grid,
                      hull_concave, plan_cost, plan_value, register_polytope_grid)
 
@@ -224,27 +224,6 @@ def test_balance_rows_match_loop_reference(spec):
     for arcs in subsets:
         rows, ref = exponent._balance_rows(pairs, arcs), balance_rows_loop(pairs, arcs)
         assert rows.shape == ref.shape and rows.tobytes() == ref.tobytes()
-
-
-@st.composite
-def random_fsc_docs(draw):
-    """fsc specs with 2-4 states, 2-3 symbols, 2-4 outputs, Dirichlet pmf
-    rows, symbol costs in {0, 1, 2} and a budget inside their range."""
-    S, K, Y = draw(st.integers(2, 4)), draw(st.integers(2, 3)), draw(st.integers(2, 4))
-    states = [f"s{i}" for i in range(S)]
-    alphabet = [f"x{i}" for i in range(K)]
-    nxt = draw(st.lists(st.sampled_from(states), min_size=S * K, max_size=S * K))
-    phi = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=K, max_size=K))
-    gamma = draw(st.floats(min(phi), max(phi)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return {"fsc": {
-        "states": states, "alphabet": alphabet,
-        "next_state": {s: dict(zip(alphabet, nxt[i * K:(i + 1) * K]))
-                       for i, s in enumerate(states)},
-        "kernel": {"kind": "discrete", "outputs": [f"y{i}" for i in range(Y)],
-                   "pmf": {s: {x: rng.dirichlet(np.ones(Y)).tolist() for x in alphabet}
-                           for s in states}},
-        "cost": {"phi": dict(zip(alphabet, phi)), "gamma": gamma}}}
 
 
 @settings(max_examples=30, deadline=None)

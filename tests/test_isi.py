@@ -1,8 +1,11 @@
+import csv
+import io
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import jv
 
@@ -11,7 +14,7 @@ from zerorate.errors import ValidationError
 from zerorate.isi import (IsiSpec, _error_harmonics, _phase_averages, _phase_breakpoints,
                           build_isi_machine, e0_isi, quantize_midrise)
 
-from conftest import make_isi
+from conftest import cli_out, make_isi
 from oracles import (b_bessel_series, bessel_j_simpson, eps_bessel_series,
                      error_harmonics_per_interval, harmonic_r_ee, harmonic_r_xe,
                      phase_averages_per_interval, phase_breakpoints_loop,
@@ -348,3 +351,40 @@ def test_quantizer_midrise_levels():
     assert quantize_midrise(0.3, 1.0) == 0.5
     assert quantize_midrise(-0.3, 1.0) == -0.5
     assert quantize_midrise(3.49, 1.0) == 3.5
+
+
+# ------------------------------------------------------------- ISI sandwich
+
+def isi_sandwich(h, k: int) -> tuple[float, float, float, float]:
+    """On the K-level grid (i - (K-1)/2)*4/K with sigma2 = gamma = 1: isi-loss's
+    quantized-sinusoid lower bound, optimize's exponent, isi-bound's spectral
+    bound and its omega*, each read from the CLI's --out."""
+    levels = [(i - (k - 1) / 2) * 4 / k for i in range(k)]
+    doc = {"isi": {"h": list(h), "sigma2": 1.0, "levels": levels, "gamma": 1.0}}
+
+    def result(*argv) -> str:
+        code, text = cli_out(doc, *argv)
+        assert code == 0
+        return text
+
+    bound = json.loads(result("isi-bound"))
+    value = json.loads(result("optimize"))["value"]
+    rows = list(csv.DictReader(io.StringIO(result("isi-loss", "--k-list", str(k)))))
+    return float(rows[0]["lower_bound"]), value, bound["spectral_bound"], bound["omega_star"]
+
+
+@pytest.mark.parametrize("k, lower, value", [(2, 0.5224808, 0.5525), (4, 0.5389913, 0.5571875)])
+def test_solver_lies_between_the_isi_bounds(k, lower, value):
+    got = isi_sandwich([1.0, 0.5, -0.4], k)
+    assert got == pytest.approx((lower, value, 0.5665625, 1.38218), abs=1e-6)
+    assert got[0] <= got[1] + 1e-9 <= got[2] + 2e-9
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.floats(-1.0, 1.0), st.floats(-0.9, -0.1))
+def test_solver_lies_between_the_isi_bounds_at_an_interior_omega(a, b):
+    # |H|^2 is 1 + a^2 + b^2 - 2b + 2a(1 + b)c + 4bc^2 in c = cos w: a concave
+    # parabola for b < 0, whose top lies inside (-1, 1) when |a(1 + b)| < -4b
+    lower, value, spectral, omega_star = isi_sandwich([1.0, a, b], 2)
+    assume(0.01 < omega_star < np.pi - 0.01)
+    assert lower <= value + 1e-9 <= spectral + 2e-9
