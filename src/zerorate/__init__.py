@@ -17,9 +17,9 @@ _EXPORTS = {
                  "build_codebook", "build_ensemble", "emit_codeword", "euler_circuit",
                  "expurgate", "round_type"),
     "errors": ("InfeasibleError", "UnsupportedChannelError", "ValidationError"),
-    "exponent": ("ConcavityReport", "ExponentResult", "PairDistribution", "SolverOptions",
-                 "TimeSharingPlan", "concavity_test", "e0", "feasibility_sccs",
-                 "maximize_e0", "maximize_uce", "support_is_connected"),
+    "exponent": ("ConcavityReport", "ExponentResult", "PairDistribution", "TimeSharingPlan",
+                 "concavity_test", "e0", "feasibility_sccs", "maximize_e0", "maximize_uce",
+                 "support_is_connected"),
     "fsm": ("CostModel", "FeasiblePairSet", "StateMachine", "StructuralReport", "augment",
             "check_structure", "feasible_pairs", "shift_register"),
     "isi": ("IsiSpec", "QuantizedSinusoidStats", "build_isi_machine", "choose_amplitude",

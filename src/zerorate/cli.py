@@ -134,10 +134,9 @@ def _argmax_dict(plan: TimeSharingPlan, pairs, single: bool) -> dict:
 
 def _solve(ch: LoadedChannel, args):
     """The distance matrix and the exponent solve under the solver flags."""
-    from .exponent import SolverOptions, maximize_e0
+    from .exponent import maximize_e0
     d = bhattacharyya(ch.kernel, ch.pairs)
-    opts = SolverOptions(starts=args.starts, seed=args.seed)
-    return d, maximize_e0(d, ch.pairs, ch.cost, opts)
+    return d, maximize_e0(d, ch.pairs, ch.cost, args.starts, args.seed)
 
 
 def cmd_check(ch: LoadedChannel, args):

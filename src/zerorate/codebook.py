@@ -95,7 +95,7 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
 
     pairs = q.pairs
     sup = q.support()
-    if not support_is_connected(q, pairs):
+    if not support_is_connected(q.q, pairs):
         raise ValidationError("q's support must be strongly connected")
     if n < sup.size:
         raise ValidationError(
@@ -490,7 +490,7 @@ def blend_for_construction(q: PairDistribution, anchor: int | None, n: int,
     elif anchor not in comp.states:
         raise ValidationError(f"anchor {anchor} is outside the support's component")
     L_c = len(comp.arcs)
-    needs = (not support_is_connected(q, pairs)) or (q.pi[anchor] <= 1e-12)
+    needs = (not support_is_connected(q.q, pairs)) or (q.pi[anchor] <= 1e-12)
     if theta is None:
         theta = min(0.5, 2.0 * L_c / n) if needs else 0.0
     if theta <= 0.0:

@@ -119,20 +119,13 @@ class ExponentResult:
 
 class ConcavityReport(NamedTuple):
     concave: bool
-    reduced: np.ndarray
-    min_eigenvalue: float
+    curvature: float  # largest eigenvalue of N^T D N, N a basis of {sum q = 0}
 
 
 @dataclass(frozen=True, eq=False)
 class FeasibilityComponent:
     states: frozenset
     arcs: np.ndarray  # indices into the pair set; arcs crossing SCCs excluded
-
-
-@dataclass
-class SolverOptions:
-    starts: int = 32
-    seed: int = 0
 
 
 def e0(q: PairDistribution, d: DistanceMatrix) -> float:
@@ -149,24 +142,19 @@ def e0(q: PairDistribution, d: DistanceMatrix) -> float:
     return float(q.q[sup] @ block @ q.q[sup])
 
 
+def _hull_curvature(null: np.ndarray, dmat: np.ndarray) -> float:
+    """The largest eigenvalue of N^T D N: q^T D q is concave on the affine
+    hull x0 + range(N) iff it is at most 0 (-inf on a single point)."""
+    return float(np.linalg.eigvalsh(null.T @ dmat @ null).max(initial=-np.inf))
+
+
 def concavity_test(d: DistanceMatrix) -> ConcavityReport:
-    """Concavity of q^T D q on the simplex via the reduced matrix with the
-    last pair as reference: concave iff -Dt, with entries
-    d(x,L) + d(L,x') - d(x,x'), is positive semi-definite (smallest
-    eigenvalue at least -1e-9)."""
-    mat = d.d
-    L = len(mat)
-    if L < 2:
-        return ConcavityReport(True, np.zeros((0, 0)), 0.0)
-    if np.isinf(mat).any():
+    """Concavity of q^T D q on the simplex's affine hull {sum q = 1}: the
+    hull curvature is at most 1e-9."""
+    if np.isinf(d.d).any():
         raise ValidationError("concavity test requires finite distances")
-    ref = L - 1
-    idx = np.arange(L - 1)
-    reduced = mat[np.ix_(idx, idx)] - mat[idx, ref][:, None] - mat[ref, idx][None, :]
-    neg = -reduced
-    neg = 0.5 * (neg + neg.T)
-    min_eig = float(np.linalg.eigvalsh(neg)[0])
-    return ConcavityReport(min_eig >= -1e-9, reduced, min_eig)
+    curv = _hull_curvature(Polytope(np.ones((1, len(d))), [1.0])._null, d.d)
+    return ConcavityReport(curv <= 1e-9, curv)
 
 
 def feasibility_sccs(pairs: FeasiblePairSet) -> list[FeasibilityComponent]:
@@ -174,23 +162,17 @@ def feasibility_sccs(pairs: FeasiblePairSet) -> list[FeasibilityComponent]:
     pairs), each with the arcs internal to it; cross-component arcs belong
     to no component. Components are ordered by their smallest state."""
     labels = strong_components(pairs.n_states, pairs.tails, pairs.heads)
-    comps = {}
-    for s, lab in enumerate(labels):
-        comps.setdefault(lab, set()).add(s)
-    ordered = sorted(comps.values(), key=min)
-    out = []
-    for states in ordered:
-        mask = np.isin(pairs.tails, list(states)) & np.isin(pairs.heads, list(states))
-        out.append(FeasibilityComponent(frozenset(states), np.nonzero(mask)[0]))
-    return out
+    tails, heads = labels[pairs.tails], labels[pairs.heads]
+    return [FeasibilityComponent(frozenset(np.flatnonzero(labels == lab).tolist()),
+                                 np.flatnonzero((tails == lab) & (heads == lab)))
+            for lab in dict.fromkeys(labels.tolist())]
 
 
-def support_is_connected(q, pairs: FeasiblePairSet) -> bool:
-    """Whether the support arcs form one strongly connected digraph over
-    the states they touch (the class-membership requirement on supports).
-    q may be a PairDistribution or any per-pair weight vector."""
-    vec = q.q if isinstance(q, PairDistribution) else np.asarray(q, dtype=float)
-    sup = np.nonzero(vec > 1e-12)[0]
+def support_is_connected(q: np.ndarray, pairs: FeasiblePairSet) -> bool:
+    """Whether the arcs of positive weight in q (one weight per pair) form
+    one strongly connected digraph over the states they touch (the
+    class-membership requirement on supports)."""
+    sup = np.nonzero(np.asarray(q) > 1e-12)[0]
     if not sup.size:
         return False
     tails, heads = pairs.tails[sup], pairs.heads[sup]
@@ -249,7 +231,7 @@ def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
 
 
 def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
-                opts: SolverOptions | None = None) -> ExponentResult:
+                starts: int = 32, seed: int = 0) -> ExponentResult:
     """The zero-rate exponent: the best value over the feasibility components
     that have arcs, finite distances and a point within budget.
 
@@ -259,7 +241,6 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     where time sharing can beat one distribution and `maximize_uce` solves
     it instead. The argmax is a TimeSharingPlan either way; a single solve
     gives one segment anchored at its most visited state."""
-    opts = opts or SolverOptions()
     best = None
     single = -np.inf
     saw_finite = False
@@ -275,15 +256,14 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
             feasible = poly.feasible_point()
         except InfeasibleError:
             continue
-        # concave on the affine hull x0 + range(N) of the polytope iff N^T D N <= 0
-        null = poly._null
-        concave = bool((np.linalg.eigvalsh(null.T @ sub_d @ null) <= 1e-9).all())
+        concave = _hull_curvature(poly._null, sub_d) <= 1e-9
         c_range = None if concave else poly.linear_range(cost.pair_costs(pairs)[comp.arcs])
         if c_range is not None and cost.gamma < c_range[1] - 1e-12:
-            val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range, opts)
+            val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range,
+                                                 starts, seed)
         else:
-            rng = np.random.default_rng(np.random.SeedSequence((opts.seed, cid)))
-            q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else opts.starts,
+            rng = np.random.default_rng(np.random.SeedSequence((seed, cid)))
+            q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else starts,
                                          feasible, SOLVE_TOL)
             val_single = val
             q = _embed(pairs, comp.arcs, q_sub)
@@ -297,7 +277,7 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
         raise UnsupportedChannelError(
             "every feasibility component has an infinite distance entry")
     val, arg, concave, cid = best
-    connected = all(support_is_connected(c, pairs) for c in arg.components)
+    connected = all(support_is_connected(c.q, pairs) for c in arg.components)
     return ExponentResult(val, single, arg, concave, cid, connected)
 
 
@@ -311,7 +291,7 @@ def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
 
 def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,
                  pairs: FeasiblePairSet, comp: FeasibilityComponent, c_range: tuple[float, float],
-                 opts: SolverOptions) -> tuple[float, float, TimeSharingPlan]:
+                 starts: int, seed: int) -> tuple[float, float, TimeSharingPlan]:
     """Time-sharing value over one component whose cost budget binds, from
     what `maximize_e0` built for it: the distance block sub_d, the costed
     polytope at the budget gamma, which lies in c_range (the min and max
@@ -330,16 +310,16 @@ def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,
     gamma is worth at least its mixture, that solve alone is the plan.
     Returns the value, the best single distribution at budget gamma, and the
     plan anchored at the component's smallest state."""
-    rng = np.random.default_rng(np.random.SeedSequence((opts.seed, 0x7CE)))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x7CE)))
     c_lo, c_hi = c_range
     budgets = np.unique(np.concatenate([np.linspace(c_lo, c_hi, SWEEP_POINTS), [poly.gamma]]))
     qs, vals = [], []
     for b in budgets:
-        q, v = _multistart_max(sub_d, poly.at_budget(b), rng, max(2, opts.starts // 8),
+        q, v = _multistart_max(sub_d, poly.at_budget(b), rng, max(2, starts // 8),
                                cheapest, SWEEP_TOL, warm=qs[-1:])
         qs.append(q)
         vals.append(v)
-    qg, vg = _multistart_max(sub_d, poly, rng, opts.starts, cheapest, SOLVE_TOL, warm=qs[-1:])
+    qg, vg = _multistart_max(sub_d, poly, rng, starts, cheapest, SOLVE_TOL, warm=qs[-1:])
     qs.append(qg)
     vals.append(vg)
     w, val = _weight_lp(np.array(vals), np.array([poly.cost @ q for q in qs]), poly.gamma)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bhatt import ChannelKernel, gaussian_kernel
 from .errors import InfeasibleError, ValidationError
-from .fsm import FeasiblePairSet, StateMachine, augment, feasible_pairs, shift_register
+from .fsm import StateMachine, augment, feasible_pairs, shift_register
 
 STATE_GUARD = 4096
 MAX_HARMONICS = 4096    # error harmonics kept explicitly; the rest is tail mass
@@ -77,26 +77,15 @@ def build_isi_machine(spec: IsiSpec) -> tuple[StateMachine, ChannelKernel]:
         machine = augment(base)
     else:
         machine = shift_register(spec.levels, k)
-    means = pair_means(machine, feasible_pairs(machine), spec.h)
-    return machine, gaussian_kernel(means, spec.sigma2)
-
-
-def pair_means(machine: StateMachine, pairs: FeasiblePairSet, h: np.ndarray) -> np.ndarray:
-    """Filtered mean per feasible pair of a shift-register machine whose
-    states are the canonical sorted k-tuples of symbol indices (any machine
-    when k = 0)."""
-    h = np.asarray(h, dtype=float)
-    k = len(h) - 1
+    pairs = feasible_pairs(machine)
     vals = np.asarray(machine.values)
-    mu = h[0] * vals[pairs.symbols]
-    if k >= 1:
-        tuples = list(itertools.product(range(machine.n_symbols), repeat=k))
-        if len(tuples) != machine.n_states:
-            raise ValidationError("machine is not the canonical order-k register")
-        hist = vals[np.asarray(tuples)]  # (S, k): x_{t-k} .. x_{t-1}
+    means = spec.h[0] * vals[pairs.symbols]
+    if k:
+        # the states are the sorted k-tuples of symbol indices, x_{t-k} .. x_{t-1}
+        hist = vals[np.asarray(list(itertools.product(range(K), repeat=k)))]
         for i in range(1, k + 1):
-            mu = mu + h[i] * hist[pairs.tails, k - i]
-    return mu
+            means = means + spec.h[i] * hist[pairs.tails, k - i]
+    return machine, gaussian_kernel(means, spec.sigma2)
 
 
 def e0_isi(q_tuples: np.ndarray, spec: IsiSpec) -> float:

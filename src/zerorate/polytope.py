@@ -162,7 +162,7 @@ class Polytope:
         return self._project_cold(v, ext, scale)
 
     def _project_cold(self, v: np.ndarray, ext: np.ndarray, scale: float) -> np.ndarray:
-        from scipy.optimize import nnls
+        from scipy.optimize import lsq_linear, nnls
         p = self._x0 + self._null @ (self._null.T @ (v - self._x0))
         h = -p
         if self._cost_norm:
@@ -174,11 +174,15 @@ class Polytope:
         # Slack on every constraint keeps the multipliers bounded on a flat
         # polytope (a budget at its minimum cost, a single point), where
         # roundoff alone can make the program look infeasible. The larger
-        # slack is tried only when the smaller one finds no point.
-        for slack in (1e-14, 1e-10):
+        # slack is tried only when the smaller one finds no point. NNLS can
+        # return a wrong point on a degenerate program (a zero reported
+        # residual where the true one is not), so bounded-variable least
+        # squares on the same program is the last attempt.
+        for slack, bvls in ((1e-14, False), (1e-10, False), (1e-10, True)):
             e[-1] = h - slack * h_scale
             try:
-                w, _ = nnls(e, f, maxiter=10 * len(h))
+                w = (lsq_linear(e, f, bounds=(0, np.inf), method="bvls").x if bvls
+                     else nnls(e, f, maxiter=10 * len(h))[0])
             except RuntimeError:  # the iteration cap
                 continue
             r = e @ w - f

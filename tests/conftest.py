@@ -73,6 +73,35 @@ NONCONCAVE_PHI = np.array([1.0, 1.0, 0.0])
 NONCONCAVE_GAMMA = 0.5
 
 
+# A 4-state, 3-symbol channel on which a symbol copying x0 made a projection
+# of `optimize` fail: NNLS returned a wrong point on a degenerate
+# least-distance program, and the polytope was declared empty.
+DEGENERATE_NNLS_DOC = {"fsc": {
+    "states": ["s0", "s1", "s2", "s3"], "alphabet": ["x0", "x1", "x2"],
+    "next_state": {"s0": {"x0": "s3", "x1": "s0", "x2": "s3"},
+                   "s1": {"x0": "s0", "x1": "s0", "x2": "s1"},
+                   "s2": {"x0": "s3", "x1": "s3", "x2": "s0"},
+                   "s3": {"x0": "s0", "x1": "s0", "x2": "s2"}},
+    "kernel": {"kind": "discrete", "outputs": ["y0", "y1"], "pmf": {
+        "s0": {"x0": [0.5867, 0.4133], "x1": [0.6291, 0.3709], "x2": [0.6602, 0.3398]},
+        "s1": {"x0": [0.8512, 0.1488], "x1": [0.2693, 0.7307], "x2": [0.9335, 0.0665]},
+        "s2": {"x0": [0.6472, 0.3528], "x1": [0.0405, 0.9595], "x2": [0.3028, 0.6972]},
+        "s3": {"x0": [0.8879, 0.1121], "x1": [0.9273, 0.0727], "x2": [0.9204, 0.0796]}}}}}
+
+
+def duplicate_symbol(doc: dict, x: str) -> dict:
+    """The fsc spec `doc` with one more symbol, `dup`, that copies the next
+    states, pmf rows and cost of the symbol `x`."""
+    fsc = doc["fsc"]
+    out = {**fsc, "alphabet": fsc["alphabet"] + ["dup"],
+           "next_state": {s: {**row, "dup": row[x]} for s, row in fsc["next_state"].items()},
+           "kernel": {**fsc["kernel"], "pmf": {s: {**rows, "dup": rows[x]}
+                                               for s, rows in fsc["kernel"]["pmf"].items()}}}
+    if "cost" in fsc:
+        out["cost"] = {**fsc["cost"], "phi": {**fsc["cost"]["phi"], "dup": fsc["cost"]["phi"][x]}}
+    return {"fsc": out}
+
+
 def cli_out(doc: dict, *argv) -> tuple[int, str | None]:
     """The exit code of `zerorate <argv>` on the spec `doc`, run in this
     process with stdout and stderr silenced, and its --out text on exit 0."""

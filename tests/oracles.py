@@ -7,6 +7,8 @@ averages, and structure_by_product_graph runs the library's Tarjan on
 the product machine. Helpers that only tests call (likelihood,
 window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
 harmonic_r_xe, quadruple_joint) live here too, and so do
+reduced_matrix_concave, the reference-pair concavity test that
+`exponent.concavity_test`'s hull test replaced,
 gaussian_distances_mirrored, the triangle-and-mirror Gaussian distance
 construction that `bhatt.bhattacharyya` no longer needs, and
 round_type_greedy, the greedy cycle-repair rounding that the integer
@@ -623,6 +625,19 @@ def balance_rows_loop(pairs, arcs: np.ndarray) -> np.ndarray:
                      for s in states])
 
 
+def reduced_matrix_concave(d: np.ndarray, tol: float = 1e-9) -> bool:
+    """Whether q^T D q is concave on the simplex, by the reduced matrix with
+    the last pair as reference: concave iff -Dt, with entries
+    d(x,L) + d(L,x') - d(x,x'), is positive semi-definite (smallest
+    eigenvalue at least -tol)."""
+    L = len(d)
+    if L < 2:
+        return True
+    idx = np.arange(L - 1)
+    neg = d[idx, -1][:, None] + d[-1, idx][None, :] - d[np.ix_(idx, idx)]
+    return bool(np.linalg.eigvalsh(0.5 * (neg + neg.T))[0] >= -tol)
+
+
 def hull_concave(pairs, arcs: np.ndarray, d: np.ndarray, tol: float = 1e-9) -> bool:
     """Whether q^T D q is concave on the affine hull {sum q = 1, balanced}
     of a component's arcs: N^T D N <= tol for N a null basis of the sum row
@@ -765,7 +780,7 @@ def round_type_greedy(q, n: int, arc_cost: np.ndarray | None = None):
     """
     pairs = q.pairs
     sup = q.support()
-    if not support_is_connected(q, pairs):
+    if not support_is_connected(q.q, pairs):
         raise ValidationError("q's support must be strongly connected")
     if n < sup.size:
         raise ValidationError(

@@ -685,7 +685,7 @@ PUBLIC_NAMES = (
     "CandidateSet", "ChannelKernel", "Codebook", "ConcavityReport", "CostModel",
     "DistanceMatrix", "ExponentResult", "FeasiblePairSet", "InfeasibleError", "IsiSpec",
     "MarkovTypeSpec", "PairDistribution", "QuantizedSinusoidStats",
-    "SimulationReport", "SolverOptions", "StateMachine", "StructuralReport", "TimeSharingPlan",
+    "SimulationReport", "StateMachine", "StructuralReport", "TimeSharingPlan",
     "UnsupportedChannelError", "ValidationError", "augment", "bhatt", "bhattacharyya",
     "blend_for_construction", "build_codebook", "build_ensemble", "build_isi_machine",
     "check_structure", "choose_amplitude", "codebook", "concavity_test", "discrete_kernel",
@@ -698,7 +698,7 @@ PUBLIC_NAMES = (
 
 
 def test_package_namespace_resolves_every_public_name():
-    assert len(PUBLIC_NAMES) == 59 and zerorate.__all__ == list(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 58 and zerorate.__all__ == list(PUBLIC_NAMES)
     listed = dir(zerorate)
     for name in PUBLIC_NAMES:
         assert getattr(zerorate, name) is not None and name in listed, name
@@ -716,11 +716,10 @@ def test_package_namespace_resolves_every_public_name():
 KNOBS = {
     ("ChannelKernel", "means"), ("ChannelKernel", "outputs"), ("ChannelKernel", "pmf"),
     ("ChannelKernel", "variance"), ("FeasiblePairSet", "machine"),
-    ("PairDistribution.most_visited", "states"), ("SolverOptions", "seed"),
-    ("SolverOptions", "starts"), ("StateMachine", "recover"),
+    ("PairDistribution.most_visited", "states"), ("StateMachine", "recover"),
     ("StateMachine.from_tables", "recover"), ("blend_for_construction", "theta"),
-    ("build_ensemble", "d"), ("maximize_e0", "opts"), ("round_type", "arc_cost"),
-    ("simulate", "trial_log"),
+    ("build_ensemble", "d"), ("maximize_e0", "seed"), ("maximize_e0", "starts"),
+    ("round_type", "arc_cost"), ("simulate", "trial_log"),
 }
 
 

@@ -616,7 +616,7 @@ def test_blend_repairs_disconnected_argmax():
     assert not res.support_connected
     q, anchor, theta = zr.blend_for_construction(res.argmax.mixture(), None, 512, None)
     assert theta > 0
-    assert zr.support_is_connected(q, pairs)
+    assert zr.support_is_connected(q.q, pairs)
     spec = zr.round_type(q, 512)
     assert (spec.counts > 0).sum() == 4
 

@@ -16,7 +16,8 @@ from zerorate.polytope import maximize_quadratic
 from conftest import (NONCONCAVE_DHAT, NONCONCAVE_GAMMA, NONCONCAVE_PHI,
                       make_bsc, make_dmc, make_isi, random_fsc_docs)
 from oracles import (balance_rows_loop, dmc_e0_grid, dmc_uce_two_component_grid,
-                     hull_concave, plan_cost, plan_value, register_polytope_grid)
+                     hull_concave, plan_cost, plan_value, reduced_matrix_concave,
+                     register_polytope_grid)
 
 
 # ---------------------------------------------------------------- e0 basics
@@ -72,10 +73,8 @@ def test_concavity_squared_error():
     dm = (x[:, None] - x[None, :]) ** 2
     rep = zr.concavity_test(zr.DistanceMatrix(dm))
     assert rep.concave
-    # -Dt = 2 v v^T with v = x - x_last: rank one, smallest eigenvalue 0
-    v = x[:-1] - x[-1]
-    assert np.allclose(-rep.reduced, 2.0 * np.outer(v, v), atol=1e-12)
-    assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-9)
+    # on {sum q = 0}, q^T D q = -2 (x.q)^2: rank one, largest eigenvalue 0
+    assert rep.curvature == pytest.approx(0.0, abs=1e-9)
 
 
 def test_concavity_hamming():
@@ -83,10 +82,8 @@ def test_concavity_hamming():
     dm = np.ones((K, K)) - np.eye(K)
     rep = zr.concavity_test(zr.DistanceMatrix(dm))
     assert rep.concave
-    neg = -rep.reduced
-    assert np.allclose(np.diag(neg), 2.0)
-    off = neg[~np.eye(K - 1, dtype=bool)]
-    assert np.allclose(off, 1.0)
+    # on {sum q = 0}, q^T D q = -|q|^2
+    assert rep.curvature == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_concavity_indefinite_instance():
@@ -96,12 +93,30 @@ def test_concavity_indefinite_instance():
                    [9.0, 4.0, 0.0]])
     rep = zr.concavity_test(zr.DistanceMatrix(dm))
     assert not rep.concave
-    assert rep.min_eigenvalue < -1e-6
+    assert rep.curvature > 1e-6
 
 
 def test_concavity_crafted_dmc_instance():
     rep = zr.concavity_test(zr.DistanceMatrix(NONCONCAVE_DHAT))
     assert not rep.concave
+    assert rep.curvature == pytest.approx(0.2, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.integers(2, 6), scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0]),
+       gaussian=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_concavity_test_matches_reduced_matrix_oracle(L, scale, gaussian, seed):
+    """Symmetric zero-diagonal D, half of them Gaussian-type (a squared mean
+    difference, concave on the simplex), half with uniform entries."""
+    rng = np.random.default_rng(seed)
+    if gaussian:
+        x = rng.normal(size=L)
+        dm = scale * (x[:, None] - x[None, :]) ** 2
+    else:
+        dm = scale * rng.random((L, L))
+        dm = dm + dm.T
+        np.fill_diagonal(dm, 0.0)
+    assert zr.concavity_test(zr.DistanceMatrix(dm)).concave == reduced_matrix_concave(dm)
 
 
 # ------------------------------------------------------------- feasibility
@@ -239,8 +254,7 @@ def test_concave_flag_is_concavity_on_the_hull(doc):
             if j != cid:
                 dm[np.ix_(other.arcs, other.arcs)] = np.inf
         try:
-            res = zr.maximize_e0(zr.DistanceMatrix(dm), ch.pairs, ch.cost,
-                                 zr.SolverOptions(starts=4))
+            res = zr.maximize_e0(zr.DistanceMatrix(dm), ch.pairs, ch.cost, starts=4)
         except (InfeasibleError, UnsupportedChannelError):
             continue  # no arcs, an infinite distance or over budget: not solved
         assert res.scc_id == cid
@@ -274,8 +288,7 @@ UCE_GAP_DOC = {"fsc": {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_uce_value_is_never_below_its_single_solve(seed):
     ch = load_channel(UCE_GAP_DOC)
-    res = zr.maximize_e0(zr.bhattacharyya(ch.kernel, ch.pairs), ch.pairs, ch.cost,
-                         zr.SolverOptions(seed=seed))
+    res = zr.maximize_e0(zr.bhattacharyya(ch.kernel, ch.pairs), ch.pairs, ch.cost, seed=seed)
     assert not res.concave
     assert res.value >= res.single_value
     assert len(res.argmax.components) == 1 and res.argmax.anchor == 0
@@ -287,7 +300,7 @@ def test_value_is_at_least_single_value(doc):
     ch = load_channel(doc)
     d = zr.bhattacharyya(ch.kernel, ch.pairs)
     try:
-        res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(starts=8))
+        res = zr.maximize_e0(d, ch.pairs, ch.cost, starts=8)
     except (InfeasibleError, UnsupportedChannelError):
         return  # no component has arcs, finite distances and a point within budget
     assert res.value >= res.single_value
@@ -371,7 +384,7 @@ def test_time_sharing_value_reaches_explicit_plan(seed):
     w = (ch.cost.gamma - costs @ cheap.q) / (costs @ rich.q - costs @ cheap.q)
     plan = zr.TimeSharingPlan(np.array([w, 1.0 - w]), (rich, cheap), anchor=0)
     assert plan_cost(plan, ch.cost) <= ch.cost.gamma + 1e-12
-    res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(seed=seed))
+    res = zr.maximize_e0(d, ch.pairs, ch.cost, seed=seed)
     assert res.value >= plan_value(plan, d) - 1e-12
 
 

@@ -4,10 +4,11 @@ oracle is needed, so the whole chain spec -> machine -> D -> solve is under
 test."""
 import json
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cli_out, random_fsc_docs
+from conftest import DEGENERATE_NNLS_DOC, cli_out, duplicate_symbol, random_fsc_docs
 
 
 def optimize(doc: dict) -> tuple[int, dict | None]:
@@ -77,6 +78,27 @@ def relabeled_docs(draw):
                  "gamma": fsc["cost"]["gamma"]}}}
 
 
+@st.composite
+def duplicated_docs(draw):
+    """A spec, and the spec with one more symbol that copies a drawn one."""
+    doc = draw(random_fsc_docs())
+    return doc, duplicate_symbol(doc, draw(st.sampled_from(doc["fsc"]["alphabet"])))
+
+
+@st.composite
+def scaled_isi_docs(draw):
+    """An ISI spec with 2-3 levels and memory 0-2, and the spec with h scaled
+    by a and sigma2 by a^2: the same Bhattacharyya distances."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, a = draw(st.integers(0, 2)), draw(st.sampled_from([0.25, 0.5, 3.0, 10.0]))
+    h, sigma2 = rng.normal(size=k + 1), rng.uniform(0.2, 4.0)
+    levels = rng.uniform(-3.0, 3.0, size=draw(st.integers(2, 3)))
+    power = levels ** 2
+    isi = {"levels": levels.tolist(), "gamma": rng.uniform(power.min(), power.max())}
+    return ({"isi": {**isi, "h": h.tolist(), "sigma2": sigma2}},
+            {"isi": {**isi, "h": (a * h).tolist(), "sigma2": a * a * sigma2}})
+
+
 @settings(max_examples=10, deadline=None)
 @given(split_docs())
 def test_splitting_an_output_keeps_the_value(docs):
@@ -101,3 +123,25 @@ def test_relabeling_keeps_a_concave_value(docs):
     assert relabeled_code == code
     if code == 0 and res["concave"] and relabeled_res["concave"]:
         assert abs(relabeled_res["value"] - res["value"]) <= 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(duplicated_docs())
+@example((DEGENERATE_NNLS_DOC, duplicate_symbol(DEGENERATE_NNLS_DOC, "x0")))
+def test_duplicating_a_symbol_keeps_a_concave_value(docs):
+    """Mass on a symbol's copy can move to the symbol itself, so the value
+    stays; projected gradient stops on the gain per step, not on a gap, so
+    two concave values agree only to about 1e-8."""
+    (code, res), (dup_code, dup_res) = map(optimize, docs)
+    assert dup_code == code
+    if code == 0 and res["concave"] and dup_res["concave"]:
+        assert abs(dup_res["value"] - res["value"]) <= 5e-8
+
+
+@settings(max_examples=10, deadline=None)
+@given(scaled_isi_docs())
+def test_scaling_isi_taps_and_noise_keeps_the_value(docs):
+    (code, res), (scaled_code, scaled_res) = map(optimize, docs)
+    assert scaled_code == code
+    if code == 0:
+        assert abs(scaled_res["value"] - res["value"]) <= 1e-12

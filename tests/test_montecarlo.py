@@ -530,7 +530,7 @@ def cli_zrho_q(spec_path: str, n: int = 512):
     doc = json.loads((Path(__file__).resolve().parent.parent / spec_path).read_text())
     ch = load_channel(doc)
     d = zr.bhattacharyya(ch.kernel, ch.pairs)
-    res = zr.maximize_e0(d, ch.pairs, ch.cost, zr.SolverOptions(starts=8, seed=0))
+    res = zr.maximize_e0(d, ch.pairs, ch.cost, starts=8, seed=0)
     return zr.blend_for_construction(res.argmax.mixture(), None, n, None)[0], d
 
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from zerorate.errors import InfeasibleError
 from zerorate.polytope import Polytope
 
+from conftest import DEGENERATE_NNLS_DOC, cli_out, duplicate_symbol
 from oracles import project_by_face_enumeration
 
 
@@ -176,3 +178,14 @@ def test_optimize_reuses_pieces_instead_of_nnls(monkeypatch, tmp_path):
     assert cli.run(["optimize", "--spec", str(spec), "--out", str(tmp_path / "o.json")]) == 0
     assert calls["project"] > 100
     assert calls["nnls"] <= 0.1 * calls["project"]
+
+
+def test_projection_survives_a_wrong_nnls_point():
+    """On this spec NNLS reports a zero residual for a point that violates
+    the least-distance program by 0.64 at both slacks; the bounded-variable
+    attempt projects instead of declaring the polytope empty."""
+    doc = duplicate_symbol(DEGENERATE_NNLS_DOC, "x0")
+    code, text = cli_out(doc, "optimize")
+    assert code == 0
+    assert json.loads(text)["value"] == pytest.approx(0.3781149578502, abs=1e-12)
+    assert cli_out(doc, "uce")[0] == 0
