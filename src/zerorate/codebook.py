@@ -77,13 +77,14 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     program, tie term kept, plus a continuous flow g <= n x from the most
     visited state of which every other state takes in exactly its own
     out-count: every state with a count is then reached along positive
-    arcs, and balanced counts so reachable are strongly connected. Rejected
-    when n is below the support size or when no balanced, connected type
-    of total n exists on the support.
+    arcs, and balanced counts so reachable are strongly connected. When
+    n q is itself a balanced type of total n (every fractional part zero
+    after the snap), it is the one point at deviation 0 and no program is
+    solved for it. Rejected when n is below the support size or when no
+    balanced, connected type of total n exists on the support.
     """
-    from scipy.optimize import milp
-
     def solve(c, A, lb, ub, upper, integrality):
+        from scipy.optimize import milp
         res = milp(c, integrality=integrality, bounds=(0, upper), constraints=(A, lb, ub),
                    options={"mip_rel_gap": 0.0})
         if res.status == 2:
@@ -117,9 +118,12 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     obj = 1e6 * np.concatenate([1.0 - 2.0 * frac, np.ones(2 * k)])
     c = np.zeros(k) if arc_cost is None else np.asarray(arc_cost, dtype=float)[sup]
     tie = c @ shift / (n * np.abs(c).max()) if c.any() else 0.0
-    z = solve(obj + tie, A, rhs, rhs, upper, 1)
     counts = np.zeros(len(pairs), dtype=np.int64)
-    counts[sup] = base + shift @ z
+    if frac.any() or rhs.any():
+        z = solve(obj + tie, A, rhs, rhs, upper, 1)
+        counts[sup] = base + shift @ z
+    else:
+        counts[sup] = base
     if not support_is_connected(counts, pairs):
         # rows g <= n x and, at every other state, inflow - outflow of g
         # equal to its out-count

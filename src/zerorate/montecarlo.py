@@ -14,23 +14,36 @@ every hypothesis and sees y only through its projection onto the span of
 the distinct mean rows (the theorem of irrelevance), so a trial draws that
 projected statistic, r <= M normals, instead of y's n. Each distinct mean
 row gets one column, copied to the codewords sharing it, so identical
-codewords tie exactly. Trials run in batches of about 2**17 values (1 MiB
-of float64) of the widest per-trial array: max(n, patterns * Y) outputs or
-counts for discrete kernels, M metrics for Gaussian ones. Batches are
-whole rows of the draws, so the batch size does not change the random
-streams.
+codewords tie exactly.
 
-Codeword m draws from its own stream, SeedSequence((seed, m)), so the
-codewords are independent jobs. When each needs more than one batch and no
-trial log is asked for, they run on k = min(M, CPUs the process may use)
-worker threads; numpy drops the interpreter lock in the draws, compares and
-GEMMs. The workers share one batch budget: each draws batches of rows // k
-trials into its own block of the batch buffers, so live batch memory does
-not grow with k. Neither a stream nor a codeword's metrics depend on the
-batch size or on the thread, and the error counts are collected in codeword
-order, so the report does not depend on k. One batch per codeword is too
-little work to pay for a pool, and a trial log is written in trial order by
-the calling thread, so both run inline.
+A trial sends every codeword through the same channel noise (common random
+numbers): one draw of n uniforms, whose inverse-CDF images under codeword
+m's output laws are its outputs (discrete kernels), or of r normals, whose
+one GEMM against the statistic's loadings every codeword offsets by its own
+mean row (Gaussian ones). Each codeword's error count is still exactly
+Binomial(trials, pe_m), so its estimate and standard error keep their law;
+the counts of different codewords are dependent. A batch's metrics form an
+(M, trials) array, so each decision reduces over contiguous rows. The
+trials fall into chunks of _CHUNK_TRIALS, chunk c drawing from its own
+stream SeedSequence((seed, c)), and a chunk runs in batches of whole rows
+of its draws, so the batch size does not change the streams. A batch
+holds at most min(rows, _CHUNK_TRIALS) trials, `rows` being the trials
+whose widest per-trial array fits in about 2**17 values (1 MiB of
+float64): max(n, patterns * Y) outputs or counts for discrete kernels, M
+metrics for Gaussian ones.
+
+When the trials exceed `rows` and no trial log is asked for, the chunks
+run on k = min(chunks, CPUs the process may use) worker threads; numpy
+drops the interpreter lock in the draws, compares and GEMMs. Each worker
+draws batches of min(rows // k, _CHUNK_TRIALS) trials into buffers of its
+own, allocated once per run, so live batch memory does not grow with k.
+A chunk's stream depends neither on the batch size nor on the thread, nor
+do its metrics, but for last-bit GEMM roundoff in the Gaussian ones, which
+can only move a decision at a tie to the last bit between distinct mean
+rows; the chunks' integer counts are summed, so the report does not
+depend on k. A run within one batch's rows is too little work to pay for
+a pool, and a trial log is written in trial order by the calling thread,
+so both run inline.
 
 The z_rho operation minimizes the typed exponent of the soft pairwise
 score over coupled pair processes. With both pair marginals pinned, the
@@ -55,6 +68,7 @@ from .errors import ValidationError
 from .exponent import PairDistribution, e0
 
 _BATCH_ELEMENTS = 2 ** 17  # values per batch of the widest per-trial array (1 MiB of float64)
+_CHUNK_TRIALS = 1024  # trials per noise stream; the worker threads' unit of work
 _NEWTON_TOL = 1e-12  # on half the squared Newton decrement, per unit of max(1, rho)
 _NEWTON_MAX_ITER = 100
 _VANISH = 1e-30  # quadruple-table entries below this are set to zero
@@ -85,23 +99,25 @@ class SimulationReport:
 
 
 def _rows(elements: int, n: int) -> int:
-    """Rows of length n that fit in a chunk of the given number of elements."""
+    """Rows of length n that fit in the given number of elements."""
     return max(1, elements // max(n, 1))
 
 
-def _sample_outputs(cdf: np.ndarray, rng, n_trials: int, work) -> np.ndarray:
-    """(n_trials, n) int64 discrete outputs for a fixed transmitted arc
-    sequence whose output CDFs are the columns of cdf, (Y, n), drawn into
-    work: (rows, n) float64 and int64 buffers, rows >= n_trials, reused
-    batch after batch because fresh batch-sized arrays are mapped and
-    page-faulted anew each time."""
+def _block(buf: np.ndarray, *shape: int) -> np.ndarray:
+    """The leading elements of the flat buffer buf as a C-contiguous array
+    of the given shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _outputs(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The discrete outputs, written to the int64 array out, of a fixed
+    transmitted arc sequence whose output CDFs are the columns of cdf,
+    (Y, n), under the (trials, n) uniforms u."""
     # inverse CDF: the output is the number of CDF cells below u; the
     # top cell is never counted, so its cumsum roundoff is harmless
-    u = rng.random(out=work[0][:n_trials])
     y = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
     for cell in cdf[:-1]:
         y += u > cell
-    out = work[1][:n_trials]
     out[...] = y
     return out
 
@@ -111,8 +127,8 @@ class _DiscreteStatistic:
 
     A position's pattern is its column of arcs across the M codewords, so the
     log-likelihood of codeword j is the sum over patterns p and outputs y of
-    count(p, y) ln p(y | arc j of p): one GEMM of the (trials, P * Y) count
-    matrix against a (P * Y, M) table. The finite table is rounded to
+    count(p, y) ln p(y | arc j of p): one GEMM of an (M, P * Y) table
+    against the (trials, P * Y) count matrix. The finite table is rounded to
     integers at scale 2^s, with 2^s n max|ln p| <= 2^52, so every partial sum
     is an integer below 2^53 and the GEMM is exact in any order: codewords
     whose per-step terms agree as multisets tie bit for bit. The rounding
@@ -122,57 +138,62 @@ class _DiscreteStatistic:
     outputs and its count matrix within _BATCH_ELEMENTS values. Each
     codeword's (Y, n) output CDFs are taken once, here, for all its
     batches: M * Y * n values, the table's size when no two positions share
-    a pattern.
+    a pattern. The batch buffers belong to the copies that split() makes.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
-        n = arc_paths.shape[1]
+        self.M, n = arc_paths.shape
         patterns, pattern = np.unique(arc_paths.T, axis=0, return_inverse=True)
         logp = log_pmf(kernel)[patterns].transpose(0, 2, 1)  # (P, Y, M)
-        table = logp.reshape(-1, len(arc_paths))
+        table = logp.reshape(-1, self.M)
         finite = np.isfinite(table)
         top = float(np.abs(table[finite]).max(initial=0.0))
         s = 52 - math.frexp(n * top)[1]  # n top <= 2^(52 - s)
-        self.table = np.where(finite, np.rint(np.ldexp(table, s)), 0.0)
+        self.table = np.where(finite, np.rint(np.ldexp(table, s)), 0.0).T.copy()
         self.quantum = math.ldexp(1.0, -s)
-        self.zero = None if finite.all() else (~finite).astype(float)
+        self.zero = None if finite.all() else (~finite).T.astype(float)
         self.width = len(table)  # P * Y
         self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width))
-        # flat count-matrix cell of (trial, position) before the output is added
-        self.base = (np.arange(0, self.rows * self.width, self.width)[:, None]
-                     + pattern.reshape(-1) * logp.shape[1])
-        self.work = np.empty((self.rows, n)), np.empty((self.rows, n), dtype=np.int64)
-        self.counts = np.empty((self.rows, self.width))
+        self.pattern_cell = pattern.reshape(-1) * logp.shape[1]  # count-matrix column of y = 0
         # cdf[m]: codeword m's (Y, n) output CDFs, contiguous (a strided view
         # of a (Y, M, n) gather makes every batch's compares slower)
         self.cdf = np.cumsum(kernel.pmf, axis=1)[arc_paths].transpose(0, 2, 1).copy()
 
-    def metrics(self, y: np.ndarray) -> np.ndarray:
-        """(len(y), M) log-likelihoods of at most `rows` trials' int64
+    def split(self, k: int) -> list:
+        """k copies sharing the read-only tables, each with batch buffers of
+        its own for min(rows // k, _CHUNK_TRIALS) trials, so k batches in
+        flight take at most the memory of one of `rows` trials."""
+        r = min(self.rows // k, _CHUNK_TRIALS)
+        n = self.cdf.shape[2]
+        # flat count-matrix cell of (trial, position) before the output is added
+        base = np.arange(0, r * self.width, self.width)[:, None] + self.pattern_cell
+        parts = [copy.copy(self) for _ in range(k)]
+        for part in parts:
+            part.rows, part.base = r, base
+            part.u, part.y = np.empty((r, n)), np.empty((r, n), dtype=np.int64)
+            part.counts, part.ll = np.empty((r, self.width)), np.empty(self.M * r)
+        return parts
+
+    def draw(self, rng, trials: int) -> np.ndarray:
+        """One batch's (trials, n) uniforms, shared by every codeword."""
+        return rng.random(out=self.u[:trials])
+
+    def metrics(self, m: int, u: np.ndarray) -> np.ndarray:
+        """(M, len(u)) log-likelihoods when codeword m is sent under the
+        uniforms u."""
+        return self.loglik(_outputs(self.cdf[m], u, self.y[:len(u)]))
+
+    def loglik(self, y: np.ndarray) -> np.ndarray:
+        """(M, len(y)) log-likelihoods of at most `rows` trials' int64
         outputs y, which are overwritten with their count-matrix cells."""
         y += self.base[:len(y)]
         counts = self.counts[:len(y)]
         counts[...] = np.bincount(y.ravel(), minlength=counts.size).reshape(counts.shape)
-        ll = counts @ self.table
+        ll = np.matmul(self.table, counts.T, out=_block(self.ll, self.M, len(y)))
         ll *= self.quantum
         if self.zero is not None:
-            ll[counts @ self.zero > 0] = -np.inf
+            ll[self.zero @ counts.T > 0] = -np.inf
         return ll
-
-    def draw(self, m: int, rng, n_trials: int) -> np.ndarray:
-        return self.metrics(_sample_outputs(self.cdf[m], rng, n_trials, self.work))
-
-    def split(self, k: int) -> list:
-        """k copies sharing the read-only tables, each owning a disjoint block
-        of rows // k rows of the batch buffers, so k batches in flight take
-        the memory of one."""
-        r = self.rows // k
-        parts = [copy.copy(self) for _ in range(k)]
-        for i, part in enumerate(parts):
-            block = slice(i * r, (i + 1) * r)
-            part.rows, part.counts = r, self.counts[block]
-            part.work = tuple(buf[block] for buf in self.work)
-        return parts
 
 
 class _GaussianStatistic:
@@ -182,8 +203,10 @@ class _GaussianStatistic:
     (mu_k.mu_j + sigma mu_j.z - |mu_j|^2/2) / sigma^2, and mu z ~ N(0, mu mu^T).
     The thin SVD mu = U S V^T of the K distinct mean rows, cut at a relative
     singular value of max(K, n) * eps, gives mu z = (U S) w with w = V^T z
-    ~ N(0, I_r), r <= min(K, n): r normals per trial instead of n. Codewords
-    sharing a mean row share a column, so they tie exactly.
+    ~ N(0, I_r), r <= min(K, n): r normals per trial instead of n, and one
+    GEMM of them against U S / sigma for every codeword sent. Codewords
+    sharing a mean row share a column, so they tie exactly. The batch
+    buffers belong to the copies that split() makes.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
@@ -193,53 +216,92 @@ class _GaussianStatistic:
         gram = mu @ mu.T
         self.basis = vt[:r]  # V^T, (r, n)
         self.loading = u[:, :r] * (s[:r] / np.sqrt(kernel.variance))  # U S / sigma
-        self.offset = (gram - 0.5 * np.diag(gram)) / kernel.variance  # row k: mean row k sent
         self.column = inverse.reshape(-1)  # codeword -> mean row
-        self.rows = _rows(_BATCH_ELEMENTS, len(arc_paths))
-
-    def metrics(self, m: int, w: np.ndarray) -> np.ndarray:
-        """(len(w), M) metrics when codeword m is sent and V^T z = w."""
-        corr = w @ self.loading.T
-        corr += self.offset[self.column[m]]
-        return corr[:, self.column]
-
-    def draw(self, m: int, rng, n_trials: int) -> np.ndarray:
-        return self.metrics(m, rng.standard_normal((n_trials, len(self.basis))))
+        # row k: every codeword's offset when mean row k is sent
+        self.offset = ((gram - 0.5 * np.diag(gram)) / kernel.variance)[:, self.column]
+        self.M = len(arc_paths)
+        self.rows = _rows(_BATCH_ELEMENTS, self.M)
 
     def split(self, k: int) -> list:
-        """k copies drawing batches of rows // k trials."""
+        """k copies sharing the read-only tables, each with batch buffers of
+        its own for min(rows // k, _CHUNK_TRIALS) trials."""
+        r = min(self.rows // k, _CHUNK_TRIALS)
+        K, rank = self.loading.shape
         parts = [copy.copy(self) for _ in range(k)]
         for part in parts:
-            part.rows = self.rows // k
+            part.rows = r
+            part.w, part.wl = np.empty((r, rank)), np.empty((r, K))
+            part.corr, part.ll = np.empty(K * r), np.empty(self.M * r)
         return parts
+
+    def draw(self, rng, trials: int) -> np.ndarray:
+        """One batch's (K, trials) noise correlations, shared by every codeword."""
+        return self.project(rng.standard_normal(out=self.w[:trials]))
+
+    def project(self, w: np.ndarray) -> np.ndarray:
+        """The (K, len(w)) noise correlations mu_k.z / sigma when V^T z = w."""
+        # trial-major like the draws, then one copy to the row-wise layout
+        wl = np.matmul(w, self.loading.T, out=self.wl[:len(w)])
+        corr = _block(self.corr, len(self.loading), len(w))
+        corr[...] = wl.T
+        return corr
+
+    def metrics(self, m: int, corr: np.ndarray) -> np.ndarray:
+        """(M, trials) metrics when codeword m is sent and the noise
+        correlations are corr."""
+        ll = np.take(corr, self.column, axis=0, out=_block(self.ll, self.M, corr.shape[1]),
+                     mode="clip")
+        ll += self.offset[self.column[m]][:, None]
+        return ll
 
 
 def _statistic(kernel: ChannelKernel, arc_paths: np.ndarray):
-    """The decoder statistic of the book's kernel: draw(m, rng, trials)
-    gives the (trials, M) decoder metrics when codeword m is sent, up to a
-    term common to all hypotheses, in batches of at most `rows` trials."""
+    """The decoder statistic of the book's kernel: on a copy from split(),
+    metrics(m, draw(rng, trials)) gives the (M, trials) decoder metrics
+    when codeword m is sent, up to a term common to all hypotheses, for at
+    most `rows` trials."""
     if kernel.kind == DISCRETE:
         return _DiscreteStatistic(kernel, arc_paths)
     return _GaussianStatistic(kernel, arc_paths)
 
 
-def _count_errors(stat, m: int, rng, trials: int, log=None) -> int:
-    """Wrong ML decisions on `trials` transmissions of codeword m, in
-    batches of at most stat.rows. Ties decode as errors (conservative); a
-    lone codeword is never wrong. log, a csv writer, receives one row
-    (trial, codeword, decoded, correct) per transmission."""
-    errors = 0
+def _count_errors(stat, rng, trials: int, sent: int, log=None, first: int = 0) -> np.ndarray:
+    """Wrong ML decisions of codewords 0, ..., sent - 1 on `trials`
+    transmissions each, all of them through the same noise, drawn from rng
+    in batches of at most stat.rows trials. Ties decode as errors
+    (conservative); a lone codeword is never wrong. log, a csv writer,
+    receives one row (trial, codeword, decoded, correct) per transmission,
+    trial by trial, the trials numbered from `first`."""
+    errors = np.zeros(sent, dtype=np.int64)
     for done in range(0, trials, stat.rows):
-        ll = stat.draw(m, rng, min(stat.rows, trials - done))
-        others = np.delete(ll, m, axis=1).max(axis=1, initial=-np.inf)
-        wrong = others >= ll[:, m]
-        errors += int(wrong.sum())
+        batch = min(stat.rows, trials - done)
+        noise = stat.draw(rng, batch)
         if log is not None:
-            batch = len(ll)
-            log.writerows(zip(range(done, done + batch), [m] * batch,
-                              np.argmax(ll, axis=1).tolist(),
-                              (~wrong).astype(np.int64).tolist()))
+            decoded, correct = np.empty((2, sent, batch), dtype=np.int64)
+        for m in range(sent):
+            ll = stat.metrics(m, noise)
+            if log is not None:
+                decoded[m] = ll.argmax(axis=0)
+            mine = ll[m].copy()
+            ll[m] = -np.inf  # a buffer that the next codeword's metrics overwrite
+            wrong = ll.max(axis=0) >= mine
+            errors[m] += np.count_nonzero(wrong)
+            if log is not None:
+                correct[m] = ~wrong
+        if log is not None:
+            trial = np.arange(first + done, first + done + batch)
+            log.writerows(zip(np.repeat(trial, sent).tolist(),
+                              np.tile(np.arange(sent), batch).tolist(),
+                              decoded.T.ravel().tolist(), correct.T.ravel().tolist()))
     return errors
+
+
+def _count_chunk(stat, seed: int, c: int, trials: int, log=None) -> np.ndarray:
+    """_count_errors of every codeword on chunk c of a run of `trials`
+    trials, drawn from the chunk's own stream."""
+    first = c * _CHUNK_TRIALS
+    rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
+    return _count_errors(stat, rng, min(_CHUNK_TRIALS, trials - first), stat.M, log, first)
 
 
 def _cpu_count() -> int:
@@ -249,28 +311,28 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _count_errors_pooled(parts: list, rngs: list, trials: int) -> list[int]:
-    """_count_errors of every codeword, one thread per part; a running
-    codeword draws into a part no other running codeword holds. The counts
-    come back in codeword order; an error in a worker is raised here, and
-    an exception here cancels the codewords that have not started."""
+def _count_errors_pooled(parts: list, chunks: range, seed: int, trials: int) -> np.ndarray:
+    """The sum of _count_chunk over the chunks, one thread per part; a
+    running chunk draws into a part no other running chunk holds. An error
+    in a worker is raised here, and an exception here cancels the chunks
+    that have not started."""
     import queue
     from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import: only when used
     idle = queue.SimpleQueue()
     for part in parts:
         idle.put(part)
 
-    def task(m: int) -> int:
+    def task(c: int) -> np.ndarray:
         part = idle.get()
         try:
-            return _count_errors(part, m, rngs[m], trials)
+            return _count_chunk(part, seed, c, trials)
         finally:
             idle.put(part)
 
     pool = ThreadPoolExecutor(len(parts))
     try:
-        futures = [pool.submit(task, m) for m in range(len(rngs))]
-        return [f.result() for f in futures]
+        futures = [pool.submit(task, c) for c in chunks]
+        return sum(f.result() for f in futures)
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -279,29 +341,33 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
              trial_log=None) -> SimulationReport:
     """Per-codeword ML error rates with exact binomial standard errors.
 
+    Each trial sends every codeword through the same channel noise, so each
+    codeword's error count is binomial and the counts are dependent.
     trial_log, when given, is the path of a CSV file that receives one row
-    (trial, codeword, decoded, correct) per transmission; it is closed
-    however the run ends. The codewords run on one worker thread per CPU
-    (see the module docstring for when they run inline)."""
+    (trial, codeword, decoded, correct) per transmission, by trial and then
+    codeword; it is closed however the run ends. The trial chunks run on
+    one worker thread per CPU (see the module docstring for when they run
+    inline)."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    M, n = book.M, book.n
+    seed, n = int(seed), book.n
     stat = _statistic(kernel, book.arc_paths)
-    rngs = [np.random.default_rng(np.random.SeedSequence((int(seed), m))) for m in range(M)]
-    # one thread writes the log in trial order, and one batch per codeword
-    # is too little work to pay for a pool
-    workers = 1 if trial_log is not None or trials <= stat.rows else min(M, _cpu_count(), stat.rows)
+    chunks = range(-(-trials // _CHUNK_TRIALS))  # the last one possibly partial
+    # one thread writes the log in trial order, and a run within one
+    # batch's rows is too little work to pay for a pool
+    workers = (1 if trial_log is not None or trials <= stat.rows
+               else min(len(chunks), _cpu_count(), stat.rows))
+    parts = stat.split(workers)
     if workers > 1:
-        errors = _count_errors_pooled(stat.split(workers), rngs, trials)
+        errors = _count_errors_pooled(parts, chunks, seed, trials)
     elif trial_log is None:
-        errors = [_count_errors(stat, m, rng, trials) for m, rng in enumerate(rngs)]
+        errors = sum(_count_chunk(parts[0], seed, c, trials) for c in chunks)
     else:
         import csv
         with open(trial_log, "w", encoding="utf-8", newline="") as fh:
             log = csv.writer(fh)
             log.writerow(["trial", "codeword", "decoded", "correct"])
-            errors = [_count_errors(stat, m, rng, trials, log) for m, rng in enumerate(rngs)]
-    errors = np.array(errors, dtype=np.int64)
+            errors = sum(_count_chunk(parts[0], seed, c, trials, log) for c in chunks)
     pe = errors / trials
     se = np.sqrt(pe * (1.0 - pe) / trials)
     worst = float(pe.max())
@@ -310,7 +376,7 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
     lo = max(worst - 3.0 * float(se[np.argmax(pe)]), 0.0)
     exponent = float("inf") if worst == 0.0 else -np.log(worst) / n
     band = (-np.log(hi) / n, float("inf") if lo == 0.0 else -np.log(lo) / n)
-    return SimulationReport(trials, errors, pe, se, exponent, band, n, int(seed))
+    return SimulationReport(trials, errors, pe, se, exponent, band, n, seed)
 
 
 @dataclass(frozen=True)
@@ -331,7 +397,8 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
     if arcs_a.shape != arcs_b.shape:
         raise ValidationError("paths must have equal length")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A)))
-    errs = _count_errors(_statistic(kernel, np.stack([arcs_a, arcs_b])), 0, rng, trials)
+    stat, = _statistic(kernel, np.stack([arcs_a, arcs_b])).split(1)
+    errs = int(_count_errors(stat, rng, trials, 1)[0])
     p = errs / trials
     se = float(np.sqrt(p * (1 - p) / trials))
     dist = float(d.d[arcs_a, arcs_b].sum())

@@ -17,6 +17,7 @@ program's answer by exhaustive search."""
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import null_space
@@ -160,9 +161,28 @@ def gaussian_two_codeword_error(d_e: float, sigma: float) -> float:
     return float(norm.cdf(-d_e / (2.0 * sigma)))
 
 
+def discrete_ml_error_exact(kernel, arc_paths: np.ndarray) -> np.ndarray:
+    """Each codeword's exact ML error probability on a discrete kernel,
+    ties counting as errors, by enumerating all Y^n outputs (tiny books
+    only). A metric is the correctly rounded sum (math.fsum) of the
+    codeword's per-step log-pmfs, so codewords whose terms agree as
+    multisets tie."""
+    M, n = arc_paths.shape
+    with np.errstate(divide="ignore"):
+        logp = np.log(kernel.pmf)  # (L, Y)
+    pe = np.zeros(M)
+    for y in itertools.product(range(kernel.pmf.shape[1]), repeat=n):
+        ll = np.array([math.fsum(row) for row in logp[arc_paths, y]])
+        prob = kernel.pmf[arc_paths, y].prod(axis=1)  # of y, codeword m sent
+        for m in range(M):
+            if np.delete(ll, m).max(initial=-np.inf) >= ll[m]:
+                pe[m] += prob[m]
+    return pe
+
+
 def sample_outputs_broadcast(kernel, arcs: np.ndarray, rng, n_trials: int) -> np.ndarray:
-    """Reference for montecarlo._sample_outputs: (n_trials, n) outputs by
-    broadcasting the uniforms against every CDF cell at once."""
+    """Reference for montecarlo._outputs under rng's uniforms: (n_trials, n)
+    outputs by broadcasting the uniforms against every CDF cell at once."""
     n = len(arcs)
     if kernel.kind == "discrete":
         cdf = np.cumsum(kernel.pmf[arcs], axis=1)  # (n, Y)

@@ -125,6 +125,21 @@ def test_round_breaks_residual_ties_toward_cheap_arcs():
     assert arc_cost @ spec.counts <= arc_cost @ plain.counts
 
 
+def test_round_type_takes_an_integral_balanced_type_without_a_program(monkeypatch):
+    """gauss-sim's argmax (specs/isi_binary.json) blended at n = 512 is
+    n q = (254, 2, 2, 254), already a balanced type of total n: it is the
+    type, and no integer program runs."""
+    _, m, pairs, _, d, cost = make_isi([1.0, 0.5])
+    res = zr.maximize_e0(d, pairs, cost)
+    q, _, _ = zr.blend_for_construction(res.argmax.mixture(), None, 512)
+
+    def no_program(*args, **kwargs):
+        raise AssertionError("milp called")
+
+    monkeypatch.setattr(scipy.optimize, "milp", no_program)
+    assert zr.round_type(q, 512, cost.pair_costs(pairs)).counts.tolist() == [254, 2, 2, 254]
+
+
 def test_round_type_ignores_roundoff_on_symmetric_argmax():
     """isi_long's argmax is 1/4 on each constant-state self-loop. Blended at
     n = 64 every arc of n q has fractional part 1/2, so a huge set of

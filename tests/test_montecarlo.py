@@ -16,13 +16,13 @@ from zerorate import bhatt, montecarlo
 from zerorate.cli import load_channel
 from zerorate.codebook import Codebook
 from zerorate.exponent import component_polytope
-from zerorate.montecarlo import _DiscreteStatistic, _GaussianStatistic, _sample_outputs
+from zerorate.montecarlo import _DiscreteStatistic, _GaussianStatistic, _outputs
 
 from conftest import make_bsc, make_isi
-from oracles import (discrete_terms_broadcast, empirical_exponent_consistency,
-                     gaussian_two_codeword_error, loglik_broadcast,
-                     quad_constraints_loop, quadruple_joint, sample_outputs_broadcast,
-                     zrho_dense_newton)
+from oracles import (discrete_ml_error_exact, discrete_terms_broadcast,
+                     empirical_exponent_consistency, gaussian_two_codeword_error,
+                     loglik_broadcast, quad_constraints_loop, quadruple_joint,
+                     sample_outputs_broadcast, zrho_dense_newton)
 
 
 def small_book(h=(1.0, 0.5), n=16, M=2, seed=0, theta=0.3):
@@ -172,10 +172,12 @@ def test_simulation_reproducible():
     b = zr.simulate(kern, book, trials=2000, seed=11)
     assert a.errors.tolist() == b.errors.tolist()
     assert a.to_json_dict() == b.to_json_dict()
-    # the n = 24 book never errs, so seed sensitivity is checked on a short one
-    m, pairs, kern, d, book = small_book(M=2, n=8)
+    # the n = 24 book never errs, so seed sensitivity is checked on a book
+    # whose every codeword errs hundreds of times
+    kern, d, book = bsc_book(n=16, M=4, p=0.2)
     a = zr.simulate(kern, book, trials=2000, seed=11)
     c = zr.simulate(kern, book, trials=2000, seed=12)
+    assert a.errors.min() > 100 and c.errors.min() > 100
     assert a.errors.tolist() != c.errors.tolist()
 
 
@@ -196,13 +198,13 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     means = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=L) * gen.uniform(0.5, 2.0)
     variance = gen.uniform(0.1, 4.0)
     kern = zr.discrete_kernel(tuple(range(Y)), pmf)
-    stat = _DiscreteStatistic(kern, paths)
-    work = np.empty((trials, n)), np.empty((trials, n), dtype=np.int64)
-    y = _sample_outputs(stat.cdf[0], np.random.default_rng(seed), trials, work)
+    stat, = _DiscreteStatistic(kern, paths).split(1)
+    u = np.random.default_rng(seed).random((trials, n))
+    y = _outputs(stat.cdf[0], u, np.empty((trials, n), dtype=np.int64))
     ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
     assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
-    # the statistic draws the same outputs into its own buffers
-    ll = stat.draw(0, np.random.default_rng(seed), trials)
+    # the statistic draws the same uniforms into its own buffers
+    ll = stat.metrics(0, stat.draw(np.random.default_rng(seed), trials)).T
     terms = discrete_terms_broadcast(kern, paths, ref_y)
     ref = terms.sum(axis=2)
     # float summation roundoff of the reference, n max|ref| 2^-53, plus the
@@ -225,8 +227,8 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     kern = zr.gaussian_kernel(means, variance)
     z = np.random.default_rng(seed).standard_normal((trials, n))
     y = kern.means[paths[0]] + np.sqrt(variance) * z
-    stat = _GaussianStatistic(kern, paths)
-    ll = stat.metrics(0, z @ stat.basis.T)
+    stat, = _GaussianStatistic(kern, paths).split(1)
+    ll = stat.metrics(0, stat.project(z @ stat.basis.T)).T
     ref = loglik_broadcast(kern, paths, y)
     # the correlation metric omits -|y|^2 / 2 sigma^2
     full = ll - (y * y).sum(axis=1, keepdims=True) / (2.0 * variance)
@@ -269,11 +271,32 @@ def test_permuted_codewords_tie_exactly():
     pmf = [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7], [0.5, 0.5]]
     kern = zr.discrete_kernel(("0", "1"), pmf)
     paths = np.array(list(itertools.permutations(range(3))))
-    ll = _DiscreteStatistic(kern, paths).metrics(np.zeros((1, 3), dtype=np.int64))
+    ll = _DiscreteStatistic(kern, paths).split(1)[0].loglik(np.zeros((1, 3), dtype=np.int64))
     assert (ll == ll[0, 0]).all()
     assert abs(ll[0, 0] - np.log(0.006)) <= 1e-14
     rep = zr.simulate(kern, arc_book(m, pairs, paths), trials=500, seed=3)
     assert rep.errors.tolist() == [500] * 6
+
+
+def test_discrete_error_rates_match_exact_enumeration():
+    """Every codeword goes through the same uniforms, and each one's error
+    count is still Binomial(trials, pe_m): at 20000 trials every estimate
+    lies within three standard errors of the exact ML error probability,
+    enumerated over all 3^8 outputs of a three-codeword book whose kernel
+    has a zero cell."""
+    m, pairs, _, _ = make_bsc()
+    gen = np.random.default_rng(2)
+    pmf = gen.dirichlet(np.ones(3), size=len(pairs))
+    pmf[0, 2] = 0.0
+    pmf /= pmf.sum(axis=1, keepdims=True)
+    kern = zr.discrete_kernel(("a", "b", "c"), pmf)
+    paths = gen.integers(0, len(pairs), size=(3, 8))
+    assert (paths == 0).any()  # some metrics are -inf
+    exact = discrete_ml_error_exact(kern, paths)
+    assert ((0.1 < exact) & (exact < 0.5)).all()
+    trials = 20_000
+    rep = zr.simulate(kern, arc_book(m, pairs, paths), trials=trials, seed=1)
+    assert (np.abs(rep.pe_estimates - exact) <= 3 * np.sqrt(exact * (1 - exact) / trials)).all()
 
 
 def test_pairwise_gaussian_matches_exact_error():
@@ -331,13 +354,15 @@ def test_batch_size_changes_nothing(kind, monkeypatch, tmp_path):
     dist = d.d[book.arc_paths[:, None, :], book.arc_paths[None, :, :]].sum(axis=2)
     a, b = np.unravel_index(np.argmin(dist + np.diag(np.full(book.M, np.inf))), dist.shape)
     cells = []  # count-matrix size of each discrete batch
-    metrics = montecarlo._DiscreteStatistic.metrics
-    monkeypatch.setattr(montecarlo._DiscreteStatistic, "metrics",
-                        lambda self, y: cells.append(len(y) * self.width) or metrics(self, y))
+    loglik = montecarlo._DiscreteStatistic.loglik
+    monkeypatch.setattr(montecarlo._DiscreteStatistic, "loglik",
+                        lambda self, y: cells.append(len(y) * self.width) or loglik(self, y))
 
     def run():
         log = tmp_path / "trials.csv"
-        rep = zr.simulate(kern, book, trials=500, seed=9, trial_log=log)
+        # three chunks, the last one partial
+        rep = zr.simulate(kern, book, trials=2 * montecarlo._CHUNK_TRIALS + 52, seed=9,
+                          trial_log=log)
         pair = zr.pairwise_check(kern, book.arc_paths[a], book.arc_paths[b],
                                  trials=500, seed=9, d=d)
         assert max(cells, default=0) <= montecarlo._BATCH_ELEMENTS
@@ -350,13 +375,15 @@ def test_batch_size_changes_nothing(kind, monkeypatch, tmp_path):
     small_rep, small_pair, small_log = run()
     assert small_rep.to_json_dict() == rep.to_json_dict()
     assert small_pair == pair
-    same_log = small_log == log  # a plain assert would diff two 2000-line strings
+    same_log = small_log == log  # a plain assert would diff two 8400-line strings
     assert same_log
 
 
 def several_batches(kind, monkeypatch):
-    """(kernel, book) of the given kind, with _BATCH_ELEMENTS cut so that
-    500 trials span many batches even when three workers share them."""
+    """(kernel, book) of the given kind, with _BATCH_ELEMENTS cut to
+    30-trial batches and _CHUNK_TRIALS to 60, so that 500 trials span nine
+    chunks and each chunk several batches, even when three workers share
+    the batch budget."""
     if kind == "gaussian":
         _, _, kern, _, book = small_book(M=4, n=16)
         width = book.M
@@ -364,6 +391,7 @@ def several_batches(kind, monkeypatch):
         kern, _, book = bsc_book(n=16, M=4, p=0.2) if kind == "discrete" else wide_book()
         width = max(book.n, len(np.unique(book.arc_paths.T, axis=0)) * len(kern.outputs))
     monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 30 * width + 3)  # 30-trial batches
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 60)
     return kern, book
 
 
@@ -381,7 +409,7 @@ def test_worker_count_changes_nothing(kind, monkeypatch, tmp_path):
         for k in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_cpu_count", lambda k=k: k)
             reports[k] = zr.simulate(kern, book, trials=500, seed=9).to_json_dict()
-        # a trial log keeps the codewords inline and in order
+        # a trial log keeps the chunks inline and in order
         reports["log"] = zr.simulate(kern, book, trials=500, seed=9,
                                      trial_log=tmp_path / "trials.csv").to_json_dict()
     finally:
@@ -392,15 +420,15 @@ def test_worker_count_changes_nothing(kind, monkeypatch, tmp_path):
     assert reports["log"] == reports[1]
 
 
-def test_worker_error_cancels_the_codewords_not_started(monkeypatch):
+def test_worker_error_cancels_the_chunks_not_started(monkeypatch):
     kern, book = several_batches("discrete", monkeypatch)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     started, holds, held, release = [], [], threading.Semaphore(0), threading.Event()
 
-    def count_errors(stat, m, rng, trials, log=None):
-        started.append(m)
-        if m == 0:
-            raise FloatingPointError("codeword 0")
+    def count_chunk(stat, seed, c, trials, log=None):
+        started.append(c)
+        if c == 0:
+            raise FloatingPointError("chunk 0")
         held.release()
         release.wait(30)  # holds the worker until the pool has cancelled what is queued
         return 0
@@ -408,18 +436,18 @@ def test_worker_error_cancels_the_codewords_not_started(monkeypatch):
     shutdown = ThreadPoolExecutor.shutdown
 
     def cancel_then_release(pool, wait=True, *, cancel_futures=False):
-        # wait until both workers are held: the one that raised on codeword 0 takes the next
+        # wait until both workers are held: the one that raised on chunk 0 takes the next
         holds.extend(held.acquire(timeout=30) for _ in range(2))
         shutdown(pool, wait=False, cancel_futures=cancel_futures)
         release.set()
         shutdown(pool, wait=wait)
 
-    monkeypatch.setattr(montecarlo, "_count_errors", count_errors)
+    monkeypatch.setattr(montecarlo, "_count_chunk", count_chunk)
     monkeypatch.setattr(ThreadPoolExecutor, "shutdown", cancel_then_release)
-    with pytest.raises(FloatingPointError, match="codeword 0"):
+    with pytest.raises(FloatingPointError, match="chunk 0"):
         zr.simulate(kern, book, trials=500, seed=9)
     assert holds == [True, True]
-    assert book.M == 4 and sorted(started) == [0, 1, 2]
+    assert sorted(started) == [0, 1, 2]  # of nine chunks
 
 
 def test_workers_call_no_public_function(monkeypatch):
@@ -442,8 +470,8 @@ def test_workers_call_no_public_function(monkeypatch):
         for name, obj in list(vars(sys.modules[key]).items()):
             if id(obj) in public:
                 monkeypatch.setattr(sys.modules[key], name, on_thread(obj, callers.append))
-    monkeypatch.setattr(montecarlo, "_count_errors",
-                        on_thread(montecarlo._count_errors, workers.add))
+    monkeypatch.setattr(montecarlo, "_count_chunk",
+                        on_thread(montecarlo._count_chunk, workers.add))
     rep = zr.simulate(kern, book, trials=500, seed=9)
     assert rep.errors.sum() > 0
     assert workers and threading.main_thread() not in workers  # the pool ran
@@ -647,7 +675,7 @@ def test_delta_zero_exactly_on_product_coupling():
         assert delta_of(rand, pairs) >= -1e-12
 
 
-def test_trial_log_is_closed_when_a_codeword_raises(tmp_path, monkeypatch):
+def test_trial_log_is_closed_when_a_chunk_raises(tmp_path, monkeypatch):
     m, pairs, kern, d, book = small_book(M=2, n=16)
     opened = []
 
@@ -655,19 +683,20 @@ def test_trial_log_is_closed_when_a_codeword_raises(tmp_path, monkeypatch):
         opened.append(open(*args, **kwargs))
         return opened[-1]
 
-    count_errors = montecarlo._count_errors
+    count_chunk = montecarlo._count_chunk
 
-    def fail_on_second(stat, m, *args):
-        if m == 1:
-            raise RuntimeError("codeword 1 failed")
-        return count_errors(stat, m, *args)
+    def fail_on_second(stat, seed, c, *args):
+        if c == 1:
+            raise RuntimeError("chunk 1 failed")
+        return count_chunk(stat, seed, c, *args)
 
     monkeypatch.setattr(montecarlo, "open", tracking_open, raising=False)
-    monkeypatch.setattr(montecarlo, "_count_errors", fail_on_second)
-    with pytest.raises(RuntimeError, match="codeword 1 failed"):
+    monkeypatch.setattr(montecarlo, "_count_chunk", fail_on_second)
+    monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 25)
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
         zr.simulate(kern, book, trials=50, seed=3, trial_log=tmp_path / "trials.csv")
     assert len(opened) == 1 and opened[0].closed
-    # codeword 0's rows were written before the failure
+    # chunk 0's rows, 25 trials of both codewords, were written before the failure
     assert len((tmp_path / "trials.csv").read_text().splitlines()) == 1 + 50
 
 
@@ -680,5 +709,7 @@ def test_trial_log_csv(tmp_path):
         rows = list(csv_mod.reader(fh))
     assert rows[0] == ["trial", "codeword", "decoded", "correct"]
     assert len(rows) == 1 + 2 * 50
+    # by trial, then codeword
+    assert [(int(r[0]), int(r[1])) for r in rows[1:]] == [(t, m) for t in range(50) for m in (0, 1)]
     wrong = sum(1 for r in rows[1:] if r[3] == "0")
     assert wrong == int(rep.errors.sum())
