@@ -11,8 +11,9 @@ same lines produce the same `--out` bytes, run reports, exit codes and
 error reasons, so diffing the output of two revisions is a refactoring
 check.
 Runs go through `zerorate.cli.run` in this process with small fixed sizes;
-`simulate` sends 5000 trials per codeword, so on discrete kernels each
-codeword spans several batches and the codewords run on the worker pool.
+`simulate` sends 5000 trials per codeword, five chunks of 1024 trials or
+fewer, so on discrete kernels the chunks span several batches and run on
+the worker pool.
 An exception escaping `cli.run` is recorded as its line, with exit field
 `exception` and the exception's type and message as its stderr field, and
 the sweep goes on. The last lines probe four CLI usage errors.

@@ -282,11 +282,13 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
 
 
 def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
-    """max w.values s.t. sum w = 1, w.costs <= gamma, w >= 0."""
+    """max w.values s.t. sum w = 1, w.costs <= gamma, w >= 0. The value is
+    that of HiGHS's weights scaled to sum 1, as the plan takes them: its
+    weights can sum to 1 + 1e-11, and its objective is off by as much."""
     res = _highs_lp(-values, np.ones((1, len(values))), [1.0], costs, gamma)
     if res.status != 0:
         raise InfeasibleError("cost budget below every candidate component")
-    return res.x, float(-res.fun)
+    return res.x, float(res.x @ values / res.x.sum())
 
 
 def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,

@@ -6,31 +6,35 @@ log-likelihoods over all codewords (ties count as errors, keeping bounds
 valid). No (trials, M, n) array is built. The discrete decoder sees y only
 through its counts per (column pattern, output), a pattern being one
 position's tuple of arcs across the codewords, so a trial's metrics are
-its count row times a (patterns * Y, M) log-pmf table, rounded to integers
-at a scale that makes the product exact: codewords whose per-step terms
-agree as multisets tie bit for bit. The Gaussian metric is the correlation
-form (y.mu - |mu|^2/2) / sigma^2, which drops the -|y|^2/2sigma^2 common to
-every hypothesis and sees y only through its projection onto the span of
-the distinct mean rows (the theorem of irrelevance), so a trial draws that
+those counts times a log-pmf table, rounded to integers at a scale that
+makes the product exact: codewords whose per-step terms agree as multisets
+tie bit for bit. The Gaussian metric is the correlation form
+(y.mu - |mu|^2/2) / sigma^2, which drops the -|y|^2/2sigma^2 common to every
+hypothesis and sees y only through its projection onto the span of the
+distinct mean rows (the theorem of irrelevance), so a trial draws that
 projected statistic, r <= M normals, instead of y's n. Each distinct mean
 row gets one column, copied to the codewords sharing it, so identical
 codewords tie exactly.
 
 A trial sends every codeword through the same channel noise (common random
-numbers): one draw of n uniforms, whose inverse-CDF images under codeword
-m's output laws are its outputs (discrete kernels), or of r normals, whose
-one GEMM against the statistic's loadings every codeword offsets by its own
-mean row (Gaussian ones). Each codeword's error count is still exactly
-Binomial(trials, pe_m), so its estimate and standard error keep their law;
-the counts of different codewords are dependent. A batch's metrics form an
-(M, trials) array, so each decision reduces over contiguous rows. The
-trials fall into chunks of _CHUNK_TRIALS, chunk c drawing from its own
-stream SeedSequence((seed, c)), and a chunk runs in batches of whole rows
-of its draws, so the batch size does not change the streams. A batch
-holds at most min(rows, _CHUNK_TRIALS) trials, `rows` being the trials
-whose widest per-trial array fits in about 2**17 values (1 MiB of
-float64): max(n, patterns * Y) outputs or counts for discrete kernels, M
-metrics for Gaussian ones.
+numbers). Discrete kernels draw n uniforms; a uniform's cell among the
+merged output-CDF breakpoints of its position's arcs fixes every
+codeword's inverse-CDF output there, so one count matrix per batch, by
+(pattern, cell), serves all M codewords sent, each through one exact GEMM
+with its own columns of the table. Gaussian kernels draw r normals, whose
+one GEMM against the statistic's loadings every codeword offsets by its
+own mean row. Each codeword's error count is still exactly
+Binomial(trials, pe_m), so its estimate and standard error keep their
+law; the counts of different codewords are dependent. The metrics when
+one codeword is sent form an (M, trials) array, so each decision reduces
+over contiguous rows. The trials fall into chunks of _CHUNK_TRIALS, chunk
+c drawing from its own stream SeedSequence((seed, c)), and a chunk runs in
+batches of whole rows of its draws, so the batch size does not change the
+streams. A batch holds at most min(rows, _CHUNK_TRIALS) trials, `rows`
+being the trials whose widest per-trial array fits in about 2**17 values
+(1 MiB of float64): max(n, width, M^2) uniforms, count-matrix cells or
+metrics for discrete kernels, width being the patterns' total cell count,
+and M metrics for Gaussian ones.
 
 When the trials exceed `rows` and no trial log is asked for, the chunks
 run on k = min(chunks, CPUs the process may use) worker threads; numpy
@@ -109,41 +113,50 @@ def _block(buf: np.ndarray, *shape: int) -> np.ndarray:
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def _outputs(cdf: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The discrete outputs, written to the int64 array out, of a fixed
-    transmitted arc sequence whose output CDFs are the columns of cdf,
-    (Y, n), under the (trials, n) uniforms u."""
-    # inverse CDF: the output is the number of CDF cells below u; the
-    # top cell is never counted, so its cumsum roundoff is harmless
-    y = np.zeros(u.shape, dtype=np.min_scalar_type(len(cdf) - 1))
-    for cell in cdf[:-1]:
-        y += u > cell
-    out[...] = y
-    return out
-
-
 class _DiscreteStatistic:
-    """Discrete decoder metrics from per-pattern output counts.
+    """Discrete decoder metrics of every codeword sent, from one count
+    matrix per batch.
 
-    A position's pattern is its column of arcs across the M codewords, so the
-    log-likelihood of codeword j is the sum over patterns p and outputs y of
-    count(p, y) ln p(y | arc j of p): one GEMM of an (M, P * Y) table
-    against the (trials, P * Y) count matrix. The finite table is rounded to
-    integers at scale 2^s, with 2^s n max|ln p| <= 2^52, so every partial sum
-    is an integer below 2^53 and the GEMM is exact in any order: codewords
-    whose per-step terms agree as multisets tie bit for bit. The rounding
-    moves a metric by at most n 2^-s / 2, the order of float64 summation
-    roundoff. A 0/1 table of the zero-pmf cells, built only when the book
-    uses one, marks -inf metrics. A batch of `rows` trials keeps both its
-    outputs and its count matrix within _BATCH_ELEMENTS values. Each
-    codeword's (Y, n) output CDFs are taken once, here, for all its
-    batches: M * Y * n values, the table's size when no two positions share
-    a pattern. The batch buffers belong to the copies that split() makes.
+    A position's pattern is its column of arcs across the M codewords, so
+    the log-likelihood of codeword j is the sum over patterns p and outputs
+    y of count(p, y) ln p(y | arc j of p). The finite log-pmf table, one
+    column per (p, y), is rounded to integers at scale 2^s, with
+    2^s n max|ln p| <= 2^52, so every partial sum of a metric is an integer
+    below 2^53 and any summation order is exact: codewords whose per-step
+    terms agree as multisets tie bit for bit. The rounding moves a metric by
+    at most n 2^-s / 2, the order of float64 summation roundoff. A 0/1 table
+    of the zero-pmf cells, built only when the book uses one, marks -inf
+    metrics.
+
+    The codewords share the batch's uniforms, so one pass serves them all.
+    Pattern p's arcs' CDF breakpoints, merged and sorted, cut [0, 1) into
+    G_p cells, and a position's cell is the number of its breakpoints below
+    u: max_p G_p - 1 compares against (max_p G_p - 1, n) threshold rows
+    padded with inf. Arc a emits output y at u exactly when u lies above y
+    of a's breakpoints, that is when y of them lie at or below the lower
+    edge of u's cell, so the cell fixes every codeword's output, bit for bit
+    as inverse-CDF sampling gives it. One bincount per batch counts the
+    cells, `width` = sum_p G_p columns, and the metrics when codeword m is
+    sent are that count matrix times the table's columns gathered through
+    column[m], which maps m's cell (p, g) to its (p, y): one exact GEMM per
+    send. A batch of `rows` trials keeps its uniforms, cells, count matrix
+    and (M, M) metrics each within _BATCH_ELEMENTS values.
+
+    Memory: besides the (M, P Y) table, the (M, width) column index and,
+    per worker, one send's gathered (M, width) table. G_p - 1 is at most
+    a_p (Y - 1), a_p <= min(M, L) being the distinct arcs of pattern p out
+    of the kernel's L, so width <= P (1 + min(M, L) (Y - 1)). On an
+    n = 512, M = 8, Y = 8 quantized two-tap book the index holds 7184
+    entries, against the 32768 of the (M, Y, n) output CDFs that sampling
+    codeword by codeword keeps and the 57472 of a stacked (M^2, width)
+    table of every send's columns, which would save the per-send gathers.
+    The batch buffers belong to the copies that split() makes.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
         self.M, n = arc_paths.shape
         patterns, pattern = np.unique(arc_paths.T, axis=0, return_inverse=True)
+        P, Y = len(patterns), kernel.pmf.shape[1]
         logp = log_pmf(kernel)[patterns].transpose(0, 2, 1)  # (P, Y, M)
         table = logp.reshape(-1, self.M)
         finite = np.isfinite(table)
@@ -152,48 +165,76 @@ class _DiscreteStatistic:
         self.table = np.where(finite, np.rint(np.ldexp(table, s)), 0.0).T.copy()
         self.quantum = math.ldexp(1.0, -s)
         self.zero = None if finite.all() else (~finite).T.astype(float)
-        self.width = len(table)  # P * Y
-        self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width))
-        self.pattern_cell = pattern.reshape(-1) * logp.shape[1]  # count-matrix column of y = 0
-        # cdf[m]: codeword m's (Y, n) output CDFs, contiguous (a strided view
-        # of a (Y, M, n) gather makes every batch's compares slower)
-        self.cdf = np.cumsum(kernel.pmf, axis=1)[arc_paths].transpose(0, 2, 1).copy()
+        # each pattern's breakpoints, sorted, repeats moved to the end as inf;
+        # the top cell is never counted, so its cumsum roundoff is harmless
+        breaks = np.cumsum(kernel.pmf, axis=1)[:, :-1]
+        grid = np.sort(breaks[patterns].reshape(P, -1), axis=1)
+        grid[:, 1:][grid[:, 1:] == grid[:, :-1]] = np.inf
+        grid.sort(axis=1)
+        cells = 1 + np.isfinite(grid).sum(axis=1)  # G_p
+        grid = grid[:, :cells.max() - 1]
+        # output[p, m, g]: codeword m's output in cell g of pattern p, the
+        # number of its arc's breakpoints at or below the cell's lower edge
+        below = np.stack([np.searchsorted(b, grid, side="right") for b in breaks])
+        output = np.zeros((P, self.M, grid.shape[1] + 1), dtype=np.intp)
+        output[:, :, 1:] = below[patterns, np.arange(P)[:, None]]
+        real = np.arange(output.shape[2]) < cells[:, None]
+        self.column = (output + Y * np.arange(P)[:, None, None]).transpose(1, 0, 2)[:, real]
+        self.width = int(cells.sum())
+        self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width, self.M * self.M))
+        self.pattern_cell = (np.cumsum(cells) - cells)[pattern]  # count-matrix column of cell 0
+        self.cuts = grid[pattern].T.copy()  # (max G_p - 1, n) threshold rows
 
     def split(self, k: int) -> list:
         """k copies sharing the read-only tables, each with batch buffers of
         its own for min(rows // k, _CHUNK_TRIALS) trials, so k batches in
         flight take at most the memory of one of `rows` trials."""
         r = min(self.rows // k, _CHUNK_TRIALS)
-        n = self.cdf.shape[2]
-        # flat count-matrix cell of (trial, position) before the output is added
+        n = self.cuts.shape[1]
+        # flat count-matrix cell of (trial, position) before the cell is added
         base = np.arange(0, r * self.width, self.width)[:, None] + self.pattern_cell
         parts = [copy.copy(self) for _ in range(k)]
         for part in parts:
             part.rows, part.base = r, base
-            part.u, part.y = np.empty((r, n)), np.empty((r, n), dtype=np.int64)
-            part.counts, part.ll = np.empty((r, self.width)), np.empty(self.M * r)
+            part.u, part.cell = np.empty((r, n)), np.empty((r, n), dtype=np.int64)
+            part.counts, part.ll = np.empty((r, self.width)), np.empty(self.M * self.M * r)
+            part.gathered = np.empty((self.M, self.width))
         return parts
 
     def draw(self, rng, trials: int) -> np.ndarray:
-        """One batch's (trials, n) uniforms, shared by every codeword."""
-        return rng.random(out=self.u[:trials])
+        """One batch's (M, M, trials) log-likelihoods, [m] when codeword m
+        is sent, every codeword through the same uniforms."""
+        return self.sends(rng.random(out=self.u[:trials]))
 
-    def metrics(self, m: int, u: np.ndarray) -> np.ndarray:
-        """(M, len(u)) log-likelihoods when codeword m is sent under the
+    def cells(self, u: np.ndarray) -> np.ndarray:
+        """The (len(u), n) flat count-matrix cells of at most `rows` trials'
         uniforms u."""
-        return self.loglik(_outputs(self.cdf[m], u, self.y[:len(u)]))
+        cell = np.zeros(u.shape, dtype=np.min_scalar_type(len(self.cuts)))
+        for cut in self.cuts:
+            cell += (u > cut).view(np.uint8)  # no bool-to-int cast in the add
+        return np.add(self.base[:len(u)], cell, out=self.cell[:len(u)])
 
-    def loglik(self, y: np.ndarray) -> np.ndarray:
-        """(M, len(y)) log-likelihoods of at most `rows` trials' int64
-        outputs y, which are overwritten with their count-matrix cells."""
-        y += self.base[:len(y)]
-        counts = self.counts[:len(y)]
-        counts[...] = np.bincount(y.ravel(), minlength=counts.size).reshape(counts.shape)
-        ll = np.matmul(self.table, counts.T, out=_block(self.ll, self.M, len(y)))
+    def sends(self, u: np.ndarray) -> np.ndarray:
+        """(M, M, len(u)) log-likelihoods, [m] when codeword m is sent,
+        under the uniforms u."""
+        counts = self.counts[:len(u)]
+        cells = self.cells(u)
+        counts[...] = np.bincount(cells.ravel(), minlength=counts.size).reshape(counts.shape)
+        ll = _block(self.ll, self.M, self.M, len(u))
+        for m, column in enumerate(self.column):
+            table = np.take(self.table, column, axis=1, out=self.gathered)
+            np.matmul(table, counts.T, out=ll[m])
         ll *= self.quantum
         if self.zero is not None:
-            ll[self.zero @ counts.T > 0] = -np.inf
+            for m, column in enumerate(self.column):
+                zero = np.take(self.zero, column, axis=1, out=self.gathered)
+                ll[m][zero @ counts.T > 0] = -np.inf
         return ll
+
+    @staticmethod
+    def metrics(m: int, ll: np.ndarray) -> np.ndarray:
+        """(M, trials) log-likelihoods when codeword m is sent."""
+        return ll[m]
 
 
 class _GaussianStatistic:

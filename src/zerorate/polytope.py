@@ -48,6 +48,42 @@ def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
                    bounds=(0, None), method="highs")
 
 
+def _lawson_hanson(e: np.ndarray, f: np.ndarray, max_iter: int) -> np.ndarray:
+    """min |e w - f| over w >= 0 by Lawson & Hanson's active-set method
+    (1974, ch. 23), each passive-set least squares by lstsq. An index whose
+    least-squares weight comes back at or below zero right after it enters
+    is not tried again until another enters. Raises RuntimeError after
+    max_iter entries."""
+    n = e.shape[1]
+    tol = 10 * np.finfo(float).eps * np.abs(e).sum(axis=0).max(initial=1.0) * max(e.shape)
+    w = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    blocked = np.zeros(n, dtype=bool)
+    for _ in range(max_iter):
+        dual = e.T @ (f - e @ w)
+        dual[passive | blocked] = -np.inf
+        j = int(np.argmax(dual))
+        if dual[j] <= tol:
+            return w
+        passive[j] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            if (z[passive] > 0).all():
+                w = z
+                blocked[:] = False
+                break
+            if z[j] <= 0 and w[j] == 0:
+                passive[j], blocked[j] = False, True
+                break
+            neg = passive & (z <= 0)
+            alpha = np.min(w[neg] / (w[neg] - z[neg]))
+            w = w + alpha * (z - w)
+            passive &= w > tol
+            w[~passive] = 0.0
+    raise RuntimeError("Lawson-Hanson iteration cap")
+
+
 @dataclass(frozen=True, eq=False)
 class _Piece:
     """The projection on one active set as an affine map of (v, 1, gamma):
@@ -174,15 +210,21 @@ class Polytope:
         # Slack on every constraint keeps the multipliers bounded on a flat
         # polytope (a budget at its minimum cost, a single point), where
         # roundoff alone can make the program look infeasible. The larger
-        # slack is tried only when the smaller one finds no point. NNLS can
-        # return a wrong point on a degenerate program (a zero reported
-        # residual where the true one is not), so bounded-variable least
-        # squares on the same program is the last attempt.
-        for slack, bvls in ((1e-14, False), (1e-10, False), (1e-10, True)):
+        # slack is tried only when the smaller one finds no point. scipy's
+        # NNLS can stop short on a degenerate program (a zero reported
+        # residual where the true one is not, or a passive set whose gradient
+        # is not zero), so bounded-variable least squares and then
+        # `_lawson_hanson` on the same program are the last attempts.
+        for slack, solver in ((1e-14, "nnls"), (1e-10, "nnls"), (1e-10, "bvls"),
+                              (1e-14, "lh")):
             e[-1] = h - slack * h_scale
             try:
-                w = (lsq_linear(e, f, bounds=(0, np.inf), method="bvls").x if bvls
-                     else nnls(e, f, maxiter=10 * len(h))[0])
+                if solver == "nnls":
+                    w = nnls(e, f, maxiter=10 * len(h))[0]
+                elif solver == "bvls":
+                    w = lsq_linear(e, f, bounds=(0, np.inf), method="bvls").x
+                else:
+                    w = _lawson_hanson(e, f, 10 * len(h))
             except RuntimeError:  # the iteration cap
                 continue
             r = e @ w - f

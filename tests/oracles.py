@@ -13,7 +13,9 @@ gaussian_distances_mirrored, the triangle-and-mirror Gaussian distance
 construction that `bhatt.bhattacharyya` no longer needs, and
 round_type_greedy, the greedy cycle-repair rounding that the integer
 program in `codebook.round_type` replaced; round_type_enumerated is that
-program's answer by exhaustive search."""
+program's answer by exhaustive search. discrete_metrics_per_codeword is
+the codeword-by-codeword sampling and counting that the shared cells of
+`montecarlo._DiscreteStatistic` replaced."""
 from __future__ import annotations
 
 import itertools
@@ -181,7 +183,7 @@ def discrete_ml_error_exact(kernel, arc_paths: np.ndarray) -> np.ndarray:
 
 
 def sample_outputs_broadcast(kernel, arcs: np.ndarray, rng, n_trials: int) -> np.ndarray:
-    """Reference for montecarlo._outputs under rng's uniforms: (n_trials, n)
+    """Reference for the inverse-CDF outputs under rng's uniforms: (n_trials, n)
     outputs by broadcasting the uniforms against every CDF cell at once."""
     n = len(arcs)
     if kernel.kind == "discrete":
@@ -192,6 +194,37 @@ def sample_outputs_broadcast(kernel, arcs: np.ndarray, rng, n_trials: int) -> np
     mu = kernel.means[arcs]
     sigma = np.sqrt(kernel.variance)
     return mu[None, :] + sigma * rng.standard_normal((n_trials, n))
+
+
+def discrete_metrics_per_codeword(kernel, arc_paths: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The (M, M, trials) discrete decoder metrics under the (trials, n)
+    uniforms u, [m] when codeword m is sent, computed codeword by codeword
+    as montecarlo once did: m's inverse-CDF outputs from its own (Y, n)
+    output CDFs, m's own count matrix per (column pattern, output), and
+    the GEMM of that matrix with the log-pmf table rounded to integers at
+    scale 2^s, 2^s n max|ln p| <= 2^52, so that the sum is exact; a
+    metric with a zero-pmf term is -inf."""
+    M, n = arc_paths.shape
+    Y = kernel.pmf.shape[1]
+    patterns, pattern = np.unique(arc_paths.T, axis=0, return_inverse=True)
+    with np.errstate(divide="ignore"):
+        table = np.log(kernel.pmf)[patterns].transpose(0, 2, 1).reshape(-1, M)  # (P Y, M)
+    finite = np.isfinite(table)
+    s = 52 - math.frexp(n * float(np.abs(table[finite]).max(initial=0.0)))[1]
+    scaled = np.where(finite, np.rint(np.ldexp(table, s)), 0.0).T  # (M, P Y)
+    zero = (~finite).T.astype(float)
+    cdf = np.cumsum(kernel.pmf, axis=1)[arc_paths]  # (M, n, Y)
+    cell = np.arange(len(u))[:, None] * len(table) + pattern.reshape(-1) * Y
+    out = np.empty((M, M, len(u)))
+    for m in range(M):
+        y = np.zeros(u.shape, dtype=np.int64)
+        for k in range(Y - 1):  # the top cell is never counted
+            y += u > cdf[m, :, k]
+        counts = np.bincount((cell + y).ravel(), minlength=len(u) * len(table))
+        counts = counts.reshape(len(u), len(table)).astype(float)
+        out[m] = np.ldexp(scaled @ counts.T, -s)
+        out[m][zero @ counts.T > 0] = -np.inf
+    return out
 
 
 def discrete_terms_broadcast(kernel, arc_paths: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import itertools
 import json
@@ -16,13 +17,13 @@ from zerorate import bhatt, montecarlo
 from zerorate.cli import load_channel
 from zerorate.codebook import Codebook
 from zerorate.exponent import component_polytope
-from zerorate.montecarlo import _DiscreteStatistic, _GaussianStatistic, _outputs
+from zerorate.montecarlo import _DiscreteStatistic, _GaussianStatistic
 
 from conftest import make_bsc, make_isi
-from oracles import (discrete_ml_error_exact, discrete_terms_broadcast,
-                     empirical_exponent_consistency, gaussian_two_codeword_error,
-                     loglik_broadcast, quad_constraints_loop, quadruple_joint,
-                     sample_outputs_broadcast, zrho_dense_newton)
+from oracles import (discrete_metrics_per_codeword, discrete_ml_error_exact,
+                     discrete_terms_broadcast, empirical_exponent_consistency,
+                     gaussian_two_codeword_error, loglik_broadcast, quad_constraints_loop,
+                     quadruple_joint, sample_outputs_broadcast, zrho_dense_newton)
 
 
 def small_book(h=(1.0, 0.5), n=16, M=2, seed=0, theta=0.3):
@@ -181,11 +182,9 @@ def test_simulation_reproducible():
     assert a.errors.tolist() != c.errors.tolist()
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(2, 5), st.integers(2, 5), st.integers(4, 48), st.integers(1, 16),
-       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
-def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
-    gen = np.random.default_rng(seed)
+def random_book(gen, L, Y, n, M):
+    """(arc paths, pmf) of an M-codeword book on L arcs with Y outputs:
+    duplicate and permuted codewords, zero pmf cells, two arcs with one law."""
     paths = gen.integers(0, L, size=(M, n))
     paths[gen.integers(0, M, size=M // 2)] = paths[0]  # duplicate codewords
     # a permuted copy: the same terms as a multiset wherever y is constant
@@ -195,17 +194,29 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     pmf[:, 0] += pmf.sum(axis=1) == 0
     pmf /= pmf.sum(axis=1, keepdims=True)
     pmf[-1] = pmf[0]  # two arcs with one law
+    return paths, pmf
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(4, 48), st.integers(1, 16),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
+    gen = np.random.default_rng(seed)
+    paths, pmf = random_book(gen, L, Y, n, M)
     means = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=L) * gen.uniform(0.5, 2.0)
     variance = gen.uniform(0.1, 4.0)
     kern = zr.discrete_kernel(tuple(range(Y)), pmf)
     stat, = _DiscreteStatistic(kern, paths).split(1)
     u = np.random.default_rng(seed).random((trials, n))
-    y = _outputs(stat.cdf[0], u, np.empty((trials, n), dtype=np.int64))
-    ref_y = sample_outputs_broadcast(kern, paths[0], np.random.default_rng(seed), trials)
-    assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
+    cells = stat.cells(u) % stat.width  # count-matrix columns, trial offsets dropped
+    outputs = [sample_outputs_broadcast(kern, arcs, np.random.default_rng(seed), trials)
+               for arcs in paths]
+    for column, ref_y in zip(stat.column, outputs):
+        y = column[cells] % Y  # the codeword's table column of a cell is p Y + y
+        assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
     # the statistic draws the same uniforms into its own buffers
     ll = stat.metrics(0, stat.draw(np.random.default_rng(seed), trials)).T
-    terms = discrete_terms_broadcast(kern, paths, ref_y)
+    terms = discrete_terms_broadcast(kern, paths, outputs[0])
     ref = terms.sum(axis=2)
     # float summation roundoff of the reference, n max|ref| 2^-53, plus the
     # integer table's rounding: n terms, each moved by at most half the
@@ -271,11 +282,71 @@ def test_permuted_codewords_tie_exactly():
     pmf = [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7], [0.5, 0.5]]
     kern = zr.discrete_kernel(("0", "1"), pmf)
     paths = np.array(list(itertools.permutations(range(3))))
-    ll = _DiscreteStatistic(kern, paths).split(1)[0].loglik(np.zeros((1, 3), dtype=np.int64))
-    assert (ll == ll[0, 0]).all()
-    assert abs(ll[0, 0] - np.log(0.006)) <= 1e-14
+    # uniforms at 0 give y = 0 whichever codeword is sent
+    ll = _DiscreteStatistic(kern, paths).split(1)[0].sends(np.zeros((1, 3)))
+    assert (ll == ll[0, 0, 0]).all()
+    assert abs(ll[0, 0, 0] - np.log(0.006)) <= 1e-14
     rep = zr.simulate(kern, arc_book(m, pairs, paths), trials=500, seed=3)
     assert rep.errors.tolist() == [500] * 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 5), st.integers(2, 5), st.integers(3, 39), st.integers(1, 8),
+       st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_shared_cells_match_per_codeword_metrics(L, Y, n, M, trials, seed):
+    """The (M, M, trials) metrics from one count matrix of shared cells
+    equal, bit for bit and -inf cells included, those of sampling and
+    counting codeword by codeword, also for uniforms that sit exactly on
+    a CDF breakpoint of an arc at their position or at 0.0."""
+    gen = np.random.default_rng(seed)
+    paths, pmf = random_book(gen, L, Y, n, M)
+    kern = zr.discrete_kernel(tuple(range(Y)), pmf)
+    u = gen.random((trials, n))
+    arcs = paths[gen.integers(0, M, size=(trials, n)), np.arange(n)]
+    on = np.cumsum(pmf, axis=1)[arcs, gen.integers(0, Y - 1, size=(trials, n))]
+    u = np.where((gen.random((trials, n)) < 0.3) & (on < 1.0), on, u)
+    u[gen.random((trials, n)) < 0.05] = 0.0
+    stat, = _DiscreteStatistic(kern, paths).split(1)
+    assert np.array_equal(stat.sends(u), discrete_metrics_per_codeword(kern, paths, u))
+
+
+# Reports and trial-log digests of 3172 trials (three chunks and a partial
+# one) at seed 9, recorded with the codeword-by-codeword statistic. Every
+# golden simulate book sees no errors, so these two pin the decisions.
+PINNED_REPORTS = {
+    "bsc": ({"trials": 3172, "errors": [350, 271, 259, 375],
+             "pe_estimates": [0.11034047919293821, 0.08543505674653215,
+                              0.08165195460277427, 0.1182219419924338],
+             "std_errors": [0.005563047381413095, 0.004963165323982331,
+                            0.0048620604753206115, 0.005732738068137463],
+             "empirical_exponent": 0.1334494722990205,
+             "exponent_band": [0.12496081659375384, 0.14327499132112545], "n": 16, "seed": 9},
+            "c3eef920d89408ab59001ee7db8f5b87dd2940c6a2760472d616c6fcec961c5f"),
+    "wide": ({"trials": 3172, "errors": [905, 709, 879, 823],
+              "pe_estimates": [0.2853089533417402, 0.22351828499369483,
+                               0.2771122320302648, 0.2594577553593947],
+              "std_errors": [0.00801770885353286, 0.0073969989242590375,
+                             0.007946880765406044, 0.007782903721311314],
+              "empirical_exponent": 0.07838641494092578,
+              "exponent_band": [0.07332768177894189, 0.08389094828020939], "n": 16, "seed": 9},
+             "4ab8215e2970d088ac4ea38f54b9151e19675b1c9962d9297f571ea2d8d68b7e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_error_heavy_reports_are_pinned(name, monkeypatch, tmp_path):
+    kern, _, book = bsc_book(n=16, M=4, p=0.2) if name == "bsc" else wide_book()
+    report, digest = PINNED_REPORTS[name]
+    log = tmp_path / "trials.csv"
+    assert zr.simulate(kern, book, trials=3172, seed=9, trial_log=log).to_json_dict() == report
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
+    pools = []
+    pooled = montecarlo._count_errors_pooled
+    monkeypatch.setattr(montecarlo, "_count_errors_pooled",
+                        lambda parts, *args: pools.append(len(parts)) or pooled(parts, *args))
+    assert zr.simulate(kern, book, trials=3172, seed=9).to_json_dict() == report
+    assert pools == [2]
 
 
 def test_discrete_error_rates_match_exact_enumeration():
@@ -347,16 +418,16 @@ def test_batch_size_changes_nothing(kind, monkeypatch, tmp_path):
         kern, d, book = wide_book()
     width = book.n
     if kind != "gaussian":
-        width = max(book.n, len(np.unique(book.arc_paths.T, axis=0)) * len(kern.outputs))
+        width = max(book.n, _DiscreteStatistic(kern, book.arc_paths).width)
     if kind == "wide":
         assert width > book.n  # the count matrix sets the batch size
 
     dist = d.d[book.arc_paths[:, None, :], book.arc_paths[None, :, :]].sum(axis=2)
     a, b = np.unravel_index(np.argmin(dist + np.diag(np.full(book.M, np.inf))), dist.shape)
     cells = []  # count-matrix size of each discrete batch
-    loglik = montecarlo._DiscreteStatistic.loglik
-    monkeypatch.setattr(montecarlo._DiscreteStatistic, "loglik",
-                        lambda self, y: cells.append(len(y) * self.width) or loglik(self, y))
+    sends = montecarlo._DiscreteStatistic.sends
+    monkeypatch.setattr(montecarlo._DiscreteStatistic, "sends",
+                        lambda self, u: cells.append(len(u) * self.width) or sends(self, u))
 
     def run():
         log = tmp_path / "trials.csv"
@@ -389,7 +460,7 @@ def several_batches(kind, monkeypatch):
         width = book.M
     else:
         kern, _, book = bsc_book(n=16, M=4, p=0.2) if kind == "discrete" else wide_book()
-        width = max(book.n, len(np.unique(book.arc_paths.T, axis=0)) * len(kern.outputs))
+        width = max(book.n, _DiscreteStatistic(kern, book.arc_paths).width)
     monkeypatch.setattr(montecarlo, "_BATCH_ELEMENTS", 30 * width + 3)  # 30-trial batches
     monkeypatch.setattr(montecarlo, "_CHUNK_TRIALS", 60)
     return kern, book

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zerorate.errors import InfeasibleError
-from zerorate.polytope import Polytope
+from zerorate.polytope import Polytope, _lawson_hanson
 
 from conftest import DEGENERATE_NNLS_DOC, cli_out, duplicate_symbol
 from oracles import project_by_face_enumeration
@@ -189,3 +189,20 @@ def test_projection_survives_a_wrong_nnls_point():
     assert code == 0
     assert json.loads(text)["value"] == pytest.approx(0.3781149578502, abs=1e-12)
     assert cli_out(doc, "uce")[0] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
+def test_lawson_hanson_meets_the_nnls_optimality_conditions(m, n, parallel, seed):
+    """The fallback NNLS returns w >= 0 with the KKT conditions of
+    min |e w - f|: zero gradient where w > 0, nonnegative where w = 0; half
+    the draws make the first columns parallel, a degenerate program."""
+    rng = np.random.default_rng(seed)
+    e, f = rng.normal(size=(m, n)), rng.normal(size=m)
+    if parallel:
+        e[:, :(n + 1) // 2] = np.outer(e[:, 0], rng.uniform(0.5, 2.0, (n + 1) // 2))
+    w = _lawson_hanson(e, f, 10 * n)
+    grad = e.T @ (e @ w - f)
+    assert (w >= 0).all()
+    assert np.abs(grad[w > 0]).max(initial=0.0) <= 1e-9
+    assert grad.min() >= -1e-9
