@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Golden sweep: every subcommand on every shipped spec, one line per run.
 
-    python scripts/golden.py --seed 0 > golden-s0.txt
+    python scripts/golden.py --seed 0 > tests/golden/seed0.txt
 
-Each line reads `spec command exit sha256-of-out sha256-of-report
-first-stderr-line`, with `-` standing for a missing artifact, an empty
-stdout or an empty stderr. The report digest covers the stdout run report
-with its `wall_clock_s` value replaced by 0. Two checkouts that print the
-same lines produce the same `--out` bytes, run reports, exit codes and
-error reasons, so diffing the output of two revisions is a refactoring
-check.
+The first line names the numpy and scipy versions. Each further line
+reads `spec command exit sha256-of-out sha256-of-report first-stderr-line`,
+with `-` standing for a missing artifact, an empty stdout or an empty
+stderr. The report digest covers the stdout run report with its
+`wall_clock_s` value replaced by 0. Two checkouts that print the same lines
+produce the same `--out` bytes, run reports, exit codes and error reasons,
+so diffing the output of two revisions is a refactoring check, and
+`tests/test_golden.py` makes it one against the sweeps committed under
+`tests/golden/`.
 Runs go through `zerorate.cli.run` in this process with small fixed sizes;
 `simulate` sends 5000 trials per codeword, five chunks of 1024 trials or
 fewer, so on discrete kernels the chunks span several batches and run on
@@ -31,6 +33,7 @@ import re  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from contextlib import redirect_stderr, redirect_stdout  # noqa: E402
+from importlib.metadata import version  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -83,6 +86,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     specs = sorted(p.relative_to(ROOT).as_posix()
                    for d in ("specs", "bench/specs") for p in (ROOT / d).glob("*.json"))
+    print(f"# numpy {version('numpy')} scipy {version('scipy')}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         for spec in specs:

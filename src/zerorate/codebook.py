@@ -17,6 +17,7 @@ the whole construction from an exponent argmax.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -341,22 +342,22 @@ class Codebook:
         return self.codewords.shape[0]
 
     def to_json_dict(self) -> dict:
-        states = self.machine.states
+        labels = np.array([str(s) for s in self.machine.states])
         cert = []
         for spec in self.certificate:
             pos = np.nonzero(spec.counts > 0)[0]
+            ends = zip(labels[self.pairs.tails[pos]].tolist(),
+                       labels[self.pairs.heads[pos]].tolist(), spec.counts[pos].tolist())
             cert.append({
                 "length": int(spec.n),
-                "counts": [{"from": str(states[self.pairs.tails[a]]),
-                            "to": str(states[self.pairs.heads[a]]),
-                            "count": int(spec.counts[a])} for a in pos],
+                "counts": [{"from": a, "to": b, "count": c} for a, b, c in ends],
             })
         return {
             "n": int(self.n),
             "M": int(self.M),
             "alphabet": [str(a) for a in self.machine.alphabet],
             "codewords": self.codewords.tolist(),
-            "state_paths": [[str(states[s]) for s in row] for row in self.state_paths],
+            "state_paths": labels[self.state_paths].tolist(),
             "type_counts": cert,
             "min_pair_distance": self.min_pair_distance,
             "seed": int(self.seed),
@@ -389,8 +390,13 @@ class Codebook:
             return a
 
         try:
-            paths = np.array([[state(s) for s in row] for row in doc["state_paths"]],
-                             dtype=np.int64)
+            # one dict lookup per row, mapped in C; None marks a label that
+            # is not a state
+            codes = [list(map(index.get, row)) for row in doc["state_paths"]]
+            if any(None in row for row in codes):
+                for label in itertools.chain.from_iterable(doc["state_paths"]):
+                    state(label)  # raises at the first label that is not a state
+            paths = np.array(codes, dtype=np.int64)
             codewords = np.asarray(doc["codewords"], dtype=np.int64)
             arc_paths = lookup[paths, np.roll(paths, -1, axis=1)]
             cert = []

@@ -208,17 +208,16 @@ def _embed(pairs: FeasiblePairSet, arcs: np.ndarray, sub_q: np.ndarray) -> PairD
     return PairDistribution(pairs, q)
 
 
-def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int,
-                    feasible: np.ndarray, tol: float,
-                    warm=()) -> tuple[np.ndarray, float]:
-    """Best stationary point of q^T D q over the polytope from several
-    starts, `warm` (earlier solutions) and `feasible` (a feasible point of
-    the polytope) among them; each projected-gradient run stops once a step
-    gains at most tol. Deterministic given the generator state."""
+def _multistart_max(sub_d: np.ndarray, poly: Polytope, rng, n_starts: int, tol: float,
+                    given=()) -> tuple[np.ndarray, float]:
+    """Best stationary point of q^T D q over the polytope from n_starts
+    starts: the uniform point, the `given` ones (earlier solutions, a
+    feasible point), then Dirichlet draws from rng. Each projected-gradient
+    run stops once a step gains at most tol. Deterministic given the
+    generator state."""
     n = poly.dim
     starts = [np.full(n, 1.0 / n)]
-    starts.extend(np.asarray(s, dtype=float) for s in warm)
-    starts.append(feasible)
+    starts.extend(np.asarray(s, dtype=float) for s in given)
     for _ in range(max(n_starts - len(starts), 0)):
         starts.append(rng.dirichlet(np.ones(n)))
     step = 1.0 / (2.0 * np.linalg.norm(sub_d, 2) + 1e-30)  # 1 / Lipschitz constant
@@ -235,9 +234,12 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     """The zero-rate exponent: the best value over the feasibility components
     that have arcs, finite distances and a point within budget.
 
-    A component gets one multi-start single solve (two starts when E0 is
-    concave on the affine hull of its polytope), unless E0 is not concave
-    there and the budget binds (gamma below the component's largest cost),
+    Where E0 is concave on the affine hull of a component's polytope, one
+    projected-gradient run from the uniform point is the solve, and it
+    needs no LP: an empty polytope shows as the projection's
+    InfeasibleError. Elsewhere a component gets a multi-start single solve
+    that starts from the cheapest feasible point (one LP) among others,
+    unless the budget binds (gamma below the component's largest cost),
     where time sharing can beat one distribution and `maximize_uce` solves
     it instead. The argmax is a TimeSharingPlan either way; a single solve
     gives one segment anchored at its most visited state."""
@@ -252,19 +254,21 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
             continue
         saw_finite = True
         poly = component_polytope(pairs, comp.arcs, cost)
+        concave = _hull_curvature(poly._null, sub_d) <= 1e-9
         try:
-            feasible = poly.feasible_point()
+            # a concave solve needs no LP: projecting its start tests emptiness
+            feasible = (poly.project(np.full(poly.dim, 1.0 / poly.dim)) if concave
+                        else poly.feasible_point())
         except InfeasibleError:
             continue
-        concave = _hull_curvature(poly._null, sub_d) <= 1e-9
         c_range = None if concave else poly.linear_range(cost.pair_costs(pairs)[comp.arcs])
         if c_range is not None and cost.gamma < c_range[1] - 1e-12:
             val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range,
                                                  starts, seed)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, cid)))
-            q_sub, val = _multistart_max(sub_d, poly, rng, 2 if concave else starts,
-                                         feasible, SOLVE_TOL)
+            q_sub, val = _multistart_max(sub_d, poly, rng, 1 if concave else starts, SOLVE_TOL,
+                                         () if concave else (feasible,))
             val_single = val
             q = _embed(pairs, comp.arcs, q_sub)
             arg = TimeSharingPlan(np.array([1.0]), (q,), q.most_visited(comp.states))
@@ -318,10 +322,10 @@ def maximize_uce(sub_d: np.ndarray, poly: Polytope, cheapest: np.ndarray,
     qs, vals = [], []
     for b in budgets:
         q, v = _multistart_max(sub_d, poly.at_budget(b), rng, max(2, starts // 8),
-                               cheapest, SWEEP_TOL, warm=qs[-1:])
+                               SWEEP_TOL, (*qs[-1:], cheapest))
         qs.append(q)
         vals.append(v)
-    qg, vg = _multistart_max(sub_d, poly, rng, starts, cheapest, SOLVE_TOL, warm=qs[-1:])
+    qg, vg = _multistart_max(sub_d, poly, rng, starts, SOLVE_TOL, (*qs[-1:], cheapest))
     qs.append(qg)
     vals.append(vg)
     w, val = _weight_lp(np.array(vals), np.array([poly.cost @ q for q in qs]), poly.gamma)

@@ -6,18 +6,19 @@ at most one cost halfspace. Euclidean projection onto them is exact and
 piecewise affine: on each active set it is one affine map of the point.
 A polytope caches these maps as pieces, keyed by the face (the free
 coordinates and whether the budget is tight) and the independent active
-constraints that carry the multipliers. A projection first tries the few
-most recently used pieces; one is accepted only with its KKT certificate
-(free coordinates positive, multipliers nonnegative, stationarity and
-feasibility residuals zero, a loose budget still met), so the warm path
-returns the same point as a cold solve. Otherwise one NNLS (Lawson &
-Hanson) on the least-distance program finds the face and the active set,
-and the piece built for them gives the point, with zero coordinates
-exactly zero. An empty polytope raises. Siblings at other budgets share
-the null space and the pieces. The quadratic E0 objective is maximized by
-projected gradient with a 1/Lipschitz step, which is monotone and
-globally convergent in the concave case. LPs go to HiGHS; scipy.optimize
-is imported on first use.
+constraints that carry the multipliers. A projection tries the cached
+pieces, most recently used first; a piece is accepted only with its KKT
+certificate (free coordinates positive, multipliers nonnegative,
+stationarity and feasibility residuals zero, a loose budget still met), so
+the warm path returns the same point as a cold solve. Otherwise one NNLS
+(Lawson & Hanson, in-package) on the least-distance program finds the face
+and the active set, and the piece built for them gives the point, with
+zero coordinates exactly zero. An empty polytope raises. Siblings at other
+budgets share the null space and the pieces. The quadratic E0 objective is
+maximized by projected gradient with a 1/Lipschitz step, which is monotone
+and globally convergent in the concave case. Projection and projected
+gradient load no scipy; LPs go to HiGHS, and scipy.optimize is imported on
+the first LP.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ FEAS_TOL = 1e-9
 PG_MAX_ITER = 100_000
 FREE_TOL = 1e-10   # a coordinate (or budget slack) above this is off its bound
 KKT_TOL = 1e-12    # roundoff allowed in multiplier signs and KKT residuals
-RECENT_PIECES = 8  # pieces tried before falling back to NNLS
 
 
 def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
@@ -48,16 +48,45 @@ def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
                    bounds=(0, None), method="highs")
 
 
-def _lawson_hanson(e: np.ndarray, f: np.ndarray, max_iter: int) -> np.ndarray:
+def _lawson_hanson(e: np.ndarray, f: np.ndarray, max_iter: int,
+                   start: np.ndarray | None = None) -> np.ndarray:
     """min |e w - f| over w >= 0 by Lawson & Hanson's active-set method
-    (1974, ch. 23), each passive-set least squares by lstsq. An index whose
+    (1974, ch. 23) in the normal-equations form of Bro & De Jong (1997):
+    each passive-set least squares solves its block of the precomputed
+    e^T e, and falls back to lstsq only when that block is singular. A warm
+    start begins from the passive set `start` (indices), dropping the
+    indices whose least-squares weights are not positive. An index whose
     least-squares weight comes back at or below zero right after it enters
     is not tried again until another enters. Raises RuntimeError after
     max_iter entries."""
     n = e.shape[1]
     tol = 10 * np.finfo(float).eps * np.abs(e).sum(axis=0).max(initial=1.0) * max(e.shape)
+    gram, rhs = e.T @ e, e.T @ f
+
+    def solve(passive):
+        z = np.zeros(n)
+        idx = np.flatnonzero(passive)
+        block = gram[np.ix_(idx, idx)]
+        try:
+            # a pivot is its column's distance from the span of those before it
+            if (np.linalg.cholesky(block).diagonal() > 1e-6 * np.sqrt(block.diagonal())).all():
+                z[idx] = np.linalg.solve(block, rhs[idx])
+                return z
+        except np.linalg.LinAlgError:
+            pass
+        z[idx] = np.linalg.lstsq(e[:, idx], f, rcond=None)[0]
+        return z
+
     w = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
+    if start is not None:
+        passive[start] = True
+        while passive.any():
+            z = solve(passive)
+            if (z[passive] > 0).all():
+                w = z
+                break
+            passive &= z > 0
     blocked = np.zeros(n, dtype=bool)
     for _ in range(max_iter):
         dual = e.T @ (f - e @ w)
@@ -67,8 +96,7 @@ def _lawson_hanson(e: np.ndarray, f: np.ndarray, max_iter: int) -> np.ndarray:
             return w
         passive[j] = True
         while True:
-            z = np.zeros(n)
-            z[passive] = np.linalg.lstsq(e[:, passive], f, rcond=None)[0]
+            z = solve(passive)
             if (z[passive] > 0).all():
                 w = z
                 blocked[:] = False
@@ -92,7 +120,8 @@ class _Piece:
     stationarity and equality residuals with both signs. The projection is
     this piece's point exactly when every entry is at least lower * scale."""
 
-    free: np.ndarray   # indices of the free coordinates
+    free: np.ndarray     # indices of the free coordinates
+    passive: np.ndarray  # indices of the NNLS columns that carry the multipliers
     rows: np.ndarray
     lower: np.ndarray
 
@@ -100,6 +129,15 @@ class _Piece:
         """(stacked values, free coordinates of the point)."""
         z = self.rows @ ext
         return z, z[:len(self.free)]
+
+    def point(self, ext: np.ndarray, scale: float, n: int) -> np.ndarray | None:
+        """The projection when this piece's certificate holds at ext, else None."""
+        z, xf = self.evaluate(ext)
+        if not (z >= scale * self.lower).all():
+            return None
+        out = np.zeros(n)
+        out[self.free] = xf
+        return out
 
 
 @dataclass
@@ -116,10 +154,8 @@ class Polytope:
     _cost_norm: float = field(init=False, repr=False, default=0.0)
     _eq_gap: float = field(init=False, repr=False)
     _gap: float = field(init=False, repr=False)
-    # shared with at_budget siblings: key -> _Piece, and the most recently
-    # accepted pieces, newest first
+    # shared with at_budget siblings: key -> _Piece, the most recently used last
     _pieces: dict = field(init=False, repr=False, default_factory=dict)
-    _recent: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         self.a_eq = np.asarray(self.a_eq, dtype=float)
@@ -173,32 +209,29 @@ class Polytope:
         """Euclidean projection, exact up to roundoff; raises on an empty
         polytope.
 
-        A recently used piece whose certificate holds at x gives the point.
-        Otherwise, with p the projection of x onto {A x = b} and x = p + N u,
-        the projection is the least-distance program min |u| s.t. G u >= h,
+        A cached piece whose certificate holds at x gives the point, the
+        most recently used pieces tried first. Otherwise, with p the
+        projection of x onto {A x = b} and x = p + N u, the projection is
+        the least-distance program min |u| s.t. G u >= h,
         G = [N; -c^T N / k], h = [-p; (c.p - gamma) / k], k = |c^T N|, solved
-        as one NNLS (Lawson & Hanson, Solving Least Squares Problems, 1974,
-        ch. 23). Emptiness shows as a vanishing last residual. The piece of
-        the face it identifies, with the multipliers on its passive set,
-        then gives the point, so its zero coordinates are exactly zero."""
+        as one NNLS (`_lawson_hanson`; Lawson & Hanson, Solving Least
+        Squares Problems, 1974, ch. 23). Emptiness shows as a vanishing last
+        residual. The piece of the face it identifies, with the multipliers
+        on its passive set, then gives the point, so its zero coordinates
+        are exactly zero."""
         if self._gap > FEAS_TOL:
             raise InfeasibleError("polytope is empty")
         v = np.asarray(x, dtype=float)
         ext = np.concatenate([v, (1.0, self.gamma)])
         scale = max(1.0, float(np.abs(ext).max()))
-        recent = self._recent
-        for i, piece in enumerate(recent):
-            z, xf = piece.evaluate(ext)
-            if (z >= scale * piece.lower).all():
-                if i:
-                    recent.insert(0, recent.pop(i))
-                out = np.zeros(len(v))
-                out[piece.free] = xf
+        for key, piece in reversed(self._pieces.items()):
+            out = piece.point(ext, scale, len(v))
+            if out is not None:
+                self._pieces[key] = self._pieces.pop(key)
                 return out
         return self._project_cold(v, ext, scale)
 
     def _project_cold(self, v: np.ndarray, ext: np.ndarray, scale: float) -> np.ndarray:
-        from scipy.optimize import lsq_linear, nnls
         p = self._x0 + self._null @ (self._null.T @ (v - self._x0))
         h = -p
         if self._cost_norm:
@@ -210,29 +243,24 @@ class Polytope:
         # Slack on every constraint keeps the multipliers bounded on a flat
         # polytope (a budget at its minimum cost, a single point), where
         # roundoff alone can make the program look infeasible. The larger
-        # slack is tried only when the smaller one finds no point. scipy's
-        # NNLS can stop short on a degenerate program (a zero reported
-        # residual where the true one is not, or a passive set whose gradient
-        # is not zero), so bounded-variable least squares and then
-        # `_lawson_hanson` on the same program are the last attempts.
-        for slack, solver in ((1e-14, "nnls"), (1e-10, "nnls"), (1e-10, "bvls"),
-                              (1e-14, "lh")):
+        # slack is tried only when the smaller one finds no point. At each
+        # slack the NNLS first starts from the passive set of the most
+        # recently used piece, a face near this one, and then cold.
+        last = next(reversed(self._pieces.values()), None)
+        starts = [None] if last is None else [last.passive, None]
+        for slack in (1e-14, 1e-10):
             e[-1] = h - slack * h_scale
-            try:
-                if solver == "nnls":
-                    w = nnls(e, f, maxiter=10 * len(h))[0]
-                elif solver == "bvls":
-                    w = lsq_linear(e, f, bounds=(0, np.inf), method="bvls").x
-                else:
-                    w = _lawson_hanson(e, f, 10 * len(h))
-            except RuntimeError:  # the iteration cap
-                continue
-            r = e @ w - f
-            if -r[-1] > 1e-14:
-                u = -r[:-1] / r[-1]
-                if (self._g @ u - h).min() >= -FEAS_TOL * h_scale:
-                    return self._on_face(p + self._null @ u, np.nonzero(w > 0)[0],
-                                         ext, scale)
+            for start in starts:
+                try:
+                    w = _lawson_hanson(e, f, 10 * len(h), start)
+                except RuntimeError:  # the iteration cap
+                    continue
+                r = e @ w - f
+                if -r[-1] > 1e-14:
+                    u = -r[:-1] / r[-1]
+                    if (self._g @ u - h).min() >= -FEAS_TOL * h_scale:
+                        return self._on_face(p + self._null @ u, np.nonzero(w > 0)[0],
+                                             ext, scale)
         raise InfeasibleError("polytope is empty")
 
     def _on_face(self, y: np.ndarray, passive: np.ndarray, ext: np.ndarray,
@@ -241,8 +269,8 @@ class Polytope:
         coordinates pinned at 0, the budget an equality when tight, the free
         coordinates solved exactly. A free coordinate that the face's point
         has at 0 comes back as roundoff of either sign, and is clipped to 0.
-        Falls back to max(y, 0) when that point is not feasible. A piece
-        whose certificate holds here joins the recent ones."""
+        Falls back to max(y, 0) when that point is not feasible. The piece
+        becomes the most recently used one."""
         n = self.dim
         free = y > FREE_TOL * max(1.0, np.abs(y).max())
         tight = self.cost is not None and bool(self.cost @ y >= self.gamma - FREE_TOL)
@@ -251,18 +279,16 @@ class Polytope:
         passive = passive[(passive < n) & ~free[np.minimum(passive, n - 1)]
                           | (passive == n) & tight]
         key = (free.tobytes(), tight, passive.tobytes())
-        piece = self._pieces.get(key)
+        piece = self._pieces.pop(key, None)
         if piece is None:
-            piece = self._pieces[key] = self._build_piece(free, tight, passive)
-        z, xf = piece.evaluate(ext)
+            piece = self._build_piece(free, tight, passive)
+        self._pieces[key] = piece
+        xf = piece.evaluate(ext)[1]
         out = np.zeros(n)
         out[piece.free] = np.maximum(xf, 0.0)
         if (np.abs(self.a_eq @ out - self.b_eq).max(initial=0.0) > FEAS_TOL
                 or self.cost is not None and self.cost @ out > self.gamma + FEAS_TOL):
             return np.maximum(y, 0.0)
-        if (z >= scale * piece.lower).all():
-            self._recent.insert(0, piece)
-            del self._recent[RECENT_PIECES:]
         return out
 
     def _build_piece(self, free: np.ndarray, tight: bool, passive: np.ndarray) -> _Piece:
@@ -306,7 +332,7 @@ class Polytope:
         for block in (resid, primal):
             blocks += [block, -block]
             lower.append(np.full(2 * len(block), -KKT_TOL))
-        return _Piece(idx, np.vstack(blocks), np.concatenate(lower))
+        return _Piece(idx, passive, np.vstack(blocks), np.concatenate(lower))
 
     def feasible_point(self) -> np.ndarray:
         """The cheapest feasible point (any one without a cost), or raise."""

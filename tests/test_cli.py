@@ -580,10 +580,10 @@ def fresh_python(code: str, *args: str):
 
 
 # Runs in a fresh interpreter: loads every spec, then one CLI command per
-# further argument ("command:spec"), and prints after each step which scipy
-# packages sys.modules holds.
+# further argument ("command:spec"), and prints after each step, keyed
+# "command:spec file name", which scipy packages sys.modules holds.
 COLD_START_PROBE = """\
-import contextlib, io, json, sys
+import contextlib, io, json, os, sys
 import zerorate
 from zerorate.cli import load_channel, run
 
@@ -599,22 +599,29 @@ for item in commands:
     command, spec = item.split(":")
     with contextlib.redirect_stdout(io.StringIO()):
         code = run([command, "--spec", spec])
-    steps[command] = [code, scipy_loaded()]
+    steps[command + ":" + os.path.basename(spec)] = [code, scipy_loaded()]
 print(json.dumps(steps))
 """
 
 
-def test_cold_start_loads_scipy_only_for_solvers():
+def test_cold_start_loads_scipy_only_for_lps():
     specs = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs").glob("*.json"))
     assert len(specs) >= 6
+    concave = [f"optimize:{SPECS / 'bsc.json'}", f"build-code:{SPECS / 'isi_binary.json'}",
+               f"simulate:{SPECS / 'isi_binary.json'}"]
     steps = fresh_python(COLD_START_PROBE, ",".join(map(str, specs)),
                          f"isi-bound:{SPECS / 'isi_two_tap.json'}",
-                         f"distances:{SPECS / 'bsc.json'}", f"optimize:{SPECS / 'bsc.json'}")
+                         f"distances:{SPECS / 'bsc.json'}", *concave,
+                         f"optimize:{ROOT / 'bench' / 'specs' / 'time_sharing.json'}")
     assert steps["load_channel"] == []
-    assert steps["isi-bound"] == [0, []]
-    assert steps["distances"] == [0, []]
-    # the probe sees an import when one happens
-    assert steps["optimize"][0] == 0 and "scipy.optimize" in steps["optimize"][1]
+    assert steps["isi-bound:isi_two_tap.json"] == [0, []]
+    assert steps["distances:bsc.json"] == [0, []]
+    # a concave solve, and the book and simulation built on it, run no LP
+    for item in ("optimize:bsc.json", "build-code:isi_binary.json", "simulate:isi_binary.json"):
+        assert steps[item] == [0, []], item
+    # the probe sees an import when one happens: time sharing solves LPs
+    code, loaded = steps["optimize:time_sharing.json"]
+    assert code == 0 and "scipy.optimize" in loaded
 
 
 SHIPPED_SPECS = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs").glob("*.json"))
@@ -623,7 +630,7 @@ SHIPPED_SPECS = sorted(SPECS.glob("*.json")) + sorted((ROOT / "bench" / "specs")
 @pytest.mark.parametrize("spec", SHIPPED_SPECS, ids=lambda p: p.name)
 def test_cold_check_loads_no_scipy(spec):
     steps = fresh_python(COLD_START_PROBE, str(spec), f"check:{spec}")
-    assert steps["check"] == [0, []]
+    assert steps[f"check:{spec.name}"] == [0, []]
 
 
 # Runs in a fresh interpreter: imports zerorate, then takes one step per

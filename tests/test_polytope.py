@@ -157,12 +157,10 @@ def test_warm_projections_match_a_cold_solve(n, case, seed):
 def test_optimize_reuses_pieces_instead_of_nnls(monkeypatch, tmp_path):
     """Projected gradient on specs/isi_two_tap.json stays on a few faces, so
     almost every projection is a cached piece's certified affine map."""
-    import scipy.optimize
-
-    from zerorate import cli
+    from zerorate import cli, polytope
 
     calls = {"nnls": 0, "project": 0}
-    nnls, project = scipy.optimize.nnls, Polytope.project
+    nnls, project = polytope._lawson_hanson, Polytope.project
 
     def counting_nnls(*args, **kwargs):
         calls["nnls"] += 1
@@ -172,7 +170,7 @@ def test_optimize_reuses_pieces_instead_of_nnls(monkeypatch, tmp_path):
         calls["project"] += 1
         return project(self, x)
 
-    monkeypatch.setattr(scipy.optimize, "nnls", counting_nnls)
+    monkeypatch.setattr(polytope, "_lawson_hanson", counting_nnls)
     monkeypatch.setattr(Polytope, "project", counting_project)
     spec = Path(__file__).resolve().parent.parent / "specs" / "isi_two_tap.json"
     assert cli.run(["optimize", "--spec", str(spec), "--out", str(tmp_path / "o.json")]) == 0
@@ -181,9 +179,9 @@ def test_optimize_reuses_pieces_instead_of_nnls(monkeypatch, tmp_path):
 
 
 def test_projection_survives_a_wrong_nnls_point():
-    """On this spec NNLS reports a zero residual for a point that violates
-    the least-distance program by 0.64 at both slacks; the bounded-variable
-    attempt projects instead of declaring the polytope empty."""
+    """On this spec scipy 1.17.1's NNLS reported a zero residual for a
+    point that violates the least-distance program by 0.64 at both slacks;
+    the in-package NNLS projects instead of declaring the polytope empty."""
     doc = duplicate_symbol(DEGENERATE_NNLS_DOC, "x0")
     code, text = cli_out(doc, "optimize")
     assert code == 0
@@ -194,15 +192,17 @@ def test_projection_survives_a_wrong_nnls_point():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 12), st.integers(1, 16), st.booleans(), st.integers(0, 2**32 - 1))
 def test_lawson_hanson_meets_the_nnls_optimality_conditions(m, n, parallel, seed):
-    """The fallback NNLS returns w >= 0 with the KKT conditions of
-    min |e w - f|: zero gradient where w > 0, nonnegative where w = 0; half
-    the draws make the first columns parallel, a degenerate program."""
+    """The NNLS returns w >= 0 with the KKT conditions of min |e w - f|:
+    zero gradient where w > 0, nonnegative where w = 0, from a cold start
+    and warm-started from a random passive set; half the draws make the
+    first columns parallel, a degenerate program."""
     rng = np.random.default_rng(seed)
     e, f = rng.normal(size=(m, n)), rng.normal(size=m)
     if parallel:
         e[:, :(n + 1) // 2] = np.outer(e[:, 0], rng.uniform(0.5, 2.0, (n + 1) // 2))
-    w = _lawson_hanson(e, f, 10 * n)
-    grad = e.T @ (e @ w - f)
-    assert (w >= 0).all()
-    assert np.abs(grad[w > 0]).max(initial=0.0) <= 1e-9
-    assert grad.min() >= -1e-9
+    start = np.flatnonzero(rng.random(n) < 0.5)
+    for w in (_lawson_hanson(e, f, 10 * n), _lawson_hanson(e, f, 10 * n, start)):
+        grad = e.T @ (e @ w - f)
+        assert (w >= 0).all()
+        assert np.abs(grad[w > 0]).max(initial=0.0) <= 1e-9
+        assert grad.min() >= -1e-9
