@@ -63,8 +63,7 @@ class MarkovTypeSpec:
         return float(cost.pair_costs(self.pairs) @ self.counts)
 
 
-def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None,
-               anchor: int | None = None) -> MarkovTypeSpec:
+def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) -> MarkovTypeSpec:
     """Integer Markov type nearest n*q in L1, by one integer program.
 
     Counts live on supp(q). Each is floor(n q) + p1 + p2 - m, with p1 in
@@ -75,18 +74,15 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None,
     symmetric q does not choose the type. Deviations within 1e-6 tie, and
     ties go to the cheaper type under `arc_cost` (per-pair costs): the
     objective adds the type's cost over n times the largest arc cost, a
-    term of at most 1e-6. A disconnected optimum, or one that leaves out
-    `anchor` when it is given, is re-solved as the same program, tie term
-    kept, plus a continuous flow g <= n x out of one root state, the
-    anchor or else any state the program picks (a binary per state), of
-    which every other state takes in exactly its own out-count: the root
-    and every state with a count are then reached along positive arcs,
-    and balanced counts so reachable are strongly connected. When
+    term of at most 1e-6. A disconnected optimum is re-solved as the same
+    program, tie term kept, plus a continuous flow g <= n x from the most
+    visited state of which every other state takes in exactly its own
+    out-count: every state with a count is then reached along positive
+    arcs, and balanced counts so reachable are strongly connected. When
     n q is itself a balanced type of total n (every fractional part zero
     after the snap), it is the one point at deviation 0 and no program is
     solved for it. Rejected when n is below the support size or when no
-    balanced, connected type of total n (through `anchor`, if given)
-    exists on the support.
+    balanced, connected type of total n exists on the support.
     """
     def solve(c, A, lb, ub, upper, integrality):
         from scipy.optimize import milp
@@ -108,13 +104,11 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None,
             f"n={n} is below the support size; need n >= {sup.size} "
             "to place one arc per support element while staying balanced")
     k = sup.size
-    tails, heads = pairs.tails[sup], pairs.heads[sup]
-    states = np.unique(np.concatenate([tails, heads]))
-    if anchor is not None and anchor not in states:
-        raise ValidationError(f"anchor {anchor} is outside q's support")
     target = n * q.q[sup]
     base = np.floor(target + 1e-9)
     frac = np.clip(np.round((target - base) * 1e9), 0.0, None) * 1e-9
+    tails, heads = pairs.tails[sup], pairs.heads[sup]
+    states = np.unique(np.concatenate([tails, heads]))
     leave = (tails == states[:, None]).astype(float)
     net_in = (heads == states[:, None]) - leave  # self-loops cancel
     shift = np.hstack([np.eye(k), np.eye(k), -np.eye(k)])  # x = base + shift @ (p1, p2, m)
@@ -131,33 +125,18 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None,
         counts[sup] = base + shift @ z
     else:
         counts[sup] = base
-    missed = anchor is not None and not counts[pairs.tails == anchor].any()
-    if missed or not support_is_connected(counts, pairs):
-        # rows g <= n x and, at every state but the root, inflow - outflow
-        # of g equal to its out-count; without an anchor every state has a
-        # row that gives up a supply b <= n r, with binaries r summing to 1
-        rows = leave if anchor is None else leave[states != anchor]
-        flow = net_in if anchor is None else net_in[states != anchor]
+    if not support_is_connected(counts, pairs):
+        # rows g <= n x and, at every other state, inflow - outflow of g
+        # equal to its out-count
+        others = states != q.most_visited()
+        out = leave[others]
         A = np.block([[A, np.zeros((len(A), k))],
                       [-n * shift, np.eye(k)],
-                      [-rows @ shift, flow]])
-        lb = np.concatenate([rhs, np.full(k, -np.inf), rows @ base])
-        ub = np.concatenate([rhs, n * base, rows @ base])
-        upper = np.append(upper, np.full(k, np.inf))
-        integrality = np.repeat([1, 0], [3 * k, k])
-        if anchor is None:
-            S = len(states)
-            supply = np.zeros((len(A), 2 * S))
-            supply[-S:, :S] = np.eye(S)
-            A = np.block([[A, supply],
-                          [np.zeros((S, 4 * k)), np.eye(S), -n * np.eye(S)],
-                          [np.zeros((1, 4 * k + S)), np.ones((1, S))]])
-            lb = np.concatenate([lb, np.full(S, -np.inf), [1]])
-            ub = np.concatenate([ub, np.zeros(S), [1]])
-            upper = np.concatenate([upper, np.full(S, n), np.ones(S)])
-            integrality = np.repeat([1, 0, 1], [3 * k, k + S, S])
-        z = solve(np.append(obj + tie, np.zeros(len(upper) - 3 * k)), A, lb, ub,
-                  upper, integrality)
+                      [-out @ shift, net_in[others]]])
+        lb = np.concatenate([rhs, np.full(k, -np.inf), out @ base])
+        ub = np.concatenate([rhs, n * base, out @ base])
+        z = solve(np.append(obj + tie, np.zeros(k)), A, lb, ub,
+                  np.append(upper, np.full(k, np.inf)), np.repeat([1, 0], [3 * k, k]))
         counts[sup] = base + shift @ z[:3 * k]
 
     dev = np.abs(counts - n * q.q)
@@ -551,7 +530,7 @@ def build_codebook(plan: TimeSharingPlan, d: DistanceMatrix, cost: CostModel, n:
     types, thetas = [], []
     for comp, ell in zip(comps, lengths):
         q, _, applied = blend_for_construction(comp, plan.anchor, n)
-        types.append(round_type(q, int(ell), arc_cost, plan.anchor))
+        types.append(round_type(q, int(ell), arc_cost))
         thetas.append(applied)
     budget = n * cost.gamma
     total = sum(t.cost(cost) for t in types)

@@ -726,7 +726,7 @@ KNOBS = {
     ("PairDistribution.most_visited", "states"), ("StateMachine", "recover"),
     ("StateMachine.from_tables", "recover"), ("blend_for_construction", "theta"),
     ("build_ensemble", "d"), ("maximize_e0", "seed"), ("maximize_e0", "starts"),
-    ("round_type", "anchor"), ("round_type", "arc_cost"), ("simulate", "trial_log"),
+    ("round_type", "arc_cost"), ("simulate", "trial_log"),
 }
 
 
