@@ -255,12 +255,23 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
         saw_finite = True
         poly = component_polytope(pairs, comp.arcs, cost)
         concave = _hull_curvature(poly._null, sub_d) <= 1e-9
+        feasible = None
         try:
-            # a concave solve needs no LP: projecting its start tests emptiness
-            feasible = (poly.project(np.full(poly.dim, 1.0 / poly.dim)) if concave
-                        else poly.feasible_point())
+            if concave:
+                # the one PG run needs no LP: projecting its start tests emptiness
+                poly.project(np.full(poly.dim, 1.0 / poly.dim))
+            else:
+                feasible = poly.feasible_point()
         except InfeasibleError:
-            continue
+            if not concave:
+                continue
+            # an empty polytope skips the component, as the LP confirms; a
+            # projection that fails on a nonempty one raises
+            try:
+                poly.feasible_point()
+            except InfeasibleError:
+                continue
+            raise
         c_range = None if concave else poly.linear_range(cost.pair_costs(pairs)[comp.arcs])
         if c_range is not None and cost.gamma < c_range[1] - 1e-12:
             val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range,

@@ -6,14 +6,17 @@ at most one cost halfspace. Euclidean projection onto them is exact and
 piecewise affine: on each active set it is one affine map of the point.
 A polytope caches these maps as pieces, keyed by the face (the free
 coordinates and whether the budget is tight) and the independent active
-constraints that carry the multipliers. A projection tries the cached
-pieces, most recently used first; a piece is accepted only with its KKT
-certificate (free coordinates positive, multipliers nonnegative,
-stationarity and feasibility residuals zero, a loose budget still met), so
-the warm path returns the same point as a cold solve. Otherwise one NNLS
-(Lawson & Hanson, in-package) on the least-distance program finds the face
-and the active set, and the piece built for them gives the point, with
-zero coordinates exactly zero. An empty polytope raises. Siblings at other
+constraints that carry the multipliers. A projection tries the most
+recently used piece, then screens every cached piece with one product (in
+a cache of a few pieces it tries each) and tries those that pass, most
+recently used first; a piece is accepted only with its KKT certificate
+(free coordinates positive, multipliers nonnegative, stationarity and
+feasibility residuals zero, a loose budget still met), so the warm path
+returns the same point as a cold solve.
+Otherwise one NNLS (Lawson & Hanson, in-package) on the least-distance
+program finds the face and the active set, and the piece built for them
+gives the point, with zero coordinates exactly zero. An empty polytope
+raises. Siblings at other
 budgets share the null space and the pieces. The quadratic E0 objective is
 maximized by projected gradient with a 1/Lipschitz step, which is monotone
 and globally convergent in the concave case. Projection and projected
@@ -33,6 +36,7 @@ FEAS_TOL = 1e-9
 PG_MAX_ITER = 100_000
 FREE_TOL = 1e-10   # a coordinate (or budget slack) above this is off its bound
 KKT_TOL = 1e-12    # roundoff allowed in multiplier signs and KKT residuals
+SCAN_PIECES = 4    # up to this many cached pieces, checking each beats the screen
 
 
 def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
@@ -62,14 +66,15 @@ def _lawson_hanson(e: np.ndarray, f: np.ndarray, max_iter: int,
     n = e.shape[1]
     tol = 10 * np.finfo(float).eps * np.abs(e).sum(axis=0).max(initial=1.0) * max(e.shape)
     gram, rhs = e.T @ e, e.T @ f
+    norms = np.sqrt(gram.diagonal())
 
     def solve(passive):
         z = np.zeros(n)
         idx = np.flatnonzero(passive)
-        block = gram[np.ix_(idx, idx)]
+        block = gram[idx[:, None], idx]
         try:
             # a pivot is its column's distance from the span of those before it
-            if (np.linalg.cholesky(block).diagonal() > 1e-6 * np.sqrt(block.diagonal())).all():
+            if (np.linalg.cholesky(block).diagonal() > 1e-6 * norms[idx]).all():
                 z[idx] = np.linalg.solve(block, rhs[idx])
                 return z
         except np.linalg.LinAlgError:
@@ -124,20 +129,78 @@ class _Piece:
     passive: np.ndarray  # indices of the NNLS columns that carry the multipliers
     rows: np.ndarray
     lower: np.ndarray
-
-    def evaluate(self, ext: np.ndarray):
-        """(stacked values, free coordinates of the point)."""
-        z = self.rows @ ext
-        return z, z[:len(self.free)]
+    signs: int           # rows before the residuals
 
     def point(self, ext: np.ndarray, scale: float, n: int) -> np.ndarray | None:
         """The projection when this piece's certificate holds at ext, else None."""
-        z, xf = self.evaluate(ext)
+        z = self.rows @ ext
         if not (z >= scale * self.lower).all():
             return None
         out = np.zeros(n)
-        out[self.free] = xf
+        out[self.free] = z[:len(self.free)]
         return out
+
+
+class _Cache:
+    """The pieces of a polytope and its at_budget siblings. A lookup tries
+    the most recently used piece. Then, in a cache of more than SCAN_PIECES
+    pieces, one product screens every piece on the rows before its
+    residuals, stacked in one buffer that doubles when full. The pieces
+    that pass, or all of them in a smaller cache, are checked in full, the
+    most recently used first."""
+
+    def __init__(self):
+        self.index: dict = {}   # key -> position
+        self.pieces: list = []
+        self.used = np.zeros(0, dtype=np.int64)  # last-use stamps
+        self.clock = 0
+        self.newest = -1        # position of the most recently used piece
+        self.rows, self.lower = np.zeros((0, 0)), np.zeros(0)
+        self.first = np.zeros(0, dtype=np.intp)  # each piece's first row
+        self.size = 0           # rows in use
+
+    def use(self, i: int):
+        self.clock += 1
+        self.used[i] = self.clock
+        self.newest = i
+
+    def add(self, key, piece: _Piece) -> int:
+        k, end = piece.signs, self.size
+        if end + k > len(self.rows):
+            cap = max(2 * len(self.rows), end + k)
+            rows, lower = np.empty((cap, piece.rows.shape[1])), np.empty(cap)
+            if end:
+                rows[:end], lower[:end] = self.rows[:end], self.lower[:end]
+            self.rows, self.lower = rows, lower
+        self.rows[end:end + k], self.lower[end:end + k] = piece.rows[:k], piece.lower[:k]
+        self.first = np.append(self.first, end)
+        self.size = end + k
+        self.index[key] = len(self.pieces)
+        self.pieces.append(piece)
+        self.used = np.append(self.used, 0)
+        return len(self.pieces) - 1
+
+    def find(self, ext: np.ndarray, scale: float, n: int) -> np.ndarray | None:
+        """The point of the most recently used piece whose certificate
+        holds at ext, or None."""
+        if not self.pieces:
+            return None
+        out = self.pieces[self.newest].point(ext, scale, n)
+        if out is not None:
+            return out
+        if len(self.pieces) <= SCAN_PIECES:
+            order = np.argsort(-self.used)[1:]
+        else:
+            end = self.size
+            passed = np.flatnonzero(np.logical_and.reduceat(
+                self.rows[:end] @ ext >= scale * self.lower[:end], self.first))
+            order = passed[np.argsort(-self.used[passed])]
+        for i in order:
+            out = self.pieces[i].point(ext, scale, n)
+            if out is not None:
+                self.use(i)
+                return out
+        return None
 
 
 @dataclass
@@ -154,8 +217,8 @@ class Polytope:
     _cost_norm: float = field(init=False, repr=False, default=0.0)
     _eq_gap: float = field(init=False, repr=False)
     _gap: float = field(init=False, repr=False)
-    # shared with at_budget siblings: key -> _Piece, the most recently used last
-    _pieces: dict = field(init=False, repr=False, default_factory=dict)
+    # shared with at_budget siblings
+    _pieces: _Cache = field(init=False, repr=False, default_factory=_Cache)
 
     def __post_init__(self):
         self.a_eq = np.asarray(self.a_eq, dtype=float)
@@ -209,9 +272,9 @@ class Polytope:
         """Euclidean projection, exact up to roundoff; raises on an empty
         polytope.
 
-        A cached piece whose certificate holds at x gives the point, the
-        most recently used pieces tried first. Otherwise, with p the
-        projection of x onto {A x = b} and x = p + N u, the projection is
+        A cached piece whose certificate holds at x gives the point
+        (`_Cache.find`). Otherwise, with p the projection of x onto
+        {A x = b} and x = p + N u, the projection is
         the least-distance program min |u| s.t. G u >= h,
         G = [N; -c^T N / k], h = [-p; (c.p - gamma) / k], k = |c^T N|, solved
         as one NNLS (`_lawson_hanson`; Lawson & Hanson, Solving Least
@@ -224,11 +287,9 @@ class Polytope:
         v = np.asarray(x, dtype=float)
         ext = np.concatenate([v, (1.0, self.gamma)])
         scale = max(1.0, float(np.abs(ext).max()))
-        for key, piece in reversed(self._pieces.items()):
-            out = piece.point(ext, scale, len(v))
-            if out is not None:
-                self._pieces[key] = self._pieces.pop(key)
-                return out
+        out = self._pieces.find(ext, scale, len(v))
+        if out is not None:
+            return out
         return self._project_cold(v, ext, scale)
 
     def _project_cold(self, v: np.ndarray, ext: np.ndarray, scale: float) -> np.ndarray:
@@ -246,8 +307,8 @@ class Polytope:
         # slack is tried only when the smaller one finds no point. At each
         # slack the NNLS first starts from the passive set of the most
         # recently used piece, a face near this one, and then cold.
-        last = next(reversed(self._pieces.values()), None)
-        starts = [None] if last is None else [last.passive, None]
+        cache = self._pieces
+        starts = [cache.pieces[cache.newest].passive, None] if cache.pieces else [None]
         for slack in (1e-14, 1e-10):
             e[-1] = h - slack * h_scale
             for start in starts:
@@ -279,13 +340,14 @@ class Polytope:
         passive = passive[(passive < n) & ~free[np.minimum(passive, n - 1)]
                           | (passive == n) & tight]
         key = (free.tobytes(), tight, passive.tobytes())
-        piece = self._pieces.pop(key, None)
-        if piece is None:
-            piece = self._build_piece(free, tight, passive)
-        self._pieces[key] = piece
-        xf = piece.evaluate(ext)[1]
+        cache = self._pieces
+        i = cache.index.get(key)
+        if i is None:
+            i = cache.add(key, self._build_piece(free, tight, passive))
+        cache.use(i)
+        piece = cache.pieces[i]
         out = np.zeros(n)
-        out[piece.free] = np.maximum(xf, 0.0)
+        out[piece.free] = np.maximum((piece.rows @ ext)[:len(piece.free)], 0.0)
         if (np.abs(self.a_eq @ out - self.b_eq).max(initial=0.0) > FEAS_TOL
                 or self.cost is not None and self.cost @ out > self.gamma + FEAS_TOL):
             return np.maximum(y, 0.0)
@@ -329,10 +391,11 @@ class Polytope:
             slack[n + 1] += 1.0
             blocks.append(slack[None, :])
             lower.append([FREE_TOL])
+        signs = sum(len(block) for block in blocks)
         for block in (resid, primal):
             blocks += [block, -block]
             lower.append(np.full(2 * len(block), -KKT_TOL))
-        return _Piece(idx, passive, np.vstack(blocks), np.concatenate(lower))
+        return _Piece(idx, passive, np.vstack(blocks), np.concatenate(lower), signs)
 
     def feasible_point(self) -> np.ndarray:
         """The cheapest feasible point (any one without a cost), or raise."""

@@ -11,7 +11,7 @@ from zerorate import exponent
 from zerorate.cli import load_channel
 from zerorate.errors import InfeasibleError, UnsupportedChannelError
 from zerorate.exponent import component_polytope
-from zerorate.polytope import maximize_quadratic
+from zerorate.polytope import Polytope, maximize_quadratic
 
 from conftest import (NONCONCAVE_DHAT, NONCONCAVE_GAMMA, NONCONCAVE_PHI,
                       make_bsc, make_dmc, make_isi, random_fsc_docs)
@@ -197,6 +197,19 @@ def test_maximize_infeasible_budget_raises():
     _, _, pairs, _, d, _ = make_isi([1.0, 0.5])
     cost = zr.CostModel(np.array([1.0, 1.0]), 0.5)  # every arc costs 1
     with pytest.raises(InfeasibleError):
+        zr.maximize_e0(d, pairs, cost)
+
+
+def test_failed_projection_on_a_nonempty_concave_component_raises(monkeypatch):
+    # the concave solve tests emptiness by projecting; a failed projection
+    # skips the component only when the LP finds the polytope empty too
+    _, _, pairs, _, d, cost = make_isi([1.0, 0.5])
+
+    def fail(self, x):
+        raise InfeasibleError("projection failed")
+
+    monkeypatch.setattr(Polytope, "project", fail)
+    with pytest.raises(InfeasibleError, match="projection failed"):
         zr.maximize_e0(d, pairs, cost)
 
 

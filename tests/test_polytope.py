@@ -154,6 +154,33 @@ def test_warm_projections_match_a_cold_solve(n, case, seed):
         assert ((x == 0.0) | (x > 1e-13)).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 6), case=st.sampled_from(["budget", "redundant", "digraph"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cache_screen_keeps_every_piece_a_full_check_accepts(n, case, seed):
+    """The cache's one-product screen passes every piece whose certificate
+    holds, so its lookup returns the point of checking every cached piece
+    in full, most recently used first."""
+    rng = np.random.default_rng(seed)
+    a, b, cost, gamma = _case_polytope(case, n, rng)
+    poly = Polytope(a, b, cost, gamma)
+    try:
+        for _ in range(30):
+            poly.project(rng.normal(size=n) * rng.choice([0.1, 1.0, 5.0]))
+    except InfeasibleError:
+        return
+    cache = poly._pieces
+    for _ in range(30):
+        v = rng.normal(size=n) * rng.choice([0.1, 1.0, 5.0])
+        ext = np.concatenate([v, (1.0, gamma)])
+        scale = max(1.0, float(np.abs(ext).max()))
+        points = (cache.pieces[i].point(ext, scale, n) for i in np.argsort(-cache.used))
+        full = next((x for x in points if x is not None), None)
+        found = cache.find(ext, scale, n)
+        assert (found is None) == (full is None)
+        assert found is None or np.array_equal(found, full)
+
+
 def test_optimize_reuses_pieces_instead_of_nnls(monkeypatch, tmp_path):
     """Projected gradient on specs/isi_two_tap.json stays on a few faces, so
     almost every projection is a cached piece's certified affine map."""
