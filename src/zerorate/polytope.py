@@ -7,12 +7,11 @@ piecewise affine: on each active set it is one affine map of the point.
 A polytope caches these maps as pieces, keyed by the face (the free
 coordinates and whether the budget is tight) and the independent active
 constraints that carry the multipliers. A projection tries the most
-recently used piece, then screens every cached piece with one product (in
-a cache of a few pieces it tries each) and tries those that pass, most
-recently used first; a piece is accepted only with its KKT certificate
-(free coordinates positive, multipliers nonnegative, stationarity and
-feasibility residuals zero, a loose budget still met), so the warm path
-returns the same point as a cold solve.
+recently used piece, then screens every cached piece with one product and
+tries those that pass, most recently used first; a piece is accepted only
+with its KKT certificate (free coordinates positive, multipliers
+nonnegative, stationarity and feasibility residuals zero, a loose budget
+still met), so the warm path returns the same point as a cold solve.
 Otherwise one NNLS (Lawson & Hanson, in-package) on the least-distance
 program finds the face and the active set, and the piece built for them
 gives the point, with zero coordinates exactly zero. An empty polytope
@@ -36,7 +35,6 @@ FEAS_TOL = 1e-9
 PG_MAX_ITER = 100_000
 FREE_TOL = 1e-10   # a coordinate (or budget slack) above this is off its bound
 KKT_TOL = 1e-12    # roundoff allowed in multiplier signs and KKT residuals
-SCAN_PIECES = 4    # up to this many cached pieces, checking each beats the screen
 
 
 def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
@@ -143,42 +141,33 @@ class _Piece:
 
 class _Cache:
     """The pieces of a polytope and its at_budget siblings. A lookup tries
-    the most recently used piece. Then, in a cache of more than SCAN_PIECES
-    pieces, one product screens every piece on the rows before its
-    residuals, stacked in one buffer that doubles when full. The pieces
-    that pass, or all of them in a smaller cache, are checked in full, the
-    most recently used first."""
+    the most recently used piece. Then one product screens every piece on
+    the rows before its residuals, stacked with the piece that owns each
+    row, and the pieces that pass are checked in full, the most recently
+    used first. A piece with no rows before its residuals always passes."""
 
     def __init__(self):
         self.index: dict = {}   # key -> position
         self.pieces: list = []
         self.used = np.zeros(0, dtype=np.int64)  # last-use stamps
-        self.clock = 0
         self.newest = -1        # position of the most recently used piece
-        self.rows, self.lower = np.zeros((0, 0)), np.zeros(0)
-        self.first = np.zeros(0, dtype=np.intp)  # each piece's first row
-        self.size = 0           # rows in use
+        self.rows, self.lower = None, np.zeros(0)
+        self.owner = np.zeros(0, dtype=np.intp)  # the piece of each row
 
     def use(self, i: int):
-        self.clock += 1
-        self.used[i] = self.clock
+        self.used[i] = self.used.max() + 1
         self.newest = i
 
     def add(self, key, piece: _Piece) -> int:
-        k, end = piece.signs, self.size
-        if end + k > len(self.rows):
-            cap = max(2 * len(self.rows), end + k)
-            rows, lower = np.empty((cap, piece.rows.shape[1])), np.empty(cap)
-            if end:
-                rows[:end], lower[:end] = self.rows[:end], self.lower[:end]
-            self.rows, self.lower = rows, lower
-        self.rows[end:end + k], self.lower[end:end + k] = piece.rows[:k], piece.lower[:k]
-        self.first = np.append(self.first, end)
-        self.size = end + k
-        self.index[key] = len(self.pieces)
+        i, k = len(self.pieces), piece.signs
+        block = piece.rows[:k]
+        self.rows = block if self.rows is None else np.vstack([self.rows, block])
+        self.lower = np.append(self.lower, piece.lower[:k])
+        self.owner = np.append(self.owner, np.full(k, i))
+        self.index[key] = i
         self.pieces.append(piece)
         self.used = np.append(self.used, 0)
-        return len(self.pieces) - 1
+        return i
 
     def find(self, ext: np.ndarray, scale: float, n: int) -> np.ndarray | None:
         """The point of the most recently used piece whose certificate
@@ -188,14 +177,11 @@ class _Cache:
         out = self.pieces[self.newest].point(ext, scale, n)
         if out is not None:
             return out
-        if len(self.pieces) <= SCAN_PIECES:
-            order = np.argsort(-self.used)[1:]
-        else:
-            end = self.size
-            passed = np.flatnonzero(np.logical_and.reduceat(
-                self.rows[:end] @ ext >= scale * self.lower[:end], self.first))
-            order = passed[np.argsort(-self.used[passed])]
-        for i in order:
+        failed = self.rows @ ext < scale * self.lower
+        passed = np.bincount(self.owner, failed, len(self.pieces)) == 0
+        passed[self.newest] = False  # its full check failed above
+        order = np.argsort(-self.used)
+        for i in order[passed[order]]:
             out = self.pieces[i].point(ext, scale, n)
             if out is not None:
                 self.use(i)

@@ -95,6 +95,11 @@ def _case_polytope(case, n, rng):
         cost = rng.random(n)
         cost[0] = 0.0
         return a, b, cost, float(rng.uniform(0.0, 0.3) * cost.mean())
+    if case == "cone":
+        # {x >= 0, A x = 0} without a cost; with n independent rows it is
+        # {0}, whose projection pins every coordinate and has no multipliers
+        a = rng.normal(size=(int(rng.integers(1, n + 1)), n))
+        return a, np.zeros(len(a)), np.zeros(n), 0.0
     inner = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.7)
     inner[-1] = max(inner[-1], 0.1)
     if case == "boundary":
@@ -117,7 +122,8 @@ def _case_polytope(case, n, rng):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 6),
-       case=st.sampled_from(["budget", "redundant", "boundary", "zero_cost", "digraph"]),
+       case=st.sampled_from(["budget", "redundant", "boundary", "zero_cost", "digraph",
+                             "cone"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_warm_projections_match_a_cold_solve(n, case, seed):
     """A sequence of projections on one polytope, as projected gradient
@@ -155,17 +161,17 @@ def test_warm_projections_match_a_cold_solve(n, case, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 6), case=st.sampled_from(["budget", "redundant", "digraph"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_cache_screen_keeps_every_piece_a_full_check_accepts(n, case, seed):
+@given(n=st.integers(2, 6), case=st.sampled_from(["budget", "redundant", "digraph", "cone"]),
+       warm=st.sampled_from([1, 3, 30]), seed=st.integers(0, 2 ** 32 - 1))
+def test_cache_screen_keeps_every_piece_a_full_check_accepts(n, case, warm, seed):
     """The cache's one-product screen passes every piece whose certificate
     holds, so its lookup returns the point of checking every cached piece
-    in full, most recently used first."""
+    in full, most recently used first, in caches of one piece to dozens."""
     rng = np.random.default_rng(seed)
     a, b, cost, gamma = _case_polytope(case, n, rng)
     poly = Polytope(a, b, cost, gamma)
     try:
-        for _ in range(30):
+        for _ in range(warm):
             poly.project(rng.normal(size=n) * rng.choice([0.1, 1.0, 5.0]))
     except InfeasibleError:
         return
