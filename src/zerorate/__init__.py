@@ -23,7 +23,7 @@ _EXPORTS = {
     "fsm": ("CostModel", "FeasiblePairSet", "StateMachine", "StructuralReport", "augment",
             "check_structure", "feasible_pairs", "shift_register"),
     "isi": ("IsiSpec", "QuantizedSinusoidStats", "build_isi_machine", "choose_amplitude",
-            "e0_isi", "gray_stats", "irrationalize", "quantization_loss", "spectral_bound"),
+            "gray_stats", "irrationalize", "quantization_loss", "spectral_bound"),
     "montecarlo": ("SimulationReport", "pairwise_check", "simulate", "z_rho", "z_rho_sweep"),
     "polytope": (),
 }

@@ -392,6 +392,21 @@ def run(argv=None) -> int:
         doc = _read_json(args.spec, "spec")
         ch = load_channel(doc)
         result, kind = COMMANDS[args.command][0](ch, args)
+        artifact = _render(result, kind)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(artifact)
+        report = json.dumps({
+            "command": args.command,
+            "version": __version__,
+            "seed": args.seed,
+            "spec_echo": doc,
+            "wall_clock_s": time.perf_counter() - t0,
+            "result": result if kind == "json" else {"csv": artifact},
+        }) + "\n"
+        if args.report:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(report)
     except ValidationError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
@@ -401,21 +416,6 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"error: validation: {exc}", file=sys.stderr)
         return 1
-    artifact = _render(result, kind)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(artifact)
-    report = json.dumps({
-        "command": args.command,
-        "version": __version__,
-        "seed": args.seed,
-        "spec_echo": doc,
-        "wall_clock_s": time.perf_counter() - t0,
-        "result": result if kind == "json" else {"csv": artifact},
-    }) + "\n"
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report)
     sys.stdout.write(report)
     return 0
 

@@ -1,6 +1,6 @@
 """Gaussian channel with a finite impulse response: shift-register
-machine, closed-form exponent, spectral upper bound, and the
-quantized-sinusoid lower bound with its quantization loss.
+machine, spectral upper bound, and the quantized-sinusoid lower bound with
+its quantization loss.
 
 The second-order statistics of the quantized sinusoid are spectral lines
 at odd multiples of the carrier folded into [0, 1): the error waveform
@@ -86,35 +86,6 @@ def build_isi_machine(spec: IsiSpec) -> tuple[StateMachine, ChannelKernel]:
         for i in range(1, k + 1):
             means = means + spec.h[i] * hist[pairs.tails, k - i]
     return machine, gaussian_kernel(means, spec.sigma2)
-
-
-def e0_isi(q_tuples: np.ndarray, spec: IsiSpec) -> float:
-    """Closed-form exponent of a stationary window law:
-    (1/4 sigma^2) [sum_ij h_i h_j E(x_0 x_|i-j|) - (sum_i h_i E x_0)^2]."""
-    q = np.asarray(q_tuples, dtype=float)
-    k = spec.k
-    if q.ndim != k + 1 or q.shape != (len(spec.levels),) * (k + 1):
-        raise ValidationError(f"q must be a {(len(spec.levels),) * (k + 1)} table")
-    if abs(q.sum() - 1.0) > 1e-9 or (q < -1e-12).any():
-        raise ValidationError("q must be a probability table")
-    if k >= 1:
-        left = q.sum(axis=k)
-        right = q.sum(axis=0)
-        if np.max(np.abs(left - right)) > 1e-9:
-            raise ValidationError("window marginals are not shift-consistent")
-    x = np.asarray(spec.levels)
-    mean = float(np.tensordot(q.sum(axis=tuple(range(1, k + 1))) if k else q, x, axes=1))
-    corr = np.empty(k + 1)
-    for g in range(k + 1):
-        axes = tuple(a for a in range(k + 1) if a not in (0, g))
-        marg = q.sum(axis=axes) if axes else q
-        if g == 0:
-            corr[0] = float(marg @ (x * x)) if k else float(q @ (x * x))
-        else:
-            corr[g] = float(x @ marg @ x)
-    h = spec.h
-    quad = sum(h[i] * h[j] * corr[abs(i - j)] for i in range(k + 1) for j in range(k + 1))
-    return float((quad - (h.sum() * mean) ** 2) / (4.0 * spec.sigma2))
 
 
 def amplitude_response2(h: np.ndarray, omega) -> np.ndarray:

@@ -38,9 +38,11 @@ and M metrics for Gaussian ones.
 
 When the trials exceed `rows` and no trial log is asked for, the chunks
 run on k = min(chunks, CPUs the process may use) worker threads; numpy
-drops the interpreter lock in the draws, compares and GEMMs. Each worker
-draws batches of min(rows // k, _CHUNK_TRIALS) trials into buffers of its
-own, allocated once per run, so live batch memory does not grow with k.
+drops the interpreter lock in the draws, compares and GEMMs. The workers
+share one statistic, which nothing writes once it is built; each draw
+allocates its own arrays. A worker's batches hold at most
+min(rows // k, _CHUNK_TRIALS) trials, so live batch memory does not grow
+with k.
 A chunk's stream depends neither on the batch size nor on the thread, nor
 do its metrics, but for last-bit GEMM roundoff in the Gaussian ones, which
 can only move a decision at a tie to the last bit between distinct mean
@@ -59,7 +61,6 @@ decrement and KKT residual as its certificate of convergence.
 """
 from __future__ import annotations
 
-import copy
 import math
 import os
 from dataclasses import dataclass
@@ -107,12 +108,6 @@ def _rows(elements: int, n: int) -> int:
     return max(1, elements // max(n, 1))
 
 
-def _block(buf: np.ndarray, *shape: int) -> np.ndarray:
-    """The leading elements of the flat buffer buf as a C-contiguous array
-    of the given shape."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
 class _DiscreteStatistic:
     """Discrete decoder metrics of every codeword sent, from one count
     matrix per batch.
@@ -142,15 +137,17 @@ class _DiscreteStatistic:
     send. A batch of `rows` trials keeps its uniforms, cells, count matrix
     and (M, M) metrics each within _BATCH_ELEMENTS values.
 
-    Memory: besides the (M, P Y) table, the (M, width) column index and,
-    per worker, one send's gathered (M, width) table. G_p - 1 is at most
+    Memory: besides the (M, P Y) table, the (M, width) column index, the
+    (min(rows, _CHUNK_TRIALS), n) count-matrix offsets of cell 0 and, per
+    batch in flight, one send's gathered (M, width) table. G_p - 1 is at most
     a_p (Y - 1), a_p <= min(M, L) being the distinct arcs of pattern p out
     of the kernel's L, so width <= P (1 + min(M, L) (Y - 1)). On an
     n = 512, M = 8, Y = 8 quantized two-tap book the index holds 7184
     entries, against the 32768 of the (M, Y, n) output CDFs that sampling
     codeword by codeword keeps and the 57472 of a stacked (M^2, width)
     table of every send's columns, which would save the per-send gathers.
-    The batch buffers belong to the copies that split() makes.
+    Nothing is written once __init__ returns: each batch allocates its own
+    arrays.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
@@ -182,53 +179,37 @@ class _DiscreteStatistic:
         self.column = (output + Y * np.arange(P)[:, None, None]).transpose(1, 0, 2)[:, real]
         self.width = int(cells.sum())
         self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width, self.M * self.M))
-        self.pattern_cell = (np.cumsum(cells) - cells)[pattern]  # count-matrix column of cell 0
-        self.cuts = grid[pattern].T.copy()  # (max G_p - 1, n) threshold rows
-
-    def split(self, k: int) -> list:
-        """k copies sharing the read-only tables, each with batch buffers of
-        its own for min(rows // k, _CHUNK_TRIALS) trials, so k batches in
-        flight take at most the memory of one of `rows` trials."""
-        r = min(self.rows // k, _CHUNK_TRIALS)
-        n = self.cuts.shape[1]
+        pattern_cell = (np.cumsum(cells) - cells)[pattern]  # count-matrix column of cell 0
         # flat count-matrix cell of (trial, position) before the cell is added
-        base = np.arange(0, r * self.width, self.width)[:, None] + self.pattern_cell
-        parts = [copy.copy(self) for _ in range(k)]
-        for part in parts:
-            part.rows, part.base = r, base
-            part.u, part.cell = np.empty((r, n)), np.empty((r, n), dtype=np.int64)
-            part.counts, part.ll = np.empty((r, self.width)), np.empty(self.M * self.M * r)
-            part.gathered = np.empty((self.M, self.width))
-        return parts
+        self.base = (np.arange(0, min(self.rows, _CHUNK_TRIALS) * self.width, self.width)[:, None]
+                     + pattern_cell)
+        self.cuts = grid[pattern].T.copy()  # (max G_p - 1, n) threshold rows
 
     def draw(self, rng, trials: int) -> np.ndarray:
         """One batch's (M, M, trials) log-likelihoods, [m] when codeword m
         is sent, every codeword through the same uniforms."""
-        return self.sends(rng.random(out=self.u[:trials]))
+        return self.sends(rng.random((trials, self.base.shape[1])))
 
     def cells(self, u: np.ndarray) -> np.ndarray:
-        """The (len(u), n) flat count-matrix cells of at most `rows` trials'
-        uniforms u."""
+        """The (len(u), n) flat count-matrix cells of the uniforms u of at
+        most min(rows, _CHUNK_TRIALS) trials."""
         cell = np.zeros(u.shape, dtype=np.min_scalar_type(len(self.cuts)))
         for cut in self.cuts:
             cell += (u > cut).view(np.uint8)  # no bool-to-int cast in the add
-        return np.add(self.base[:len(u)], cell, out=self.cell[:len(u)])
+        return self.base[:len(u)] + cell
 
     def sends(self, u: np.ndarray) -> np.ndarray:
         """(M, M, len(u)) log-likelihoods, [m] when codeword m is sent,
         under the uniforms u."""
-        counts = self.counts[:len(u)]
-        cells = self.cells(u)
-        counts[...] = np.bincount(cells.ravel(), minlength=counts.size).reshape(counts.shape)
-        ll = _block(self.ll, self.M, self.M, len(u))
+        counts = np.bincount(self.cells(u).ravel(), minlength=len(u) * self.width)
+        counts = counts.reshape(len(u), self.width).astype(float)
+        ll = np.empty((self.M, self.M, len(u)))
         for m, column in enumerate(self.column):
-            table = np.take(self.table, column, axis=1, out=self.gathered)
-            np.matmul(table, counts.T, out=ll[m])
+            np.matmul(np.take(self.table, column, axis=1), counts.T, out=ll[m])
         ll *= self.quantum
         if self.zero is not None:
             for m, column in enumerate(self.column):
-                zero = np.take(self.zero, column, axis=1, out=self.gathered)
-                ll[m][zero @ counts.T > 0] = -np.inf
+                ll[m][np.take(self.zero, column, axis=1) @ counts.T > 0] = -np.inf
         return ll
 
     @staticmethod
@@ -246,8 +227,8 @@ class _GaussianStatistic:
     singular value of max(K, n) * eps, gives mu z = (U S) w with w = V^T z
     ~ N(0, I_r), r <= min(K, n): r normals per trial instead of n, and one
     GEMM of them against U S / sigma for every codeword sent. Codewords
-    sharing a mean row share a column, so they tie exactly. The batch
-    buffers belong to the copies that split() makes.
+    sharing a mean row share a column, so they tie exactly. Nothing is
+    written once __init__ returns: each batch allocates its own arrays.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
@@ -263,59 +244,45 @@ class _GaussianStatistic:
         self.M = len(arc_paths)
         self.rows = _rows(_BATCH_ELEMENTS, self.M)
 
-    def split(self, k: int) -> list:
-        """k copies sharing the read-only tables, each with batch buffers of
-        its own for min(rows // k, _CHUNK_TRIALS) trials."""
-        r = min(self.rows // k, _CHUNK_TRIALS)
-        K, rank = self.loading.shape
-        parts = [copy.copy(self) for _ in range(k)]
-        for part in parts:
-            part.rows = r
-            part.w, part.wl = np.empty((r, rank)), np.empty((r, K))
-            part.corr, part.ll = np.empty(K * r), np.empty(self.M * r)
-        return parts
-
     def draw(self, rng, trials: int) -> np.ndarray:
         """One batch's (K, trials) noise correlations, shared by every codeword."""
-        return self.project(rng.standard_normal(out=self.w[:trials]))
+        return self.project(rng.standard_normal((trials, len(self.basis))))
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """The (K, len(w)) noise correlations mu_k.z / sigma when V^T z = w."""
         # trial-major like the draws, then one copy to the row-wise layout
-        wl = np.matmul(w, self.loading.T, out=self.wl[:len(w)])
-        corr = _block(self.corr, len(self.loading), len(w))
-        corr[...] = wl.T
-        return corr
+        return (w @ self.loading.T).T.copy()
 
     def metrics(self, m: int, corr: np.ndarray) -> np.ndarray:
         """(M, trials) metrics when codeword m is sent and the noise
         correlations are corr."""
-        ll = np.take(corr, self.column, axis=0, out=_block(self.ll, self.M, corr.shape[1]),
-                     mode="clip")
+        ll = np.take(corr, self.column, axis=0)
         ll += self.offset[self.column[m]][:, None]
         return ll
 
 
 def _statistic(kernel: ChannelKernel, arc_paths: np.ndarray):
-    """The decoder statistic of the book's kernel: on a copy from split(),
-    metrics(m, draw(rng, trials)) gives the (M, trials) decoder metrics
-    when codeword m is sent, up to a term common to all hypotheses, for at
-    most `rows` trials."""
+    """The decoder statistic of the book's kernel, read-only once built and
+    so shared by every worker thread: metrics(m, draw(rng, trials)) gives
+    the (M, trials) decoder metrics when codeword m is sent, up to a term
+    common to all hypotheses, for at most min(rows, _CHUNK_TRIALS) trials,
+    each draw in arrays of its own."""
     if kernel.kind == DISCRETE:
         return _DiscreteStatistic(kernel, arc_paths)
     return _GaussianStatistic(kernel, arc_paths)
 
 
-def _count_errors(stat, rng, trials: int, sent: int, log=None, first: int = 0) -> np.ndarray:
+def _count_errors(stat, rng, trials: int, sent: int, rows: int, log=None,
+                  first: int = 0) -> np.ndarray:
     """Wrong ML decisions of codewords 0, ..., sent - 1 on `trials`
     transmissions each, all of them through the same noise, drawn from rng
-    in batches of at most stat.rows trials. Ties decode as errors
+    in batches of at most `rows` trials. Ties decode as errors
     (conservative); a lone codeword is never wrong. log, a csv writer,
     receives one row (trial, codeword, decoded, correct) per transmission,
     trial by trial, the trials numbered from `first`."""
     errors = np.zeros(sent, dtype=np.int64)
-    for done in range(0, trials, stat.rows):
-        batch = min(stat.rows, trials - done)
+    for done in range(0, trials, rows):
+        batch = min(rows, trials - done)
         noise = stat.draw(rng, batch)
         if log is not None:
             decoded, correct = np.empty((2, sent, batch), dtype=np.int64)
@@ -324,7 +291,7 @@ def _count_errors(stat, rng, trials: int, sent: int, log=None, first: int = 0) -
             if log is not None:
                 decoded[m] = ll.argmax(axis=0)
             mine = ll[m].copy()
-            ll[m] = -np.inf  # a buffer that the next codeword's metrics overwrite
+            ll[m] = -np.inf  # this send's metrics: no other send reads them
             wrong = ll.max(axis=0) >= mine
             errors[m] += np.count_nonzero(wrong)
             if log is not None:
@@ -337,12 +304,14 @@ def _count_errors(stat, rng, trials: int, sent: int, log=None, first: int = 0) -
     return errors
 
 
-def _count_chunk(stat, seed: int, c: int, trials: int, log=None) -> np.ndarray:
+def _count_chunk(stat, seed: int, c: int, trials: int, rows: int, log=None) -> np.ndarray:
     """_count_errors of every codeword on chunk c of a run of `trials`
-    trials, drawn from the chunk's own stream."""
+    trials, drawn from the chunk's own stream in batches of at most `rows`
+    trials."""
     first = c * _CHUNK_TRIALS
     rng = np.random.default_rng(np.random.SeedSequence((seed, c)))
-    return _count_errors(stat, rng, min(_CHUNK_TRIALS, trials - first), stat.M, log, first)
+    return _count_errors(stat, rng, min(_CHUNK_TRIALS, trials - first), stat.M, rows, log,
+                         first)
 
 
 def _cpu_count() -> int:
@@ -352,27 +321,18 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _count_errors_pooled(parts: list, chunks: range, seed: int, trials: int) -> np.ndarray:
-    """The sum of _count_chunk over the chunks, one thread per part; a
-    running chunk draws into a part no other running chunk holds. An error
-    in a worker is raised here, and an exception here cancels the chunks
-    that have not started."""
-    import queue
+def _count_errors_pooled(stat, workers: int, chunks: range, seed: int,
+                         trials: int) -> np.ndarray:
+    """The sum of _count_chunk over the chunks on `workers` threads, in
+    batches of at most stat.rows // workers trials, so that the batches in
+    flight take at most the memory of one of stat.rows. An error in a
+    worker is raised here, and an exception here cancels the chunks that
+    have not started."""
     from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import: only when used
-    idle = queue.SimpleQueue()
-    for part in parts:
-        idle.put(part)
-
-    def task(c: int) -> np.ndarray:
-        part = idle.get()
-        try:
-            return _count_chunk(part, seed, c, trials)
-        finally:
-            idle.put(part)
-
-    pool = ThreadPoolExecutor(len(parts))
+    pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(task, c) for c in chunks]
+        futures = [pool.submit(_count_chunk, stat, seed, c, trials, stat.rows // workers)
+                   for c in chunks]
         return sum(f.result() for f in futures)
     finally:
         pool.shutdown(cancel_futures=True)
@@ -398,17 +358,16 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
     # batch's rows is too little work to pay for a pool
     workers = (1 if trial_log is not None or trials <= stat.rows
                else min(len(chunks), _cpu_count(), stat.rows))
-    parts = stat.split(workers)
     if workers > 1:
-        errors = _count_errors_pooled(parts, chunks, seed, trials)
+        errors = _count_errors_pooled(stat, workers, chunks, seed, trials)
     elif trial_log is None:
-        errors = sum(_count_chunk(parts[0], seed, c, trials) for c in chunks)
+        errors = sum(_count_chunk(stat, seed, c, trials, stat.rows) for c in chunks)
     else:
         import csv
         with open(trial_log, "w", encoding="utf-8", newline="") as fh:
             log = csv.writer(fh)
             log.writerow(["trial", "codeword", "decoded", "correct"])
-            errors = sum(_count_chunk(parts[0], seed, c, trials, log) for c in chunks)
+            errors = sum(_count_chunk(stat, seed, c, trials, stat.rows, log) for c in chunks)
     pe = errors / trials
     se = np.sqrt(pe * (1.0 - pe) / trials)
     worst = float(pe.max())
@@ -438,8 +397,8 @@ def pairwise_check(kernel: ChannelKernel, arcs_a: np.ndarray, arcs_b: np.ndarray
     if arcs_a.shape != arcs_b.shape:
         raise ValidationError("paths must have equal length")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x9A)))
-    stat, = _statistic(kernel, np.stack([arcs_a, arcs_b])).split(1)
-    errs = int(_count_errors(stat, rng, trials, 1)[0])
+    stat = _statistic(kernel, np.stack([arcs_a, arcs_b]))
+    errs = int(_count_errors(stat, rng, trials, 1, min(stat.rows, _CHUNK_TRIALS))[0])
     p = errs / trials
     se = float(np.sqrt(p * (1 - p) / trials))
     dist = float(d.d[arcs_a, arcs_b].sum())

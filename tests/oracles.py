@@ -5,7 +5,7 @@ long time averages. None of it shares code with the solvers, except that
 power_identity_check holds a time average against the library's phase
 averages, and structure_by_product_graph runs the library's Tarjan on
 the product machine. Helpers that only tests call (likelihood,
-window_distribution_to_pairs, plan_value, plan_cost, harmonic_r_ee,
+window_distribution_to_pairs, e0_isi, plan_value, plan_cost, harmonic_r_ee,
 harmonic_r_xe, quadruple_joint) live here too, and so do
 reduced_matrix_concave, the reference-pair concavity test that
 `exponent.concavity_test`'s hull test replaced,
@@ -657,6 +657,35 @@ def window_distribution_to_pairs(q_tuples: np.ndarray, machine, pairs) -> np.nda
     tuples = sorted(itertools.product(range(machine.n_symbols), repeat=k))
     return np.array([q_tuples[tuples[t] + (int(a),)]
                      for t, a in zip(pairs.tails, pairs.symbols)])
+
+
+def e0_isi(q_tuples: np.ndarray, spec: IsiSpec) -> float:
+    """Closed-form exponent of a stationary window law:
+    (1/4 sigma^2) [sum_ij h_i h_j E(x_0 x_|i-j|) - (sum_i h_i E x_0)^2]."""
+    q = np.asarray(q_tuples, dtype=float)
+    k = spec.k
+    if q.ndim != k + 1 or q.shape != (len(spec.levels),) * (k + 1):
+        raise ValidationError(f"q must be a {(len(spec.levels),) * (k + 1)} table")
+    if abs(q.sum() - 1.0) > 1e-9 or (q < -1e-12).any():
+        raise ValidationError("q must be a probability table")
+    if k >= 1:
+        left = q.sum(axis=k)
+        right = q.sum(axis=0)
+        if np.max(np.abs(left - right)) > 1e-9:
+            raise ValidationError("window marginals are not shift-consistent")
+    x = np.asarray(spec.levels)
+    mean = float(np.tensordot(q.sum(axis=tuple(range(1, k + 1))) if k else q, x, axes=1))
+    corr = np.empty(k + 1)
+    for g in range(k + 1):
+        axes = tuple(a for a in range(k + 1) if a not in (0, g))
+        marg = q.sum(axis=axes) if axes else q
+        if g == 0:
+            corr[0] = float(marg @ (x * x)) if k else float(q @ (x * x))
+        else:
+            corr[g] = float(x @ marg @ x)
+    h = spec.h
+    quad = sum(h[i] * h[j] * corr[abs(i - j)] for i in range(k + 1) for j in range(k + 1))
+    return float((quad - (h.sum() * mean) ** 2) / (4.0 * spec.sigma2))
 
 
 def power_identity_check(A: float, delta: float, omega0: float,

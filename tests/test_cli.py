@@ -490,6 +490,15 @@ def test_usage_error_is_a_validation_failure(tmp_path, capsys, argv):
     assert err.startswith("error: validation:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report"])
+def test_unwritable_artifact_is_a_validation_failure(tmp_path, capsys, flag):
+    spec = write_spec(tmp_path, BSC_DOC)
+    code, stdout, err = run_cli(capsys, "check", "--spec", spec, flag,
+                                str(tmp_path / "missing" / "x.json"))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: validation:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv, message", [
     (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'check', 'distances', "
                 "'optimize', 'uce', 'build-code', 'simulate', 'zrho', 'isi-bound', 'isi-loss')"),
@@ -696,7 +705,7 @@ PUBLIC_NAMES = (
     "UnsupportedChannelError", "ValidationError", "augment", "bhatt", "bhattacharyya",
     "blend_for_construction", "build_codebook", "build_ensemble", "build_isi_machine",
     "check_structure", "choose_amplitude", "codebook", "concavity_test", "discrete_kernel",
-    "e0", "e0_isi", "emit_codeword", "errors", "euler_circuit", "exponent", "expurgate",
+    "e0", "emit_codeword", "errors", "euler_circuit", "exponent", "expurgate",
     "feasibility_sccs", "feasible_pairs", "fsm", "gaussian_kernel", "gray_stats",
     "irrationalize", "isi", "maximize_e0", "maximize_uce", "montecarlo", "pairwise_check",
     "polytope", "quantization_loss", "round_type", "shift_register", "simulate",
@@ -705,7 +714,7 @@ PUBLIC_NAMES = (
 
 
 def test_package_namespace_resolves_every_public_name():
-    assert len(PUBLIC_NAMES) == 58 and zerorate.__all__ == list(PUBLIC_NAMES)
+    assert len(PUBLIC_NAMES) == 57 and zerorate.__all__ == list(PUBLIC_NAMES)
     listed = dir(zerorate)
     for name in PUBLIC_NAMES:
         assert getattr(zerorate, name) is not None and name in listed, name

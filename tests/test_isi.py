@@ -12,14 +12,14 @@ from scipy.special import jv
 import zerorate as zr
 from zerorate.errors import ValidationError
 from zerorate.isi import (IsiSpec, _error_harmonics, _phase_averages, _phase_breakpoints,
-                          build_isi_machine, e0_isi, quantize_midrise)
+                          build_isi_machine, quantize_midrise)
 
 from conftest import cli_out, make_isi
 from oracles import (b_bessel_series, bessel_j_simpson, eps_bessel_series,
                      error_harmonics_per_interval, harmonic_r_ee, harmonic_r_xe,
                      phase_averages_per_interval, phase_breakpoints_loop,
                      power_identity_check, quantized_sine_time_averages,
-                     window_distribution_to_pairs)
+                     window_distribution_to_pairs, e0_isi)
 
 W0 = 2 * np.pi * (np.sqrt(2) - 1) / 4
 

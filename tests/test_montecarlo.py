@@ -206,7 +206,7 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     means = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=L) * gen.uniform(0.5, 2.0)
     variance = gen.uniform(0.1, 4.0)
     kern = zr.discrete_kernel(tuple(range(Y)), pmf)
-    stat, = _DiscreteStatistic(kern, paths).split(1)
+    stat = _DiscreteStatistic(kern, paths)
     u = np.random.default_rng(seed).random((trials, n))
     cells = stat.cells(u) % stat.width  # count-matrix columns, trial offsets dropped
     outputs = [sample_outputs_broadcast(kern, arcs, np.random.default_rng(seed), trials)
@@ -214,7 +214,7 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     for column, ref_y in zip(stat.column, outputs):
         y = column[cells] % Y  # the codeword's table column of a cell is p Y + y
         assert y.dtype == ref_y.dtype and np.array_equal(y, ref_y)
-    # the statistic draws the same uniforms into its own buffers
+    # the statistic draws the same uniforms
     ll = stat.metrics(0, stat.draw(np.random.default_rng(seed), trials)).T
     terms = discrete_terms_broadcast(kern, paths, outputs[0])
     ref = terms.sum(axis=2)
@@ -238,7 +238,7 @@ def test_kernels_match_broadcast_reference(L, Y, n, M, trials, seed):
     kern = zr.gaussian_kernel(means, variance)
     z = np.random.default_rng(seed).standard_normal((trials, n))
     y = kern.means[paths[0]] + np.sqrt(variance) * z
-    stat, = _GaussianStatistic(kern, paths).split(1)
+    stat = _GaussianStatistic(kern, paths)
     ll = stat.metrics(0, stat.project(z @ stat.basis.T)).T
     ref = loglik_broadcast(kern, paths, y)
     # the correlation metric omits -|y|^2 / 2 sigma^2
@@ -283,7 +283,7 @@ def test_permuted_codewords_tie_exactly():
     kern = zr.discrete_kernel(("0", "1"), pmf)
     paths = np.array(list(itertools.permutations(range(3))))
     # uniforms at 0 give y = 0 whichever codeword is sent
-    ll = _DiscreteStatistic(kern, paths).split(1)[0].sends(np.zeros((1, 3)))
+    ll = _DiscreteStatistic(kern, paths).sends(np.zeros((1, 3)))
     assert (ll == ll[0, 0, 0]).all()
     assert abs(ll[0, 0, 0] - np.log(0.006)) <= 1e-14
     rep = zr.simulate(kern, arc_book(m, pairs, paths), trials=500, seed=3)
@@ -306,7 +306,7 @@ def test_shared_cells_match_per_codeword_metrics(L, Y, n, M, trials, seed):
     on = np.cumsum(pmf, axis=1)[arcs, gen.integers(0, Y - 1, size=(trials, n))]
     u = np.where((gen.random((trials, n)) < 0.3) & (on < 1.0), on, u)
     u[gen.random((trials, n)) < 0.05] = 0.0
-    stat, = _DiscreteStatistic(kern, paths).split(1)
+    stat = _DiscreteStatistic(kern, paths)
     assert np.array_equal(stat.sends(u), discrete_metrics_per_codeword(kern, paths, u))
 
 
@@ -344,7 +344,8 @@ def test_error_heavy_reports_are_pinned(name, monkeypatch, tmp_path):
     pools = []
     pooled = montecarlo._count_errors_pooled
     monkeypatch.setattr(montecarlo, "_count_errors_pooled",
-                        lambda parts, *args: pools.append(len(parts)) or pooled(parts, *args))
+                        lambda stat, workers, *args: pools.append(workers)
+                        or pooled(stat, workers, *args))
     assert zr.simulate(kern, book, trials=3172, seed=9).to_json_dict() == report
     assert pools == [2]
 
@@ -472,10 +473,12 @@ def test_worker_count_changes_nothing(kind, monkeypatch, tmp_path):
     pools = []
     pooled = montecarlo._count_errors_pooled
     monkeypatch.setattr(montecarlo, "_count_errors_pooled",
-                        lambda parts, *args: pools.append(len(parts)) or pooled(parts, *args))
+                        lambda stat, workers, *args: pools.append(workers)
+                        or pooled(stat, workers, *args))
     reports = {}
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads often: a shared buffer would garble draws
+    # switch threads often: a write to the shared statistic would garble draws
+    sys.setswitchinterval(1e-6)
     try:
         for k in (1, 2, 3):
             monkeypatch.setattr(montecarlo, "_cpu_count", lambda k=k: k)
@@ -491,12 +494,40 @@ def test_worker_count_changes_nothing(kind, monkeypatch, tmp_path):
     assert reports["log"] == reports[1]
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "discrete", "wide"])
+def test_workers_share_a_read_only_statistic(kind, monkeypatch):
+    """Every array of the statistic is read-only and no attribute is
+    rebound, so a worker that wrote to the statistic they all share would
+    raise."""
+    kern, book = several_batches(kind, monkeypatch)
+    statistic, built = montecarlo._statistic, []
+
+    def frozen(*args):
+        stat = statistic(*args)
+        for value in vars(stat).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        built.append((stat, dict(vars(stat))))
+        return stat
+
+    monkeypatch.setattr(montecarlo, "_statistic", frozen)
+    for k in (1, 2, 3):
+        monkeypatch.setattr(montecarlo, "_cpu_count", lambda k=k: k)
+        assert zr.simulate(kern, book, trials=500, seed=9).errors.sum() > 0
+    d = zr.bhattacharyya(kern, book.pairs)
+    zr.pairwise_check(kern, book.arc_paths[0], book.arc_paths[1], trials=500, seed=9, d=d)
+    assert len(built) == 4
+    for stat, attrs in built:
+        assert vars(stat).keys() == attrs.keys()
+        assert all(vars(stat)[name] is value for name, value in attrs.items())
+
+
 def test_worker_error_cancels_the_chunks_not_started(monkeypatch):
     kern, book = several_batches("discrete", monkeypatch)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     started, holds, held, release = [], [], threading.Semaphore(0), threading.Event()
 
-    def count_chunk(stat, seed, c, trials, log=None):
+    def count_chunk(stat, seed, c, trials, rows, log=None):
         started.append(c)
         if c == 0:
             raise FloatingPointError("chunk 0")
