@@ -270,11 +270,13 @@ def _arc_features(sup: np.ndarray, L: int, d: DistanceMatrix | None):
 
 def _first_max(obj: np.ndarray) -> int:
     """Flat index of the first entry within roundoff of the maximum, so
-    FFT noise never decides a tie."""
+    FFT noise never decides a tie: one argmax finds the maximum, and the
+    first entry within its slack lies at or before it."""
     flat = obj.ravel()
-    top = flat.max()
+    j = int(flat.argmax())
+    top = flat[j]
     slack = 1e-9 * max(1.0, abs(top)) if np.isfinite(top) else 0.0
-    return int(np.argmax(flat >= top - slack))
+    return int((flat[:j + 1] >= top - slack).argmax())
 
 
 def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
@@ -285,19 +287,24 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
     candidate (i, k) is circuit i restarted at position k, a visit to the
     anchor. The distances from every rotation of every circuit to circuit
     i as drawn are circular cross-correlations of the arc features, taken
-    by FFT; rotating circuit i by k rotates them by k. A run starts from
+    by FFT one circuit i at a time into one preallocated (P, P, ell)
+    table; rotating circuit i by k rotates them by k. A run starts from
     one unrotated circuit and adds, one by one, the rotation farthest from
-    its nearest chosen candidate. Every circuit is tried as the start of a
-    run of M picks, and the run whose picks lie farthest apart is returned.
-    The runs share one buffer of nearest distances and one for the rotated
-    distances of each pick, so a step allocates no (P, ell) array.
+    its nearest chosen candidate, found by one argmax pass (`_first_max`).
+    Every circuit is tried as the start of a run of M picks, and the run
+    whose picks lie farthest apart is returned. The runs share one buffer
+    of nearest distances and one for the rotated distances of each pick,
+    so a step allocates no (P, ell) array.
     """
     phi, lam = features
-    ell = pool.shape[1]
+    P, ell = pool.shape
     spec = np.fft.rfft(phi[arcs], axis=1)  # (P, ell // 2 + 1, r)
+    weighted = spec * lam
     # base[i, j, m]: distance from circuit j restarted at m to circuit i
-    base = np.fft.irfft(np.einsum("jfr,ifr->ijf", spec * lam, spec.conj()),
-                        n=ell, axis=2)
+    base = np.empty((P, P, ell))
+    for i in range(P):
+        np.fft.irfft(np.einsum("jfr,fr->jf", weighted, spec[i].conj()),
+                     n=ell, axis=1, out=base[i])
     off_anchor = np.where(pool == anchor, 0.0, -np.inf)
     nearest, rolled = np.empty_like(off_anchor), np.empty_like(off_anchor)
 
@@ -314,7 +321,7 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
             np.minimum(nearest, rolled, out=nearest)
         return picks, spread
 
-    runs = [run(i) for i in range(len(pool))]
+    runs = [run(i) for i in range(P)]
     return runs[_first_max(np.array([spread for _, spread in runs]))][0]
 
 

@@ -164,11 +164,15 @@ def _error_harmonics(A: float, delta: float, max_m: int) -> np.ndarray:
     b_a = 4/(pi a) sum_j (c_j - c_j-1) cos(a phi_j) over the breakpoints
     phi_j in [0, pi/2) and c_-1 = 0 (summation by parts; cos(a pi/2) = 0
     closes the quarter wave). The -A sin(theta) part only enters b_1, and a
-    sine term b sin(a theta) has |coefficient|^2 = b^2/4."""
+    sine term b sin(a theta) has |coefficient|^2 = b^2/4. The cosine table
+    is built 512 orders at a time, so no (max_m, breakpoints) array is
+    held."""
     ths, cs = _phase_levels(A, delta)
     first = ths[:-1] < np.pi / 2
+    phases, steps = ths[:-1][first], np.diff(cs[first], prepend=0.0)
     orders = 2.0 * np.arange(1, max_m + 1) - 1.0
-    b = np.cos(np.outer(orders, ths[:-1][first])) @ np.diff(cs[first], prepend=0.0)
+    b = np.concatenate([np.cos(np.outer(orders[lo:lo + 512], phases)) @ steps
+                        for lo in range(0, max_m, 512)])
     b *= 4.0 / (np.pi * orders)
     b[0] -= A
     return b * b / 4.0

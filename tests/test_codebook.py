@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -530,6 +531,52 @@ def test_spread_matches_roll_oracle_on_shipped_specs(spec, monkeypatch, capsys):
                     "--seed", "3", "--starts", "4"]) == 0
     capsys.readouterr()
     assert len(calls) == 2 and all(calls)
+
+
+@given(st.floats(-1e12, 1e12),
+       st.lists(st.one_of(st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0]),
+                          st.floats(2.0, 1e15), st.just(np.inf)), max_size=30),
+       st.integers(0, 30), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_first_max_matches_its_definition(top, offsets, at, all_neg_inf):
+    # offsets are in units of the slack 1e-9 max(1, |top|) below the exact
+    # maximum, planted before and after it: 0 is an exact tie, 0.5 and
+    # 0.999 lie inside the slack, 1.001 and up outside, inf is -inf
+    slack = 1e-9 * max(1.0, abs(top))
+    flat = top - np.array(offsets[:at] + [0.0] + offsets[at:]) * slack
+    if all_neg_inf:
+        flat[:] = -np.inf
+    best = flat.max()
+    near = 1e-9 * max(1.0, abs(best)) if np.isfinite(best) else 0.0
+    expected = int(np.flatnonzero(flat >= best - near)[0])
+    assert codebook._first_max(flat) == expected
+    assert codebook._first_max(flat.reshape(1, -1)) == expected
+
+
+def test_spread_rotations_peak_memory(monkeypatch, capsys):
+    # the (P, P, ell) distance table is the stage's one large array: built
+    # one circuit at a time, the tracemalloc peak stays within 1.5 tables
+    # (a whole-table complex product holds about 2.1)
+    spread, calls = codebook._spread_rotations, []
+
+    def captured(*args):
+        calls.append(args)
+        return spread(*args)
+
+    monkeypatch.setattr(codebook, "_spread_rotations", captured)
+    assert run(["build-code", "--spec", str(ROOT / "specs" / "isi_binary.json"), "--n", "512",
+                "--codewords", "16", "--seed", "3"]) == 0
+    capsys.readouterr()
+    (pool, arcs, anchor, features, M), = calls
+    P, ell = pool.shape
+    assert (P, ell, M) == (31, 512, 16)
+    tracemalloc.start()
+    try:
+        spread(pool, arcs, anchor, features, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * P * P * ell * 8
 
 
 def test_ensemble_time_sharing_segment_types(order1):

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from zerorate import exponent, polytope
+from zerorate.cli import run
 from zerorate.errors import InfeasibleError
 from zerorate.polytope import Polytope, _lawson_hanson
 
@@ -27,6 +29,40 @@ def test_linear_range_leaves_the_budget_out():
     a = np.array([[1.0, 1.0, 1.0]])
     cost = np.array([0.0, 1.0, 2.0])
     assert Polytope(a, [1.0], cost, 0.5).linear_range(cost) == (0.0, 2.0)
+
+
+def test_linear_range_of_a_constant_cost_runs_no_lp(monkeypatch):
+    # every c in the row space of A is constant on {A x = b}
+    a = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
+    poly = Polytope(a, [1.0, 0.2], np.array([0.0, 1.0, 2.0, 3.0]), 0.5)
+    costs = [np.ones(4), 2.0 * a[0] + 3.0 * a[1], np.zeros(4)]
+    by_lp = [poly.linear_range(c + np.array([0.0, 0.0, 0.0, 1e-3])) for c in costs]
+    assert all(lo < hi for lo, hi in by_lp)
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("LP called")
+
+    monkeypatch.setattr(polytope, "_highs_lp", no_lp)
+    for c, value in zip(costs, (1.0, 2.6, 0.0)):
+        lo, hi = poly.linear_range(c)
+        assert lo == hi == pytest.approx(value, abs=1e-12)
+
+
+def test_optimize_on_a_constant_cost_runs_one_lp(monkeypatch, capsys):
+    # quantized_two_tap's arcs all cost 1: its non-concave component needs
+    # the cheapest feasible point, and no LP for the range of its cost
+    lp, calls = polytope._highs_lp, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lp(*args, **kwargs)
+
+    monkeypatch.setattr(polytope, "_highs_lp", counted)
+    monkeypatch.setattr(exponent, "_highs_lp", counted)
+    spec = Path(__file__).resolve().parent.parent / "bench" / "specs" / "quantized_two_tap.json"
+    assert run(["optimize", "--spec", str(spec)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def _violation(a, b, cost, gamma, x):
