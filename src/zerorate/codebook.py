@@ -303,8 +303,8 @@ def _spread_rotations(pool: np.ndarray, arcs: np.ndarray, anchor: int,
     # base[i, j, m]: distance from circuit j restarted at m to circuit i
     base = np.empty((P, P, ell))
     for i in range(P):
-        np.fft.irfft(np.einsum("jfr,fr->jf", weighted, spec[i].conj()),
-                     n=ell, axis=1, out=base[i])
+        base[i] = np.fft.irfft(np.einsum("jfr,fr->jf", weighted, spec[i].conj()),
+                               n=ell, axis=1)
     off_anchor = np.where(pool == anchor, 0.0, -np.inf)
     nearest, rolled = np.empty_like(off_anchor), np.empty_like(off_anchor)
 

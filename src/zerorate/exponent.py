@@ -239,10 +239,11 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
     needs no LP: an empty polytope shows as the projection's
     InfeasibleError. Elsewhere a component gets a multi-start single solve
     that starts from the cheapest feasible point (one LP) among others,
-    unless the budget binds (gamma below the component's largest cost),
-    where time sharing can beat one distribution and `maximize_uce` solves
-    it instead. The argmax is a TimeSharingPlan either way; a single solve
-    gives one segment anchored at its most visited state."""
+    unless the budget binds (gamma below the component's largest cost:
+    two LPs, none where the cost is constant on the hull), where time
+    sharing can beat one distribution and `maximize_uce` solves it instead.
+    The argmax is a TimeSharingPlan either way; a single solve gives one
+    segment anchored at its most visited state."""
     best = None
     single = -np.inf
     saw_finite = False
@@ -272,7 +273,13 @@ def maximize_e0(d: DistanceMatrix, pairs: FeasiblePairSet, cost: CostModel,
             except InfeasibleError:
                 continue
             raise
-        c_range = None if concave else poly.linear_range(cost.pair_costs(pairs)[comp.arcs])
+        if concave:
+            c_range = None
+        elif poly._cost_norm:
+            c_range = poly.linear_range(poly.cost)
+        else:
+            # a cost constant on {A q = b} takes its one value there: no LP
+            c_range = (float(cost.pair_costs(pairs)[comp.arcs] @ poly._x0),) * 2
         if c_range is not None and cost.gamma < c_range[1] - 1e-12:
             val, val_single, arg = maximize_uce(sub_d, poly, feasible, pairs, comp, c_range,
                                                  starts, seed)

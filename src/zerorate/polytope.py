@@ -393,16 +393,7 @@ class Polytope:
 
     def linear_range(self, c: np.ndarray) -> tuple[float, float]:
         """min and max of c.x over {x >= 0, A x = b}: the budget is left out,
-        so on a cost vector this is the range every budget can choose from.
-
-        A c constant on {A x = b} (|c N| <= 1e-12 |c|) takes its one value
-        c.x0 there and needs no LP; emptiness of the orthant part is then
-        left to the caller."""
-        if np.linalg.norm(c @ self._null) <= 1e-12 * np.linalg.norm(c):
-            if self._eq_gap > FEAS_TOL:
-                raise InfeasibleError("polytope is empty")
-            value = float(c @ self._x0)
-            return value, value
+        so on a cost vector this is the range every budget can choose from."""
         lo = _highs_lp(c, self.a_eq, self.b_eq)
         hi = _highs_lp(-c, self.a_eq, self.b_eq)
         if lo.status != 0 or hi.status != 0:

@@ -31,26 +31,22 @@ def test_linear_range_leaves_the_budget_out():
     assert Polytope(a, [1.0], cost, 0.5).linear_range(cost) == (0.0, 2.0)
 
 
-def test_linear_range_of_a_constant_cost_runs_no_lp(monkeypatch):
-    # every c in the row space of A is constant on {A x = b}
+def test_linear_range_of_a_constant_cost_is_exact():
+    # every c in the row space of A is constant on {A x = b}: its range is
+    # that one value, and an empty orthant part still raises
     a = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, -1.0, 0.0, 0.0]])
     poly = Polytope(a, [1.0, 0.2], np.array([0.0, 1.0, 2.0, 3.0]), 0.5)
-    costs = [np.ones(4), 2.0 * a[0] + 3.0 * a[1], np.zeros(4)]
-    by_lp = [poly.linear_range(c + np.array([0.0, 0.0, 0.0, 1e-3])) for c in costs]
-    assert all(lo < hi for lo, hi in by_lp)
-
-    def no_lp(*args, **kwargs):
-        raise AssertionError("LP called")
-
-    monkeypatch.setattr(polytope, "_highs_lp", no_lp)
-    for c, value in zip(costs, (1.0, 2.6, 0.0)):
+    for c, value in ((np.ones(4), 1.0), (2.0 * a[0] + 3.0 * a[1], 2.6), (np.zeros(4), 0.0)):
         lo, hi = poly.linear_range(c)
-        assert lo == hi == pytest.approx(value, abs=1e-12)
+        assert lo == pytest.approx(value, abs=1e-9) and hi == pytest.approx(value, abs=1e-9)
+    with pytest.raises(InfeasibleError):
+        Polytope(a[:1], [-1.0]).linear_range(np.ones(4))
 
 
 def test_optimize_on_a_constant_cost_runs_one_lp(monkeypatch, capsys):
     # quantized_two_tap's arcs all cost 1: its non-concave component needs
-    # the cheapest feasible point, and no LP for the range of its cost
+    # the cheapest feasible point, and maximize_e0 runs no LP for the range
+    # of a cost constant on the hull
     lp, calls = polytope._highs_lp, []
 
     def counted(*args, **kwargs):
