@@ -4,6 +4,7 @@ import itertools
 import json
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -308,6 +309,59 @@ def test_shared_cells_match_per_codeword_metrics(L, Y, n, M, trials, seed):
     u[gen.random((trials, n)) < 0.05] = 0.0
     stat = _DiscreteStatistic(kern, paths)
     assert np.array_equal(stat.sends(u), discrete_metrics_per_codeword(kern, paths, u))
+
+
+def test_cell_lookup_at_bucket_edges():
+    """Breakpoints 1/4, 1/2 and 1 sit on bucket edges. The lookup's cells
+    and metrics equal the codeword-by-codeword ones at every edge k 2^-K,
+    at the doubles on either side of it, at 0.0 and at 1 - 2^-53, each
+    value at every position, and on a draw whose every uniform lies in a
+    bucket holding a breakpoint, and so is counted by the compares."""
+    kern = zr.discrete_kernel(("a", "b", "c"), [[0.25, 0.25, 0.5], [0.5, 0.5, 0.0]])
+    # columns with arcs {0}, {1} and {0, 1}: three distinct cut grids
+    paths = np.array([[0, 1, 0, 1, 0, 1], [0, 1, 1, 0, 1, 1], [0, 1, 1, 0, 0, 0]])
+    stat = _DiscreteStatistic(kern, paths)
+    assert stat.bits == montecarlo._LOOKUP_BITS and len(stat.cuts) == 3
+    edges = np.arange(1 << stat.bits) / (1 << stat.bits)
+    values = np.unique(np.concatenate([edges, np.nextafter(edges[1:], 0.0),
+                                       np.nextafter(edges, 1.0), [0.25, 0.5, 1.0 - 2.0 ** -53]]))
+    n = paths.shape[1]
+    on_edges = values[(np.arange(len(values))[:, None] + np.arange(n)) % len(values)]
+    # every uniform of this draw lies in the bucket of the breakpoint 1/2
+    in_cut = 0.5 + np.random.default_rng(5).random((64, n)) * 2.0 ** -stat.bits
+    cdf = np.cumsum(kern.pmf, axis=1)[:, :-1]
+    for u in (on_edges, in_cut):
+        cells = stat.cells(u) % stat.width  # count-matrix columns, trial offsets dropped
+        for arcs, column in zip(paths, stat.column):
+            # the codeword's inverse-CDF outputs; its table column of a cell is p Y + y
+            assert np.array_equal(column[cells] % 3, (u[:, :, None] > cdf[arcs]).sum(axis=2))
+        assert np.array_equal(stat.sends(u), discrete_metrics_per_codeword(kern, paths, u))
+    bucket = np.ldexp(in_cut, stat.bits).astype(np.intp) + stat.bucket_base
+    assert (stat.lookup[bucket] < 0).all()
+
+
+@pytest.mark.parametrize("M, bound_mib", [(8, 3.36), (32, 5.16 + 2.0)])
+def test_simulate_peak_memory(M, bound_mib, monkeypatch):
+    """One simulate of 2000 trials on an n = 512 quantized two-tap book,
+    one batch in flight. At M = 8 every send's table is kept from
+    __init__, and they cost less than the per-batch cell offsets they
+    replaced (3.44 MiB with those and per-send gathers). At M = 32 they are
+    gathered per send, and the peak stays near 5.16 MiB, where keeping
+    them all reads 29 MiB."""
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "bench/specs/quantized_two_tap.json").read_text())
+    ch = load_channel(doc)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    plan = zr.maximize_e0(d, ch.pairs, ch.cost).argmax
+    book = zr.build_codebook(plan, d, ch.cost, 512, M, 0, ch.machine)
+    monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
+    tracemalloc.start()
+    try:
+        zr.simulate(ch.kernel, book, trials=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2 ** 20
 
 
 # Reports and trial-log digests of 3172 trials (three chunks and a partial
