@@ -22,11 +22,9 @@ merged output-CDF breakpoints of its position's arcs, read from a table
 by the uniform's top bits and counted by compares only near a breakpoint,
 fixes every codeword's inverse-CDF output there, so one count matrix per
 batch, by (pattern, cell), serves all M codewords sent, each through one
-exact GEMM with its own columns of the table, gathered once per
-statistic when all M sends' columns fit the batch budget and per batch
-otherwise. Gaussian kernels draw r normals, whose
-one GEMM against the statistic's loadings every codeword offsets by its
-own mean row. Each codeword's error count is still exactly
+exact GEMM with its own columns of the table. Gaussian kernels draw r
+normals, whose one GEMM against the statistic's loadings every codeword
+offsets by its own mean row. Each codeword's error count is still exactly
 Binomial(trials, pe_m), so its estimate and standard error keep their
 law; the counts of different codewords are dependent. The metrics when
 one codeword is sent form an (M, trials) array, so each decision reduces
@@ -76,7 +74,7 @@ from .errors import ValidationError
 from .exponent import PairDistribution, e0
 
 _BATCH_ELEMENTS = 2 ** 17  # values per batch of the widest per-trial array (1 MiB of float64)
-_LOOKUP_BITS = 12  # cell-lookup buckets per distinct cut grid: 2**12, or fewer within _BATCH_ELEMENTS
+_LOOKUP_BITS = 12  # 2**12 lookup buckets per distinct cut grid, fewer past _BATCH_ELEMENTS
 _CHUNK_TRIALS = 1024  # trials per noise stream; the worker threads' unit of work
 _NEWTON_TOL = 1e-12  # on half the squared Newton decrement, per unit of max(1, rho)
 _NEWTON_MAX_ITER = 100
@@ -136,39 +134,42 @@ class _DiscreteStatistic:
     sampling gives it.
 
     Cells by lookup: bucket k = floor(u 2^K) is exact for u in [0, 1). Each
-    distinct cut grid keeps an int16 table of 2^K cells, bucket k's being
-    the number of cuts below k 2^-K, or -1 when a cut lies in
-    [k 2^-K, (k + 1) 2^-K). The uniforms in -1 buckets, at most a share
-    (G_p - 1) 2^-K at pattern p, are counted by `cut < u` compares against
-    their position's grid. K is _LOOKUP_BITS, less when the tables would
-    exceed _BATCH_ELEMENTS entries.
+    distinct cut grid keeps an int16 table of 2^K entries, bucket k's being
+    the number b of cuts below k 2^-K, the cell of every u in the bucket, or
+    -1 - b when a cut lies in [k 2^-K, (k + 1) 2^-K). A uniform in such a
+    bucket, at most a share (G_p - 1) 2^-K at pattern p, adds to b its
+    `cut < u` compares with the grid's next `spread` cuts, `spread` being
+    the most cuts in one bucket: they hold the bucket's own cuts, and any
+    past those lie above u. The compares hold arrays of those uniforms' size
+    only. K is _LOOKUP_BITS, less when the tables would exceed
+    _BATCH_ELEMENTS entries.
 
     One bincount per batch counts the cells, `width` = sum_p G_p columns,
-    and the metrics when codeword m is sent are that count matrix times the
-    table's columns gathered through column[m], which maps m's cell (p, g)
-    to its (p, y): one exact GEMM per send. A batch of `rows` trials keeps
-    its uniforms, cells, count matrix and (M, M) metrics each within
-    _BATCH_ELEMENTS values.
+    converted to float64 in its own buffer, and the metrics when codeword m
+    is sent are that count matrix times the table's columns gathered through
+    column[m], which maps m's cell (p, g) to its (p, y): one exact GEMM per
+    send. A batch of `rows` trials keeps its uniforms, cells, count matrix
+    and (M, M) metrics each within _BATCH_ELEMENTS values.
 
     Memory: besides the (M, P Y) tables, the (M, width) column index, the
-    (n,) pattern-cell and bucket offsets and the lookup tables, the sends'
-    gathered (M, width) tables. All M of them are kept from __init__ when
-    they hold at most _BATCH_ELEMENTS values; otherwise each batch in
-    flight gathers one send's at a time. G_p - 1 is at most a_p (Y - 1),
-    a_p <= min(M, L) being the distinct arcs of pattern p out of the
-    kernel's L, so width <= P (1 + min(M, L) (Y - 1)). Measured by
-    tracemalloc over one `simulate` of 2000 trials on one thread, on
-    n = 512 quantized two-tap books: at M = 8 (the discrete-sim bench book,
-    width 862) the kept tables take 431 KiB and the peak is 3.23 MiB,
-    against 3.44 MiB with per-send gathers and a (rows, n) int64 offset
-    index; at M = 32 (width 3218) the tables are gathered per send and the
-    peak stays 5.16 MiB, where keeping all of them reads 29 MiB. One GEMM
-    for all M sends, against the kept tables stacked, was measured too: no
-    faster on the discrete-sim bench, and its peak RSS read about 0.5 MiB
-    higher, as two threads running (64, 862) x (862, 76) GEMMs raise
-    ru_maxrss by 0.875 MiB against 0.25 MiB for (8, 862) x (862, 76) ones
-    (OpenBLAS 0.3.31). Nothing is written once __init__ returns: each batch
-    allocates its own arrays.
+    (n,) pattern-cell and bucket offsets and the lookup tables, each batch
+    in flight gathers one send's (M, width) table at a time. G_p - 1 is at
+    most a_p (Y - 1), a_p <= min(M, L) being the distinct arcs of pattern p
+    out of the kernel's L, so width <= P (1 + min(M, L) (Y - 1)). Measured
+    by tracemalloc over one `simulate` of 2000 trials on one thread, on
+    n = 512 quantized two-tap books: the peak is 2.41 MiB at M = 8 (the
+    discrete-sim bench book, width 862) and 5.16 MiB at M = 32 (width 3218),
+    against 3.45 and 5.16 MiB with max G_p - 1 compare passes, (rows, n)
+    int64 cell offsets and a float64 copy of the count matrix. Two ways to
+    save the per-send gathers were measured and dropped. Keeping all M
+    sends' tables from __init__ when they fit the batch budget (431 KiB at
+    M = 8) did not move the discrete-sim bench's time per pass: lower in 5
+    of 10 alternating pairs. One GEMM for all M sends against those tables
+    stacked was no faster on the discrete-sim bench, and its peak RSS read
+    about 0.5 MiB higher, as two threads running (64, 862) x (862, 76) GEMMs
+    raise ru_maxrss by 0.875 MiB against 0.25 MiB for (8, 862) x (862, 76)
+    ones (OpenBLAS 0.3.31). Nothing is written once __init__ returns: each
+    batch allocates its own arrays.
     """
 
     def __init__(self, kernel: ChannelKernel, arc_paths: np.ndarray):
@@ -202,36 +203,25 @@ class _DiscreteStatistic:
         self.width = int(cells.sum())
         self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width, self.M * self.M))
         # count-matrix column of cell 0 at each position
-        self.pattern_cell = (np.cumsum(cells) - cells).astype(np.int32)[pattern]
-        # lookup[c 2^K + k]: the cell of bucket k under distinct grid c, -1
-        # where a cut lies in the bucket; cuts at or above 1 lie below no u
-        self.cuts, grid_of = np.unique(grid, axis=0, return_inverse=True)
+        self.pattern_cell = (np.cumsum(cells) - cells)[pattern]
+        # lookup[c 2^K + k]: the cuts of distinct grid c below k 2^-K, the
+        # cell of bucket k's uniforms, or -1 minus that where a cut lies in
+        # the bucket; cuts at or above 1 lie below no u
+        cuts, grid_of = np.unique(grid, axis=0, return_inverse=True)
         self.bits = min(_LOOKUP_BITS,
-                        max(0, (_BATCH_ELEMENTS // len(self.cuts)).bit_length() - 1))
-        row, k = np.nonzero(self.cuts < 1.0)
-        bucket = (row << self.bits) + np.ldexp(self.cuts[row, k], self.bits).astype(np.intp)
-        lookup = np.zeros((len(self.cuts), 1 << self.bits),
+                        max(0, (_BATCH_ELEMENTS // len(cuts)).bit_length() - 1))
+        row, k = np.nonzero(cuts < 1.0)
+        bucket = (row << self.bits) + np.ldexp(cuts[row, k], self.bits).astype(np.intp)
+        inside = np.zeros(len(cuts) << self.bits,
                           dtype=np.promote_types(np.int16, np.min_scalar_type(grid.shape[1])))
-        np.add.at(lookup.reshape(-1), bucket, 1)
-        np.cumsum(lookup, axis=1, dtype=lookup.dtype, out=lookup)  # cuts in buckets <= k
-        self.lookup = lookup.reshape(-1)
-        self.lookup[bucket] = -1
-        self.bucket_base = (grid_of.reshape(-1) << self.bits).astype(np.int32)[pattern]
-        # every send's tables, gathered once here when all of them fit the
-        # batch budget, else per send in each batch
-        self.kept = None
-        if self.M * self.M * self.width <= _BATCH_ELEMENTS:
-            self.kept = [self.send_tables(m) for m in range(self.M)]
-
-    def send_tables(self, m: int):
-        """The (M, width) integer table of send m, row j holding hypothesis
-        j's columns when codeword m is sent, and the same of the zero-pmf
-        table (or None)."""
-        if self.kept is not None:
-            return self.kept[m]
-        column = self.column[m]
-        return (np.take(self.table, column, axis=1),
-                None if self.zero is None else np.take(self.zero, column, axis=1))
+        np.add.at(inside, bucket, 1)
+        inside = inside.reshape(len(cuts), -1)
+        self.lookup = (np.cumsum(inside, axis=1, dtype=inside.dtype) - inside).reshape(-1)
+        self.lookup[bucket] = ~self.lookup[bucket]
+        self.spread = int(inside.max(initial=0))  # most cuts in one bucket
+        # each grid's cuts, then `spread` inf, flat, for the compares
+        self.cuts = np.pad(cuts, ((0, 0), (0, self.spread)), constant_values=np.inf)
+        self.bucket_base = (grid_of.reshape(-1) << self.bits)[pattern]
 
     def draw(self, rng, trials: int) -> np.ndarray:
         """One batch's (M, M, trials) log-likelihoods, [m] when codeword m
@@ -239,32 +229,39 @@ class _DiscreteStatistic:
         return self.sends(rng.random((trials, len(self.pattern_cell))))
 
     def cells(self, u: np.ndarray) -> np.ndarray:
-        """The (len(u), n) flat count-matrix cells of the uniforms u, int32:
-        a batch of at most `rows` trials has at most max(width,
-        _BATCH_ELEMENTS) cells."""
-        index = np.multiply(u, 1 << self.bits, out=np.empty(u.shape, np.int32),
+        """The (len(u), n) flat count-matrix cells of the uniforms u, as
+        intp, which np.take and np.bincount use without a converted copy."""
+        index = np.multiply(u, 1 << self.bits, out=np.empty(u.shape, np.intp),
                             casting="unsafe")  # floor(u 2^K), exact
         index += self.bucket_base
         cell = np.take(self.lookup, index)
         fix = np.flatnonzero(cell < 0)
-        cut = self.cuts[index.ravel()[fix] >> self.bits]
-        cell.ravel()[fix] = (cut < u.ravel()[fix, None]).sum(axis=1)
+        count = ~cell.ravel()[fix]  # cuts below the bucket
+        # the bucket's own cuts follow them in the grid, and the cuts past
+        # those lie above u: compare u with the next `spread`
+        at = (index.ravel()[fix] >> self.bits) * self.cuts.shape[1] + count
+        uf = u.ravel()[fix]
+        for d in range(self.spread):
+            count += (self.cuts.ravel()[at + d] < uf).view(np.uint8)
+        cell.ravel()[fix] = count
         np.add(cell, self.pattern_cell, out=index)
-        index += np.arange(0, len(u) * self.width, self.width, dtype=np.int32)[:, None]
+        index += np.arange(0, len(u) * self.width, self.width)[:, None]
         return index
 
     def sends(self, u: np.ndarray) -> np.ndarray:
         """(M, M, len(u)) log-likelihoods, [m] when codeword m is sent,
         under the uniforms u."""
         counts = np.bincount(self.cells(u).ravel(), minlength=len(u) * self.width)
-        counts = counts.reshape(len(u), self.width).astype(float)
+        # to float64 in place, so a batch holds one count matrix, not two
+        np.copyto(counts.view(float), counts, casting="unsafe")
+        counts = counts.view(float).reshape(len(u), self.width)
         ll = np.empty((self.M, self.M, len(u)))
-        for m in range(self.M):
-            table, zero = self.send_tables(m)
-            np.matmul(table, counts.T, out=ll[m])
-            if zero is not None:
-                ll[m][zero @ counts.T > 0] = -np.inf
+        for m, column in enumerate(self.column):
+            np.matmul(np.take(self.table, column, axis=1), counts.T, out=ll[m])
         ll *= self.quantum
+        if self.zero is not None:
+            for m, column in enumerate(self.column):
+                ll[m][np.take(self.zero, column, axis=1) @ counts.T > 0] = -np.inf
         return ll
 
     @staticmethod

@@ -340,14 +340,42 @@ def test_cell_lookup_at_bucket_edges():
     assert (stat.lookup[bucket] < 0).all()
 
 
+def test_cell_lookup_memory_on_wide_grids():
+    """Each of 4096 positions merges all 32 arcs' 7 breakpoints, 224 cuts,
+    so about 5% of a batch's uniforms lie in a bucket holding one and are
+    counted by compares. The compares take memory in proportion to those
+    uniforms, not to them times the cuts: the peak of `cells` stays within
+    twice the uniforms (comparing each with all 224 cuts at once read 14
+    times). The cells equal the codewords' inverse-CDF outputs."""
+    gen = np.random.default_rng(0)
+    L, Y, n = 32, 8, 4096
+    kern = zr.discrete_kernel(tuple(range(Y)), gen.dirichlet(np.ones(Y), size=L))
+    paths = np.stack([gen.permutation(L) for _ in range(4)], axis=1)[:, np.arange(n) % 4]
+    stat = _DiscreteStatistic(kern, paths)
+    assert np.isfinite(stat.cuts).sum(axis=1).tolist() == [L * (Y - 1)]
+    assert stat.bits == montecarlo._LOOKUP_BITS
+    u = gen.random((stat.rows, n))
+    tracemalloc.start()
+    try:
+        cells = stat.cells(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * u.nbytes
+    cells %= stat.width  # count-matrix columns, trial offsets dropped
+    cdf = np.cumsum(kern.pmf, axis=1)[:, :-1]
+    for arcs, column in zip(paths, stat.column):
+        assert np.array_equal(column[cells] % Y, (u[:, :, None] > cdf[arcs]).sum(axis=2))
+
+
 @pytest.mark.parametrize("M, bound_mib", [(8, 3.36), (32, 5.16 + 2.0)])
 def test_simulate_peak_memory(M, bound_mib, monkeypatch):
     """One simulate of 2000 trials on an n = 512 quantized two-tap book,
-    one batch in flight. At M = 8 every send's table is kept from
-    __init__, and they cost less than the per-batch cell offsets they
-    replaced (3.44 MiB with those and per-send gathers). At M = 32 they are
-    gathered per send, and the peak stays near 5.16 MiB, where keeping
-    them all reads 29 MiB."""
+    one batch in flight, each batch gathering one send's table at a time.
+    At M = 8 the peak must stay below the 3.45 MiB of the compare passes
+    with (rows, n) int64 cell offsets that the bucket lookup replaced. At
+    M = 32 the constructor sets the peak, 5.16 MiB, and 2 MiB of room
+    catches a table of every send kept from construction."""
     doc = json.loads((Path(__file__).resolve().parent.parent
                       / "bench/specs/quantized_two_tap.json").read_text())
     ch = load_channel(doc)
