@@ -27,6 +27,7 @@ from .errors import InfeasibleError, ValidationError
 from .exponent import (PairDistribution, TimeSharingPlan, feasibility_sccs,
                        support_is_connected)
 from .fsm import CostModel, FeasiblePairSet, StateMachine
+from .polytope import _highs
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +65,13 @@ class MarkovTypeSpec:
 
 
 def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) -> MarkovTypeSpec:
-    """Integer Markov type nearest n*q in L1, by one integer program.
+    """Integer Markov type nearest n*q in L1, by one `polytope._highs` MILP.
 
     Counts live on supp(q). Each is floor(n q) + p1 + p2 - m, with p1 in
     {0, 1} at cost 1 - 2f (f the fractional part of n q) and p2, m >= 0
     at cost 1, so the objective is the L1 deviation sum |x - n q| exactly;
-    the rows make the counts balanced at every state and of total n. The
+    the rows, head minus tail indicators (`FeasiblePairSet.incidence`) and
+    the total, make the counts balanced at every state and of total n. The
     fractional parts are snapped to a 1e-9 grid, so solver roundoff on a
     symmetric q does not choose the type. Deviations within 1e-6 tie, and
     ties go to the cheaper type under `arc_cost` (per-pair costs): the
@@ -84,17 +86,6 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     solved for it. Rejected when n is below the support size or when no
     balanced, connected type of total n exists on the support.
     """
-    def solve(c, A, lb, ub, upper, integrality):
-        from scipy.optimize import milp
-        res = milp(c, integrality=integrality, bounds=(0, upper), constraints=(A, lb, ub),
-                   options={"mip_rel_gap": 0.0})
-        if res.status == 2:
-            raise ValidationError(
-                f"no balanced, connected type of total {n} on q's support; adjust n")
-        if not res.success:
-            raise ValidationError(f"the rounding program failed: {res.message}")
-        return np.rint(res.x)
-
     pairs = q.pairs
     sup = q.support()
     if not support_is_connected(q.q, pairs):
@@ -107,10 +98,8 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     target = n * q.q[sup]
     base = np.floor(target + 1e-9)
     frac = np.clip(np.round((target - base) * 1e9), 0.0, None) * 1e-9
-    tails, heads = pairs.tails[sup], pairs.heads[sup]
-    states = np.unique(np.concatenate([tails, heads]))
-    leave = (tails == states[:, None]).astype(float)
-    net_in = (heads == states[:, None]) - leave  # self-loops cancel
+    leave, arrive = pairs.incidence(sup)
+    net_in = arrive - leave  # self-loops cancel
     shift = np.hstack([np.eye(k), np.eye(k), -np.eye(k)])  # x = base + shift @ (p1, p2, m)
     A = np.vstack([net_in @ shift, np.ones((1, k)) @ shift])
     rhs = np.append(-net_in @ base, n - base.sum())
@@ -120,24 +109,26 @@ def round_type(q: PairDistribution, n: int, arc_cost: np.ndarray | None = None) 
     c = np.zeros(k) if arc_cost is None else np.asarray(arc_cost, dtype=float)[sup]
     tie = c @ shift / (n * np.abs(c).max()) if c.any() else 0.0
     counts = np.zeros(len(pairs), dtype=np.int64)
-    if frac.any() or rhs.any():
-        z = solve(obj + tie, A, rhs, rhs, upper, 1)
-        counts[sup] = base + shift @ z
-    else:
-        counts[sup] = base
-    if not support_is_connected(counts, pairs):
-        # rows g <= n x and, at every other state, inflow - outflow of g
-        # equal to its out-count
-        others = states != q.most_visited()
-        out = leave[others]
-        A = np.block([[A, np.zeros((len(A), k))],
-                      [-n * shift, np.eye(k)],
-                      [-out @ shift, net_in[others]]])
-        lb = np.concatenate([rhs, np.full(k, -np.inf), out @ base])
-        ub = np.concatenate([rhs, n * base, out @ base])
-        z = solve(np.append(obj + tie, np.zeros(k)), A, lb, ub,
-                  np.append(upper, np.full(k, np.inf)), np.repeat([1, 0], [3 * k, k]))
-        counts[sup] = base + shift @ z[:3 * k]
+    counts[sup] = base
+    try:
+        if frac.any() or rhs.any():
+            counts[sup] = base + shift @ np.rint(_highs(obj + tie, A, rhs, rhs, upper, 1).x)
+        if not support_is_connected(counts, pairs):
+            # rows g <= n x and, at every state but the root, inflow - outflow
+            # of g equal to its out-count (every support state is a tail)
+            others = np.unique(pairs.tails[sup]) != q.most_visited()
+            out = leave[others]
+            A = np.block([[A, np.zeros((len(A), k))],
+                          [-n * shift, np.eye(k)],
+                          [-out @ shift, net_in[others]]])
+            lb = np.concatenate([rhs, np.full(k, -np.inf), out @ base])
+            ub = np.concatenate([rhs, n * base, out @ base])
+            z = _highs(np.append(obj + tie, np.zeros(k)), A, lb, ub,
+                       np.append(upper, np.full(k, np.inf)), np.repeat([1, 0], [3 * k, k])).x
+            counts[sup] = base + shift @ np.rint(z[:3 * k])
+    except InfeasibleError:
+        raise ValidationError(
+            f"no balanced, connected type of total {n} on q's support; adjust n") from None
 
     dev = np.abs(counts - n * q.q)
     if dev.max() > len(pairs) + 1e-6:

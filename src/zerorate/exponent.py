@@ -27,7 +27,7 @@ import numpy as np
 from .bhatt import DistanceMatrix
 from .errors import InfeasibleError, UnsupportedChannelError, ValidationError
 from .fsm import CostModel, FeasiblePairSet, strong_components
-from .polytope import Polytope, _highs_lp, maximize_quadratic
+from .polytope import Polytope, _highs, maximize_quadratic
 
 MARGINAL_TOL = 1e-10
 SWEEP_POINTS = 17  # budgets in maximize_uce's value-versus-cost sweep, run only
@@ -182,17 +182,15 @@ def support_is_connected(q: np.ndarray, pairs: FeasiblePairSet) -> bool:
 
 def _balance_rows(pairs: FeasiblePairSet, arcs: np.ndarray) -> np.ndarray:
     """Out-minus-in rows, one per touched state in state order (0 on self-loops)."""
-    ends = np.stack([pairs.tails[arcs], pairs.heads[arcs]])
-    hit = np.unique(ends)[:, None, None] == ends
-    return hit[:, 0].astype(float) - hit[:, 1]
+    return np.subtract(*pairs.incidence(arcs))
 
 
 def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
                        cost: CostModel | None = None) -> Polytope:
-    """{q >= 0 on the given arcs, sum q = 1, equal marginals, cost <= gamma}."""
-    n = len(arcs)
-    bal = _balance_rows(pairs, arcs)
-    a_eq = np.vstack([np.ones((1, n)), bal])
+    """{q >= 0 on the given arcs, sum q = 1, equal marginals, cost <= gamma}:
+    the marginal rows are the arcs' tail minus head indicators
+    (`FeasiblePairSet.incidence`), one per touched state in state order."""
+    a_eq = np.vstack([np.ones((1, len(arcs))), _balance_rows(pairs, arcs)])
     b_eq = np.zeros(len(a_eq))
     b_eq[0] = 1.0
     if cost is None:
@@ -307,9 +305,8 @@ def _weight_lp(values: np.ndarray, costs: np.ndarray, gamma: float):
     """max w.values s.t. sum w = 1, w.costs <= gamma, w >= 0. The value is
     that of HiGHS's weights scaled to sum 1, as the plan takes them: its
     weights can sum to 1 + 1e-11, and its objective is off by as much."""
-    res = _highs_lp(-values, np.ones((1, len(values))), [1.0], costs, gamma)
-    if res.status != 0:
-        raise InfeasibleError("cost budget below every candidate component")
+    res = _highs(-values, np.vstack([np.ones(len(values)), costs]), [1.0, -np.inf],
+                 [1.0, gamma], empty="cost budget below every candidate component")
     return res.x, float(res.x @ values / res.x.sum())
 
 

@@ -141,6 +141,13 @@ class FeasiblePairSet:
         table[self.tails, self.heads] = np.arange(len(self))
         return table
 
+    def incidence(self, arcs) -> tuple[np.ndarray, np.ndarray]:
+        """(tail, head), the 0/1 indicators of the arcs' tails and heads: one
+        row per touched state in state order. tail - head is out minus in."""
+        tails, heads = self.tails[arcs], self.heads[arcs]
+        states = np.unique(np.concatenate([tails, heads]))[:, None]
+        return (tails == states).astype(float), (heads == states).astype(float)
+
 
 @dataclass(frozen=True)
 class CostModel:

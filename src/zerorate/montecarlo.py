@@ -482,14 +482,13 @@ def _entropy(p: np.ndarray) -> float:
 def _quad_constraints(q_star: PairDistribution):
     """Equality system for the coupled quadruple table, flattened (L*L,):
     both pair marginals equal q*, and the joint law of the two heads equals
-    that of the two tails (rows kron(H, H) - kron(T, T), T and H the S x L
-    tail and head indicators; all-zero rows dropped)."""
+    that of the two tails: the 2-fold product's in-minus-out balance rows
+    kron(H, H) - kron(T, T), T and H the tail and head indicators of every
+    arc (`FeasiblePairSet.incidence`), all-zero rows dropped."""
     pairs = q_star.pairs
     L = len(pairs)
     eye, ones = np.eye(L), np.ones((1, L))
-    states = np.arange(pairs.n_states)[:, None]
-    tail = (pairs.tails[None, :] == states).astype(float)
-    head = (pairs.heads[None, :] == states).astype(float)
+    tail, head = pairs.incidence(np.arange(L))
     stat = np.kron(head, head) - np.kron(tail, tail)
     stat = stat[stat.any(axis=1)]
     a_eq = np.vstack([np.kron(eye, ones), np.kron(ones, eye), stat])

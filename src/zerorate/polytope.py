@@ -19,8 +19,8 @@ raises. Siblings at other
 budgets share the null space and the pieces. The quadratic E0 objective is
 maximized by projected gradient with a 1/Lipschitz step, which is monotone
 and globally convergent in the concave case. Projection and projected
-gradient load no scipy; LPs go to HiGHS, and scipy.optimize is imported on
-the first LP.
+gradient load no scipy. Every LP and integer program of the package goes
+to HiGHS through `_highs`, which imports scipy.optimize on its first call.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ValidationError
 
 FEAS_TOL = 1e-9
 PG_MAX_ITER = 100_000
@@ -37,17 +37,26 @@ FREE_TOL = 1e-10   # a coordinate (or budget slack) above this is off its bound
 KKT_TOL = 1e-12    # roundoff allowed in multiplier signs and KKT residuals
 
 
-def _highs_lp(objective: np.ndarray, a_eq, b_eq, cost: np.ndarray | None = None,
-              gamma: float = 0.0):
-    """min objective.x over {x >= 0, a_eq x = b_eq, cost.x <= gamma} by HiGHS.
-
-    Every LP of the package goes through here; scipy.optimize is imported on
-    the first call, so importing zerorate does not load it."""
-    from scipy.optimize import linprog
-    return linprog(objective, A_eq=a_eq, b_eq=b_eq,
-                   A_ub=None if cost is None else cost[None, :],
-                   b_ub=None if cost is None else [gamma],
-                   bounds=(0, None), method="highs")
+def _highs(c: np.ndarray, a: np.ndarray, lb, ub, upper=None, integrality=None,
+           empty: str = "polytope is empty"):
+    """min c.x over {lb <= a x <= ub, 0 <= x <= upper} by HiGHS, the entry
+    point of every program: one `linprog` LP (rows with lb == ub as
+    equalities, the rest as upper bounds) or, with integrality, one exact
+    `milp`. scipy is imported here, on the first call. An infeasible program
+    raises InfeasibleError(empty), any other failure ValidationError."""
+    from scipy.optimize import linprog, milp
+    if integrality is None:
+        eq, ub = np.equal(lb, ub), np.asarray(ub, dtype=float)
+        res = linprog(c, A_eq=a[eq], b_eq=ub[eq], A_ub=a[~eq], b_ub=ub[~eq],
+                      bounds=(0, upper), method="highs")
+    else:
+        res = milp(c, integrality=integrality, bounds=(0, upper), constraints=(a, lb, ub),
+                   options={"mip_rel_gap": 0.0})
+    if res.status == 2:
+        raise InfeasibleError(empty)
+    if res.status != 0:
+        raise ValidationError(f"HiGHS did not solve the program: {res.message}")
+    return res
 
 
 def _lawson_hanson(e: np.ndarray, f: np.ndarray, max_iter: int,
@@ -385,19 +394,16 @@ class Polytope:
 
     def feasible_point(self) -> np.ndarray:
         """The cheapest feasible point (any one without a cost), or raise."""
-        obj = self.cost if self.cost is not None else np.zeros(self.dim)
-        res = _highs_lp(obj, self.a_eq, self.b_eq, self.cost, self.gamma)
-        if res.status != 0:
-            raise InfeasibleError("polytope is empty")
-        return res.x
+        if self.cost is None:
+            return _highs(np.zeros(self.dim), self.a_eq, self.b_eq, self.b_eq).x
+        return _highs(self.cost, np.vstack([self.a_eq, self.cost]),
+                      np.append(self.b_eq, -np.inf), np.append(self.b_eq, self.gamma)).x
 
     def linear_range(self, c: np.ndarray) -> tuple[float, float]:
         """min and max of c.x over {x >= 0, A x = b}: the budget is left out,
         so on a cost vector this is the range every budget can choose from."""
-        lo = _highs_lp(c, self.a_eq, self.b_eq)
-        hi = _highs_lp(-c, self.a_eq, self.b_eq)
-        if lo.status != 0 or hi.status != 0:
-            raise InfeasibleError("polytope is empty")
+        lo = _highs(c, self.a_eq, self.b_eq, self.b_eq)
+        hi = _highs(-c, self.a_eq, self.b_eq, self.b_eq)
         return float(lo.fun), float(-hi.fun)
 
 

@@ -725,6 +725,27 @@ def test_quad_constraints_match_loop_reference(spec):
     assert np.array_equal(a_eq, ref_a) and np.array_equal(b_eq, ref_b)
 
 
+@pytest.mark.parametrize("spec", ["specs/bsc.json", "specs/isi_two_tap.json",
+                                  "bench/specs/quantized_two_tap.json",
+                                  "bench/specs/time_sharing.json"])
+def test_quad_stationarity_rows_are_the_product_balance_rows(spec):
+    """The stationarity rows of z_rho's program are the in-minus-out balance
+    rows of the explicit 2-fold product pair set (S^2 states; arc a*L + b
+    runs from (tail a, tail b) to (head a, head b)), all-zero rows dropped."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / spec).read_text())
+    pairs = load_channel(doc).pairs
+    L, S = len(pairs), pairs.n_states
+    poly = component_polytope(pairs, np.arange(L))
+    q = zr.PairDistribution(pairs, poly.project(np.full(L, 1.0 / L)))
+    product = zr.FeasiblePairSet(S * S, np.add.outer(pairs.tails * S, pairs.tails).ravel(),
+                                 np.add.outer(pairs.heads * S, pairs.heads).ravel(),
+                                 np.zeros(L * L, dtype=np.int64))
+    tail, head = product.incidence(np.arange(L * L))
+    rows = head - tail
+    a_eq, _ = montecarlo._quad_constraints(q)
+    assert np.array_equal(a_eq[2 * L:], rows[rows.any(axis=1)])
+
+
 def test_zrho_guard_on_state_count():
     # 9-state machine exceeds the quadruple-table guard
     m = zr.shift_register([0.0, 1.0, 2.0], 2)

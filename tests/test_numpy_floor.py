@@ -1,9 +1,12 @@
-"""src/ stays within the NumPy that pyproject.toml declares, numpy>=1.24.
+"""src/ stays within the NumPy and SciPy that pyproject.toml declares,
+numpy>=1.24 and scipy>=1.10.
 
 The suite runs on one installed NumPy, so a name or keyword that NumPy
 added in 2.0 or later passes every other test and breaks the declared
 floor. This check walks src/ with ast and fails on a short list of them.
-It is only as good as its list: extend it when a newer API is met.
+It is only as good as its list: extend it when a newer API is met. SciPy
+is held to one entry point instead: one function imports it, and only
+names that SciPy 1.10 has.
 """
 import ast
 from pathlib import Path
@@ -18,6 +21,9 @@ NEW_FUNCTIONS = {"trapezoid", "vecdot", "unique_values", "unique_counts", "uniqu
 NEW_ATTRIBUTES = {"mT", "device", "to_device"}  # ndarray attributes added in NumPy 2.0
 # keywords added in NumPy 2.0: np.asarray(copy=), and out= on every np.fft function
 NEW_KEYWORDS = {"asarray": {"copy"}, "fft.*": {"out"}}
+# the SciPy names src/ may import, all in SciPy 1.10: linprog's HiGHS
+# methods came in 1.6 and milp in 1.9
+SCIPY_NAMES = {"scipy.optimize.linprog", "scipy.optimize.milp"}
 
 
 def dotted(node) -> str:
@@ -79,3 +85,46 @@ def test_floor_check_flags_numpy_2_usage():
         "a.T.astype(float, copy=False)",
     ])
     assert [line for line, _ in floor_violations(ast.parse(planted))] == [2, 3, 4, 5, 6, 7, 8]
+
+
+def scipy_imports(tree: ast.AST) -> list[tuple[str, str]]:
+    """(enclosing function, or '<module>', imported name) of every SciPy
+    import in tree; `import scipy.x` yields the module name itself."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((where, alias.name) for alias in child.names
+                             if alias.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom) and (child.module or "").split(".")[0] == "scipy":
+                found.extend((where, f"{child.module}.{alias.name}") for alias in child.names)
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_src_reaches_scipy_through_one_function():
+    assert '"scipy>=1.10"' in (SRC.parent / "pyproject.toml").read_text()
+    found = [(f"{path.relative_to(SRC)}:{where}", name) for path in sorted(SRC.rglob("*.py"))
+             for where, name in scipy_imports(ast.parse(path.read_text(), str(path)))]
+    assert len({where for where, _ in found}) == 1, found
+    assert {name for _, name in found} == SCIPY_NAMES
+
+
+def test_scipy_check_flags_other_sites_and_names():
+    planted = "\n".join([
+        "import scipy.linalg",
+        "def solve():",
+        "    from scipy.optimize import linprog, nnls",
+        "    def inner():",
+        "        import numpy",
+        "        from scipy import sparse",
+    ])
+    assert scipy_imports(ast.parse(planted)) == [
+        ("<module>", "scipy.linalg"), ("solve", "scipy.optimize.linprog"),
+        ("solve", "scipy.optimize.nnls"), ("inner", "scipy.sparse")]

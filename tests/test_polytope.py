@@ -3,12 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zerorate import exponent, polytope
-from zerorate.cli import run
-from zerorate.errors import InfeasibleError
+import zerorate as zr
+from zerorate import codebook, exponent, polytope
+from zerorate.cli import load_channel, run
+from zerorate.errors import InfeasibleError, ValidationError
 from zerorate.polytope import Polytope, _lawson_hanson
 
 from conftest import DEGENERATE_NNLS_DOC, cli_out, duplicate_symbol
@@ -43,22 +45,65 @@ def test_linear_range_of_a_constant_cost_is_exact():
         Polytope(a[:1], [-1.0]).linear_range(np.ones(4))
 
 
+BENCH_SPECS = Path(__file__).resolve().parent.parent / "bench" / "specs"
+
+
+def count_programs(monkeypatch) -> list:
+    """Spy on the one HiGHS entry point at every binding of it: the returned
+    list gains 'lp' or 'milp' per program run."""
+    highs, calls = polytope._highs, []
+
+    def counted(c, a, lb, ub, upper=None, integrality=None, **kwargs):
+        calls.append("lp" if integrality is None else "milp")
+        return highs(c, a, lb, ub, upper, integrality, **kwargs)
+
+    for module in (polytope, exponent, codebook):
+        monkeypatch.setattr(module, "_highs", counted)
+    return calls
+
+
 def test_optimize_on_a_constant_cost_runs_one_lp(monkeypatch, capsys):
     # quantized_two_tap's arcs all cost 1: its non-concave component needs
     # the cheapest feasible point, and maximize_e0 runs no LP for the range
     # of a cost constant on the hull
-    lp, calls = polytope._highs_lp, []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return lp(*args, **kwargs)
-
-    monkeypatch.setattr(polytope, "_highs_lp", counted)
-    monkeypatch.setattr(exponent, "_highs_lp", counted)
-    spec = Path(__file__).resolve().parent.parent / "bench" / "specs" / "quantized_two_tap.json"
-    assert run(["optimize", "--spec", str(spec)]) == 0
+    calls = count_programs(monkeypatch)
+    assert run(["optimize", "--spec", str(BENCH_SPECS / "quantized_two_tap.json")]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert calls == ["lp"]
+
+
+@pytest.mark.parametrize("argv, code, programs", [
+    # the cheapest feasible point, the two range LPs and the weight LP
+    (["optimize"], 0, ["lp"] * 4),
+    # the same four, then one rounding MILP per plan segment; the rounded
+    # types then exceed the budget (the bench's known failure)
+    (["build-code", "--n", "512", "--codewords", "8"], 2, ["lp"] * 4 + ["milp"] * 2),
+])
+def test_time_sharing_programs(monkeypatch, capsys, argv, code, programs):
+    calls = count_programs(monkeypatch)
+    spec = str(BENCH_SPECS / "time_sharing.json")
+    assert run([argv[0], "--spec", spec, *argv[1:]]) == code
+    capsys.readouterr()
+    assert calls == programs
+
+
+@pytest.mark.parametrize("spec", ["quantized_two_tap.json", "time_sharing.json"])
+def test_a_solver_failure_is_not_an_empty_polytope(monkeypatch, capsys, spec):
+    """HiGHS status 4 (numerical difficulties) on the first LP is a failed
+    solve, not an empty polytope: maximize_e0 must not skip the component."""
+    linprog = scipy.optimize.linprog
+
+    def failing(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        res.status, res.success, res.message = 4, False, "forced status 4"
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", failing)
+    ch = load_channel(json.loads((BENCH_SPECS / spec).read_text()))
+    with pytest.raises(ValidationError, match="forced status 4"):
+        zr.maximize_e0(zr.bhattacharyya(ch.kernel, ch.pairs), ch.pairs, ch.cost)
+    assert run(["optimize", "--spec", str(BENCH_SPECS / spec)]) == 1
+    assert "forced status 4" in capsys.readouterr().err
 
 
 def _violation(a, b, cost, gamma, x):
