@@ -180,17 +180,12 @@ def support_is_connected(q: np.ndarray, pairs: FeasiblePairSet) -> bool:
     return len(np.unique(labels[np.concatenate([tails, heads])])) == 1
 
 
-def _balance_rows(pairs: FeasiblePairSet, arcs: np.ndarray) -> np.ndarray:
-    """Out-minus-in rows, one per touched state in state order (0 on self-loops)."""
-    return np.subtract(*pairs.incidence(arcs))
-
-
 def component_polytope(pairs: FeasiblePairSet, arcs: np.ndarray,
                        cost: CostModel | None = None) -> Polytope:
     """{q >= 0 on the given arcs, sum q = 1, equal marginals, cost <= gamma}:
     the marginal rows are the arcs' tail minus head indicators
     (`FeasiblePairSet.incidence`), one per touched state in state order."""
-    a_eq = np.vstack([np.ones((1, len(arcs))), _balance_rows(pairs, arcs)])
+    a_eq = np.vstack([np.ones((1, len(arcs))), np.subtract(*pairs.incidence(arcs))])
     b_eq = np.zeros(len(a_eq))
     b_eq[0] = 1.0
     if cost is None:

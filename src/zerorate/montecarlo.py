@@ -38,7 +38,9 @@ metrics for discrete kernels, width being the patterns' total cell count,
 and M metrics for Gaussian ones.
 
 When the trials exceed `rows` and no trial log is asked for, the chunks
-run on k = min(chunks, CPUs the process may use) worker threads; numpy
+run on k = min(chunks, CPUs the process may use) worker threads, else
+inline (k = 1): one sum of the chunks' counts, through `map` or the pool,
+serves both, and a trial log only adds its writer to the chunk calls. numpy
 drops the interpreter lock in the draws, lookups and GEMMs. The workers
 share one statistic, which nothing writes once it is built; each draw
 allocates its own arrays. A worker's batches hold at most
@@ -62,6 +64,7 @@ decrement and KKT residual as its certificate of convergence.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -158,10 +161,12 @@ class _DiscreteStatistic:
     out of the kernel's L, so width <= P (1 + min(M, L) (Y - 1)). Measured
     by tracemalloc over one `simulate` of 2000 trials on one thread, on
     n = 512 quantized two-tap books: the peak is 2.41 MiB at M = 8 (the
-    discrete-sim bench book, width 862) and 5.16 MiB at M = 32 (width 3218),
+    discrete-sim bench book, width 862) and 3.81 MiB at M = 32 (width 3218),
     against 3.45 and 5.16 MiB with max G_p - 1 compare passes, (rows, n)
-    int64 cell offsets and a float64 copy of the count matrix. Two ways to
-    save the per-send gathers were measured and dropped. Keeping all M
+    int64 cell offsets and a float64 copy of the count matrix. __init__
+    alone peaks at 3.46 MiB at M = 32, as it gathers the column index per
+    flat cell, with no padded (P, M, max G_p) array. Two ways to save the
+    per-send gathers were measured and dropped. Keeping all M
     sends' tables from __init__ when they fit the batch budget (431 KiB at
     M = 8) did not move the discrete-sim bench's time per pass: lower in 5
     of 10 alternating pairs. One GEMM for all M sends against those tables
@@ -193,14 +198,15 @@ class _DiscreteStatistic:
         grid.sort(axis=1)
         cells = 1 + np.isfinite(grid).sum(axis=1)  # G_p
         grid = grid[:, :cells.max() - 1]
-        # output[p, m, g]: codeword m's output in cell g of pattern p, the
-        # number of its arc's breakpoints at or below the cell's lower edge
-        below = np.stack([np.searchsorted(b, grid, side="right") for b in breaks])
-        output = np.zeros((P, self.M, grid.shape[1] + 1), dtype=np.intp)
-        output[:, :, 1:] = below[patterns, np.arange(P)[:, None]]
-        real = np.arange(output.shape[2]) < cells[:, None]
-        self.column = (output + Y * np.arange(P)[:, None, None]).transpose(1, 0, 2)[:, real]
+        # the flat cells (p, g), pattern by pattern: owner p and lower edge;
+        # codeword m's output in one is the number of its arc's breakpoints
+        # at or below the edge, below[arc, cell]
+        real = np.arange(grid.shape[1] + 1) < cells[:, None]
+        owner = np.nonzero(real)[0]
+        edge = np.pad(grid, ((0, 0), (1, 0)), constant_values=-np.inf)[real]
+        below = np.stack([np.searchsorted(b, edge, side="right") for b in breaks])
         self.width = int(cells.sum())
+        self.column = below[patterns[owner].T, np.arange(self.width)] + Y * owner
         self.rows = _rows(_BATCH_ELEMENTS, max(n, self.width, self.M * self.M))
         # count-matrix column of cell 0 at each position
         self.pattern_cell = (np.cumsum(cells) - cells)[pattern]
@@ -373,23 +379,6 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _count_errors_pooled(stat, workers: int, chunks: range, seed: int,
-                         trials: int) -> np.ndarray:
-    """The sum of _count_chunk over the chunks on `workers` threads, in
-    batches of at most stat.rows // workers trials, so that the batches in
-    flight take at most the memory of one of stat.rows. An error in a
-    worker is raised here, and an exception here cancels the chunks that
-    have not started."""
-    from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import: only when used
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(_count_chunk, stat, seed, c, trials, stat.rows // workers)
-                   for c in chunks]
-        return sum(f.result() for f in futures)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
              trial_log=None) -> SimulationReport:
     """Per-codeword ML error rates with exact binomial standard errors.
@@ -400,7 +389,10 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
     (trial, codeword, decoded, correct) per transmission, by trial and then
     codeword; it is closed however the run ends. The trial chunks run on
     one worker thread per CPU (see the module docstring for when they run
-    inline)."""
+    inline), each in batches of at most stat.rows // workers trials, so
+    that the batches in flight take at most the memory of one of stat.rows.
+    An error in a chunk is raised here; on the pool it cancels the chunks
+    that have not started, and the run waits for those that have."""
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     seed, n = int(seed), book.n
@@ -410,16 +402,21 @@ def simulate(kernel: ChannelKernel, book: Codebook, trials: int, seed: int,
     # batch's rows is too little work to pay for a pool
     workers = (1 if trial_log is not None or trials <= stat.rows
                else min(len(chunks), _cpu_count(), stat.rows))
-    if workers > 1:
-        errors = _count_errors_pooled(stat, workers, chunks, seed, trials)
-    elif trial_log is None:
-        errors = sum(_count_chunk(stat, seed, c, trials, stat.rows) for c in chunks)
-    else:
-        import csv
-        with open(trial_log, "w", encoding="utf-8", newline="") as fh:
-            log = csv.writer(fh)
+    with contextlib.ExitStack() as stack:
+        log, run = None, map
+        if trial_log is not None:
+            import csv
+            log = csv.writer(stack.enter_context(
+                open(trial_log, "w", encoding="utf-8", newline="")))
             log.writerow(["trial", "codeword", "decoded", "correct"])
-            errors = sum(_count_chunk(stat, seed, c, trials, stat.rows, log) for c in chunks)
+        if workers > 1:
+            from concurrent.futures import ThreadPoolExecutor  # ~10 ms to import: only when used
+            pool = ThreadPoolExecutor(workers)
+            # however the run ends, cancel the chunks not started and wait for the others
+            stack.callback(pool.shutdown, cancel_futures=True)
+            run = lambda fn, cs: (f.result() for f in [pool.submit(fn, c) for c in cs])
+        errors = sum(run(lambda c: _count_chunk(stat, seed, c, trials, stat.rows // workers, log),
+                         chunks))
     pe = errors / trials
     se = np.sqrt(pe * (1.0 - pe) / trials)
     worst = float(pe.max())

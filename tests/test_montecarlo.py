@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import inspect
 import itertools
@@ -368,28 +369,51 @@ def test_cell_lookup_memory_on_wide_grids():
         assert np.array_equal(column[cells] % Y, (u[:, :, None] > cdf[arcs]).sum(axis=2))
 
 
+def quantized_book(M):
+    """(kernel, book): an n = 512, M-codeword book on the quantized two-tap
+    bench spec, seed 0."""
+    doc = json.loads((Path(__file__).resolve().parent.parent
+                      / "bench/specs/quantized_two_tap.json").read_text())
+    ch = load_channel(doc)
+    d = zr.bhattacharyya(ch.kernel, ch.pairs)
+    plan = zr.maximize_e0(d, ch.pairs, ch.cost).argmax
+    return ch.kernel, zr.build_codebook(plan, d, ch.cost, 512, M, 0, ch.machine)
+
+
 @pytest.mark.parametrize("M, bound_mib", [(8, 3.36), (32, 5.16 + 2.0)])
 def test_simulate_peak_memory(M, bound_mib, monkeypatch):
     """One simulate of 2000 trials on an n = 512 quantized two-tap book,
     one batch in flight, each batch gathering one send's table at a time.
     At M = 8 the peak must stay below the 3.45 MiB of the compare passes
     with (rows, n) int64 cell offsets that the bucket lookup replaced. At
-    M = 32 the constructor sets the peak, 5.16 MiB, and 2 MiB of room
-    catches a table of every send kept from construction."""
-    doc = json.loads((Path(__file__).resolve().parent.parent
-                      / "bench/specs/quantized_two_tap.json").read_text())
-    ch = load_channel(doc)
-    d = zr.bhattacharyya(ch.kernel, ch.pairs)
-    plan = zr.maximize_e0(d, ch.pairs, ch.cost).argmax
-    book = zr.build_codebook(plan, d, ch.cost, 512, M, 0, ch.machine)
+    M = 32 a batch sets the peak, 3.81 MiB, since the constructor builds
+    its column index from flat cells (it set a 5.16 MiB peak with padded
+    (P, M, max G_p) intermediates), and 2 MiB above that old peak catches
+    a table of every send kept from construction."""
+    kernel, book = quantized_book(M)
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 1)
     tracemalloc.start()
     try:
-        zr.simulate(ch.kernel, book, trials=2000, seed=0)
+        zr.simulate(kernel, book, trials=2000, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2 ** 20
+
+
+def test_discrete_statistic_builds_its_columns_from_flat_cells():
+    """At M = 32 (width 3218) the constructor's peak is 3.46 MiB: the column
+    index is gathered per flat cell, never through padded (P, M, max G_p)
+    arrays, which took it to 5.16 MiB."""
+    kernel, book = quantized_book(32)
+    tracemalloc.start()
+    try:
+        stat = _DiscreteStatistic(kernel, book.arc_paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stat.column.shape == (32, 3218)
+    assert peak <= 4.2 * 2 ** 20
 
 
 # Reports and trial-log digests of 3172 trials (three chunks and a partial
@@ -424,10 +448,8 @@ def test_error_heavy_reports_are_pinned(name, monkeypatch, tmp_path):
     assert hashlib.sha256(log.read_bytes()).hexdigest() == digest
     monkeypatch.setattr(montecarlo, "_cpu_count", lambda: 2)
     pools = []
-    pooled = montecarlo._count_errors_pooled
-    monkeypatch.setattr(montecarlo, "_count_errors_pooled",
-                        lambda stat, workers, *args: pools.append(workers)
-                        or pooled(stat, workers, *args))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
     assert zr.simulate(kern, book, trials=3172, seed=9).to_json_dict() == report
     assert pools == [2]
 
@@ -553,10 +575,8 @@ def several_batches(kind, monkeypatch):
 def test_worker_count_changes_nothing(kind, monkeypatch, tmp_path):
     kern, book = several_batches(kind, monkeypatch)
     pools = []
-    pooled = montecarlo._count_errors_pooled
-    monkeypatch.setattr(montecarlo, "_count_errors_pooled",
-                        lambda stat, workers, *args: pools.append(workers)
-                        or pooled(stat, workers, *args))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda workers: pools.append(workers) or ThreadPoolExecutor(workers))
     reports = {}
     interval = sys.getswitchinterval()
     # switch threads often: a write to the shared statistic would garble draws
